@@ -3,7 +3,8 @@
 Reports are produced with a fixed field order and floats at 17 significant
 digits, so one (config, seed) pair maps to one byte sequence; nothing
 time- or machine-dependent is embedded.  Exit codes: 0 all asserted checks
-pass, 1 a check or solve failed, 2 usage error, 3 output not writable.
+pass, 1 a check or solve failed or a numerical fault, 2 usage error, 3 output
+not writable.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ from .verify_chain import (
 __all__ = ["ExperimentConfig", "UsageError", "run", "write_report", "main"]
 
 _COMMANDS = ("exponents", "mesh-info", "solve-linear", "solve-nonlinear", "verify", "sweep")
+# commands that derive an exponent context from (N, p, q)
+_EXPONENT_COMMANDS = ("exponents", "solve-nonlinear", "verify", "sweep")
 _SUITES = ("universal", "gn", "regularity", "chain", "energy", "equivalence")
 
 
@@ -82,6 +85,15 @@ class ExperimentConfig:
             raise UsageError(
                 f"unknown case {self.case!r}; available: {sorted(MANUFACTURED_CASES)}"
             )
+        # every mesh is the 3-D unit cube; only the exponent algebra takes other N
+        if self.command != "exponents" and self.N != 3:
+            raise UsageError(f"{self.command} runs on the 3-D cube and needs N = 3, got {self.N}")
+        if self.command in _EXPONENT_COMMANDS:
+            for p in self.p_list:
+                try:
+                    derive_context(self.N, p, self.q_override)
+                except (TypeError, ValueError) as exc:
+                    raise UsageError(str(exc)) from exc
 
     def as_dict(self):
         return {
@@ -164,7 +176,7 @@ def write_report(records, fmt, path, header=None):
         out.write(text)
 
 
-def _emit(config, records, status_records=()):
+def _emit(config, records):
     if config.output:
         header = {"version": __version__, "config": config.as_dict()}
         write_report(records, config.fmt, config.output, header=header)
@@ -383,7 +395,7 @@ def _cmd_verify(config):
                         "branch": rec.branch,
                     }
                 )
-                trace = h1_trace_bound(outcome, nl)
+                trace = h1_trace_bound(outcome, nl, ctx)
                 if trace.verdict == "fail":
                     status = 1
                     print(f"FAIL: h1_trace_bound at n={trace.n}", file=sys.stderr)
@@ -399,7 +411,7 @@ def _cmd_verify(config):
                     }
                 )
         if suite in ("chain", "equivalence"):
-            eq = norm_equivalence_report(outcomes)
+            eq = norm_equivalence_report(outcomes, ctx)
             records.append(
                 {
                     "step": "norm_equivalence",
@@ -449,7 +461,7 @@ def _cmd_sweep(config):
             mesh = build_cube_mesh(n)
             outcome = solve_ground_state(mesh, nl, config.tol, config.seed)
             rec = main_estimate_ratio(outcome, ctx)
-            trace = h1_trace_bound(outcome, nl)
+            trace = h1_trace_bound(outcome, nl, ctx)
             if trace.verdict == "fail" or rec.verdict != "finite":
                 status = 1
                 print(f"FAIL: p={p} n={n}", file=sys.stderr)
@@ -582,7 +594,9 @@ def run(config):
 def main(argv=None):
     try:
         config = parse_config(sys.argv[1:] if argv is None else argv)
-    except UsageError as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        # parsing only reads the configuration, so a bad entry in a config
+        # file is a usage error like a bad flag
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -590,14 +604,17 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except (NonconvergenceError, StagnationError, SolverDivergence) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        # the configuration was validated above, so a ValueError raised while
+        # computing is a fault in the numbers: an uncertified solution, a
+        # degenerate tet, a non-finite field
+        print(f"numerical fault: {exc}", file=sys.stderr)
         return 1
 
 

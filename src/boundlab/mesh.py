@@ -2,12 +2,13 @@
 
 Each of the n^3 subcubes is split into the six path tetrahedra that share the
 main diagonal (Kuhn split).  The split is translation invariant, so faces of
-neighbouring subcubes match and the mesh is conforming at every level.
+neighbouring subcubes match and the mesh is conforming at every level.  The
+tets and boundary faces follow in closed form from the subcube grid; each
+level is built once per process and shared read-only.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -26,7 +27,7 @@ _VOLUME_TOL = 1e-12
 _AREA_TOL = 1e-12
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Mesh:
     """Tetrahedral mesh of the unit cube.
 
@@ -58,18 +59,27 @@ class Mesh:
         return self.boundary_faces.shape[0]
 
 
-def _perm_sign(perm):
-    sign = 1
-    perm = list(perm)
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
 _KUHN_PATHS = tuple(permutations((0, 1, 2)))
-_KUHN_SIGNS = tuple(_perm_sign(p) for p in _KUHN_PATHS)
+# the even permutations of three axes are the cyclic shifts
+_KUHN_SIGNS = tuple(1 if (p[1] - p[0]) % 3 == 1 else -1 for p in _KUHN_PATHS)
+
+# vertices of the face opposite each local vertex, in increasing local order
+_FACE_VERTICES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+
+
+def _path_corners(path, sign):
+    """Unit-cube corners visited by one Kuhn path, orientation fixed by sign."""
+    corners = np.zeros((4, 3), dtype=np.int64)
+    for step, axis in enumerate(path, start=1):
+        corners[step:, axis] += 1
+    if sign < 0:
+        corners[[2, 3]] = corners[[3, 2]]
+    return corners
+
+
+_KUHN_CORNERS = np.array(
+    [_path_corners(p, s) for p, s in zip(_KUHN_PATHS, _KUHN_SIGNS)]
+)  # (6, 4, 3)
 
 
 def signed_volumes(vertices, tets):
@@ -79,79 +89,52 @@ def signed_volumes(vertices, tets):
     return np.linalg.det(edges) / 6.0
 
 
+_MESHES = {}
+
+
 def build_cube_mesh(n):
-    """Mesh the unit cube with n subdivisions per edge (6*n^3 tets)."""
+    """Mesh the unit cube with n subdivisions per edge (6*n^3 tets).
+
+    Levels are built once and shared: the returned mesh and its arrays are
+    read-only.
+    """
     if isinstance(n, bool) or not isinstance(n, int):
         raise TypeError("n must be an integer")
     if n < 1:
         raise ValueError(f"subdivision level must be >= 1, got {n}")
+    mesh = _MESHES.get(n)
+    if mesh is None:
+        mesh = _MESHES[n] = _kuhn_mesh(n)
+    return mesh
+
+
+def _kuhn_mesh(n):
     s = n + 1
-    ii = np.tile(np.arange(s), s * s)
-    jj = np.tile(np.repeat(np.arange(s), s), s)
-    kk = np.repeat(np.arange(s), s * s)
+    kk, jj, ii = np.indices((s, s, s)).reshape(3, -1)
     vertices = np.column_stack([ii, jj, kk]).astype(float) / n
 
-    def vid(i, j, k):
-        return (k * s + j) * s + i
+    # subcubes in (k, j, i) order, each split into the six path tets
+    kc, jc, ic = np.indices((n, n, n)).reshape(3, -1)
+    cells = np.column_stack([ic, jc, kc])                                # (n^3, 3)
+    grid = (cells[:, None, None, :] + _KUHN_CORNERS).reshape(-1, 4, 3)   # (nt, 4, 3)
+    tets = grid @ np.array([1, s, s * s], dtype=np.int64)
 
-    tets = []
-    for k in range(n):
-        for j in range(n):
-            for i in range(n):
-                for path, sign in zip(_KUHN_PATHS, _KUHN_SIGNS):
-                    cur = [i, j, k]
-                    ids = [vid(*cur)]
-                    for axis in path:
-                        cur[axis] += 1
-                        ids.append(vid(*cur))
-                    if sign < 0:
-                        ids[2], ids[3] = ids[3], ids[2]
-                    tets.append(ids)
-    tets = np.array(tets, dtype=np.int64)
+    # a face is on the boundary iff its three vertices share a cube face plane
+    planes = np.concatenate([grid == 0, grid == n], axis=2)              # (nt, 4, 6)
+    on_boundary = planes[:, _FACE_VERTICES].all(axis=2).any(axis=2)     # (nt, 4)
+    parents, omitted = np.nonzero(on_boundary)
+    faces = np.sort(tets[parents[:, None], _FACE_VERTICES[omitted]], axis=1)
 
-    faces, normals, parents = _extract_boundary(vertices, tets)
-    return Mesh(
-        vertices=vertices,
-        tets=tets,
-        boundary_faces=faces,
-        boundary_normals=normals,
-        boundary_parents=parents,
-        n=n,
-    )
+    a, b, c = (vertices[faces[:, k]] for k in range(3))
+    normals = np.cross(b - a, c - a)
+    normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
+    tet_centroids = vertices[tets[parents]].mean(axis=1)
+    inward = np.einsum("fd,fd->f", normals, (a + b + c) / 3.0 - tet_centroids) < 0
+    normals[inward] = -normals[inward]
 
-
-def _face_map(tets):
-    """Map sorted face triple -> list of owning tet indices."""
-    fmap = defaultdict(list)
-    for t, tet in enumerate(tets):
-        for omit in range(4):
-            tri = tuple(sorted(np.delete(tet, omit)))
-            fmap[tri].append(t)
-    return fmap
-
-
-def _extract_boundary(vertices, tets):
-    fmap = _face_map(tets)
-    faces, normals, parents = [], [], []
-    tet_centroids = vertices[tets].mean(axis=1)
-    for tri, owners in fmap.items():
-        if len(owners) != 1:
-            continue
-        t = owners[0]
-        a, b, c = (vertices[v] for v in tri)
-        nvec = np.cross(b - a, c - a)
-        nvec = nvec / np.linalg.norm(nvec)
-        face_centroid = (a + b + c) / 3.0
-        if np.dot(nvec, face_centroid - tet_centroids[t]) < 0:
-            nvec = -nvec
-        faces.append(tri)
-        normals.append(nvec)
-        parents.append(t)
-    return (
-        np.array(faces, dtype=np.int64),
-        np.array(normals, dtype=float),
-        np.array(parents, dtype=np.int64),
-    )
+    for array in (vertices, tets, faces, normals, parents):
+        array.flags.writeable = False
+    return Mesh(vertices, tets, faces, normals, parents, n)
 
 
 def face_areas(mesh):
@@ -179,29 +162,44 @@ def mesh_integrity(mesh):
     if abs(areas.sum() - 6.0) > _AREA_TOL:
         return IntegrityReport(False, f"boundary area sum {areas.sum()!r} differs from 6")
 
-    fmap = _face_map(mesh.tets)
-    for tri, owners in fmap.items():
-        if len(owners) not in (1, 2):
-            return IntegrityReport(False, f"face {tri} shared by {len(owners)} tets")
-    boundary = {tri: owners[0] for tri, owners in fmap.items() if len(owners) == 1}
-    if len(boundary) != mesh.num_boundary_faces:
+    # every tet face as a sorted row, in (tet, omitted vertex) order, then the
+    # stored boundary faces; np.unique matches equal rows across both.  Rows
+    # are reduced to integer keys in two steps, so no key exceeds (#rows) * nv;
+    # np.unique(axis=0) sorts a structured dtype and is several times slower.
+    nt, nv = mesh.num_tets, mesh.num_vertices
+    stored = np.sort(mesh.boundary_faces, axis=1)
+    rows = np.concatenate([np.sort(mesh.tets[:, _FACE_VERTICES], axis=2).reshape(-1, 3), stored])
+    _, pair = np.unique(rows[:, 0] * nv + rows[:, 1], return_inverse=True)
+    _, first, key = np.unique(pair * nv + rows[:, 2], return_index=True, return_inverse=True)
+    owners = np.bincount(key[: 4 * nt], minlength=first.size)
+    shared = np.flatnonzero(owners > 2)
+    if shared.size:
+        k = shared[np.argmin(first[shared])]
+        return IntegrityReport(False, f"face {tuple(rows[first[k]])} shared by {owners[k]} tets")
+    found = int(np.count_nonzero(owners == 1))
+    if found != mesh.num_boundary_faces:
         return IntegrityReport(
             False,
-            f"{mesh.num_boundary_faces} stored boundary faces, {len(boundary)} found",
+            f"{mesh.num_boundary_faces} stored boundary faces, {found} found",
         )
-    tet_centroids = mesh.vertices[mesh.tets].mean(axis=1)
-    for f in range(mesh.num_boundary_faces):
-        tri = tuple(sorted(mesh.boundary_faces[f]))
-        if tri not in boundary:
-            return IntegrityReport(False, f"stored face {tri} is not a boundary face")
-        if boundary[tri] != mesh.boundary_parents[f]:
-            return IntegrityReport(False, f"face {tri} has wrong parent tet")
-        nvec = mesh.boundary_normals[f]
-        if abs(np.linalg.norm(nvec) - 1.0) > 1e-12:
-            return IntegrityReport(False, f"face {tri} normal is not unit length")
-        centroid = mesh.vertices[mesh.boundary_faces[f]].mean(axis=0)
-        if np.dot(nvec, centroid - tet_centroids[mesh.boundary_parents[f]]) <= 0:
-            return IntegrityReport(False, f"inward normal on face {tri}")
+
+    stored_key = key[4 * nt:]
+    is_boundary = owners[stored_key] == 1
+    parents = np.where(is_boundary, first[stored_key] // 4, 0)
+    normals = mesh.boundary_normals
+    centroids = mesh.vertices[mesh.boundary_faces].mean(axis=1)
+    tet_centroids = mesh.vertices[mesh.tets[parents]].mean(axis=1)
+    checks = (
+        (~is_boundary, "stored face {} is not a boundary face"),
+        (parents != mesh.boundary_parents, "face {} has wrong parent tet"),
+        (np.abs(np.linalg.norm(normals, axis=1) - 1.0) > 1e-12, "face {} normal is not unit length"),
+        (np.einsum("fd,fd->f", normals, centroids - tet_centroids) <= 0, "inward normal on face {}"),
+    )
+    failed = np.logical_or.reduce([mask for mask, _ in checks])
+    if failed.any():
+        f = int(np.argmax(failed))
+        detail = next(text for mask, text in checks if mask[f])
+        return IntegrityReport(False, detail.format(tuple(stored[f])))
     return IntegrityReport(True)
 
 

@@ -314,13 +314,14 @@ def main_estimate_ratio(outcome, ctx):
     )
 
 
-def h1_trace_bound(u, nl, rel_tol=1e-6):
+def h1_trace_bound(u, nl, ctx, rel_tol=1e-6):
     """Two-part bound behind the trace estimate of the H1 norm.
 
     (a) the weak form tested with the solution itself:
         ||u||_H1^2 equals int_bnd f(u) u within rel_tol (encodes solutionhood);
-    (b) the Holder bound int_bnd f(u) u <= ||f(u)||_{conj} ||u||_{trace-critical},
-        which holds for every function.
+    (b) the Holder bound int_bnd f(u) u <= ||f(u)||_{r'} ||u||_{r} at the
+        trace-critical exponent r = ctx.two_low_star, which holds for every
+        function.
 
     Accepts a certified SolveOutcome or a bare FemFunction (for which (a) is
     expected to fail unless the function happens to solve the problem).
@@ -336,7 +337,7 @@ def h1_trace_bound(u, nl, rel_tol=1e-6):
 
     part_a = abs(h1_sq - uf) <= rel_tol * max(1.0, h1_sq)
 
-    r = 4.0  # trace-critical exponent at N = 3
+    r = float(ctx.two_low_star)
     r_conj = r / (r - 1.0)
     f_norm = space.boundary_integral(np.abs(fq) ** r_conj) ** (1.0 / r_conj)
     trace_norm = space.boundary_integral(np.abs(uq) ** r) ** (1.0 / r)
@@ -374,13 +375,14 @@ class EquivalenceReport:
 _EQUIV_COLUMNS = ("l_two_low_star_boundary", "h1", "linf", "c_norm")
 
 
-def norm_equivalence_report(outcomes):
+def norm_equivalence_report(outcomes, ctx):
     """The four equivalent norms tabulated over a certified family.
 
     ``co_bounded``: every column maximum is finite.  ``co_vanishing``: every
     column decays along the family ordering (last value below max(1e-8,
     1e-3 * first) -- the finite-sample reading of joint convergence to zero).
-    The continuous-max norm column equals the discrete sup norm for P1.
+    The continuous-max norm column equals the discrete sup norm for P1; the
+    boundary column is the L^r norm at r = ctx.two_low_star.
     """
     if not outcomes:
         raise ValueError("norm equivalence requires a non-empty family")
@@ -394,7 +396,7 @@ def norm_equivalence_report(outcomes):
             {
                 "member": idx,
                 "n": u.mesh.n,
-                "l_two_low_star_boundary": norm_lp(u, 4.0, "boundary"),
+                "l_two_low_star_boundary": norm_lp(u, float(ctx.two_low_star), "boundary"),
                 "h1": norm_h1(u),
                 "linf": linf,
                 "c_norm": linf,

@@ -1,9 +1,13 @@
 import csv
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
+from boundlab import cli
 from boundlab.cli import main, parse_config, write_report
+from boundlab.linear_solver import MANUFACTURED_CASES
 
 
 def test_exponents_command(tmp_path, capsys):
@@ -187,3 +191,76 @@ def test_parse_config_validates_lists():
     config = parse_config(["verify", "--suite", "gn", "--n", "2,4", "--p", "3/2", "--seed", "1"])
     assert config.n_list == (2, 4)
     assert str(config.p_list[0]) == "3/2"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--N", "4", "--p", "3/2", "--suite", "universal", "--n", "4",
+         "--samples", "10", "--seed", "1"],
+        ["sweep", "--N", "4", "--p", "3/2", "--n", "4", "--seed", "1"],
+    ],
+    ids=["verify", "sweep"],
+)
+def test_numeric_commands_require_three_dimensions(argv, capsys):
+    assert main(argv) == 2
+    assert "needs N = 3" in capsys.readouterr().err
+
+
+def test_exponents_accepts_other_dimensions(capsys):
+    assert main(["exponents", "--N", "4", "--p", "3/2"]) == 0
+    assert "identities: pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "entries", [{"sample": 10}, {"samples": "ten"}, {"p_list": ["1/0"]}],
+    ids=["unknown-key", "non-numeric", "zero-denominator"],
+)
+def test_bad_config_file_entry_is_status_2(tmp_path, entries, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(entries))
+    argv = ["--config", str(conf), "verify", "--suite", "universal", "--n", "2", "--seed", "1"]
+    assert main(argv) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_argparse_error_is_status_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "four"])
+    assert exc.value.code == 2
+
+
+def test_uncertified_solution_is_status_1(monkeypatch, capsys):
+    solve = cli.solve_ground_state
+
+    def uncertified(*args, **kwargs):
+        return dataclasses.replace(solve(*args, **kwargs), weak_residual=1.0)
+
+    monkeypatch.setattr(cli, "solve_ground_state", uncertified)
+    assert main(["sweep", "--p", "2", "--n", "2", "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "numerical fault" in err and "uncertified" in err
+
+
+def test_degenerate_tet_is_status_1(monkeypatch, capsys):
+    build = cli.build_cube_mesh
+
+    def flipped(n):
+        mesh = build(n)
+        tets = mesh.tets.copy()
+        tets[0, [0, 1]] = tets[0, [1, 0]]
+        return dataclasses.replace(mesh, tets=tets)
+
+    monkeypatch.setattr(cli, "build_cube_mesh", flipped)
+    assert main(["solve-nonlinear", "--p", "2", "--n", "2", "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "numerical fault" in err and "degenerate tet" in err
+
+
+def test_non_finite_boundary_field_is_status_1(monkeypatch, capsys):
+    case = MANUFACTURED_CASES["exp-x1"]
+    broken = dataclasses.replace(case, gradient=lambda pts: np.full(pts.shape, np.nan))
+    monkeypatch.setitem(MANUFACTURED_CASES, "exp-x1", broken)
+    assert main(["solve-linear", "--case", "exp-x1", "--n", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "numerical fault" in err and "non-finite" in err

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,62 @@ from boundlab.mesh import (
     mesh_integrity,
     signed_volumes,
 )
+
+MESH_FIELDS = ("vertices", "tets", "boundary_faces", "boundary_normals", "boundary_parents")
+
+# SHA-256 of the raw bytes of each Mesh array and of the dump_mesh text, as
+# recorded from a per-subcube loop with a face dictionary; any change to values,
+# order, dtype or the sign of a zero normal component changes a digest.
+MESH_SHA256 = {
+    1: {
+        "vertices": "e9f28c6bc6e2644a82da4d74358847b9634525c2eafd7f827046303751bac2c5",
+        "tets": "e006d48bf5d153890699efba67e18df2db085a8ee2f0b3403cf4c06ecbd071d4",
+        "boundary_faces": "791e8f9ad5721048f2fa365219ed72dcdfeea431d949a0fad4f47a9382fae61f",
+        "boundary_normals": "dd265787843ced11d5e7916038fd265ca5c068b2376b0c6b14b97f2090f77c85",
+        "boundary_parents": "934c5a9fbff8d24cd01de0cb75ceaf232b5f55baa47ddcbac2a4f698fade02e2",
+        "dump": "9abf153315d59f2f6eb82f9a9b57e9751e7235a1361493542f6ac2e65fca9633",
+    },
+    2: {
+        "vertices": "e772a0452dfb69acffe576932d6f586394cd1f64462f4f50a0a732c284b72dae",
+        "tets": "dbf1f12d316bd4ccaf3bc789377e1a010b9c49034adb0d7e98831b844aa9d1e5",
+        "boundary_faces": "b27dae8c63d0092bec586d40a33cc4326eb59997023e1a33bc628d763a97290f",
+        "boundary_normals": "adacf4156ded90639e9b9d5e6263faf4dc3f53a1ed3996bec10a1a03fb249cc2",
+        "boundary_parents": "68b313182cddb53076ff50c1fce5302e31d044f7735e5b10d0855255e38ab72e",
+        "dump": "dca5269ebd5288ff6179174fe841fb5680bfd297eec36985499809bbfc678ce2",
+    },
+    3: {
+        "vertices": "35427d9cd5c20f95ddf27e036ec08f30ef080d4126436a3117e3a766c327d379",
+        "tets": "30e28f2d38a1bc6ec52387b15092e2f99ac64903aa599b0faea5847d17b6c3f9",
+        "boundary_faces": "d43b00d4c65ab1fe7fc9469dd0af8e1c1914b5bc973685748892a32f78b8d0a8",
+        "boundary_normals": "49f40bdd15433b928afa2a14aa4056453f5360bc31a82ffd7b051ba22e0b381f",
+        "boundary_parents": "fa2d5b8fe93d490e42d6127927284cb2f71e2de92d7591d01676021250e0b15d",
+        "dump": "09bd6c22b054ed7992f694e581a5aa011870782e432897afb1a35ead7c03b9b6",
+    },
+    4: {
+        "vertices": "f651eb19fda370efeb645c98f82569ed1410cd52ff198131431bc096764d94a8",
+        "tets": "248d57c4ff8f19e26e204243405c8da80f3abca52a1f1713dda49535a34675ca",
+        "boundary_faces": "5fa179a2b1859fa1c13179c4b15179b671dfb688e4e3cb8b897667b901aaed61",
+        "boundary_normals": "7c24df71ca1a53685965e0cbc9d1494d30d5b494dca7f72c50da73a298315c2f",
+        "boundary_parents": "1f793dac5faee9553e0c036a0291a931e90176ddbc8be62042693a7ee38079a9",
+        "dump": "76bf8d9cf1df101ac1afa32652528b6dfb8ebe2596914e9c87cf417d91190542",
+    },
+    5: {
+        "vertices": "d23f292803768f593b46fd8d23ddf8557ac3d56c889163bea9005087fd8706e8",
+        "tets": "fb531ee6a1856508c57421741ac671b71054d75d6bb9b853b2b2086671b8a628",
+        "boundary_faces": "bff723dcd1a80c36aec41660a109456f66966385ba0267bd1c6b8b034b900618",
+        "boundary_normals": "9275fdf5e76c4f8d1b62912ff5d2223ad62258975ffcd821b754885e150d0ed4",
+        "boundary_parents": "09f461b88e681bd3e990343333a922a89bc94ed5902207e9511029a582ff1511",
+        "dump": "63b07a2c572bd12b8e6d1fed61f6dc5725bd0e8585b28aea8c2e9e8645ea0791",
+    },
+    6: {
+        "vertices": "54de821f14c5fb187547ddc8555bbd27bffb81ab0c066bfc769e583d51227c21",
+        "tets": "ecf422c14c0065a88ba119461cbd9dbadc9324371cacb9ac253d174abffca503",
+        "boundary_faces": "bff8f8851cdc690fafb8188ce025192e3e058dc8df96870b23ce0150919fca9d",
+        "boundary_normals": "c3b5dd78ed1a89895088a143f221454ecfba22a8ebeb03586da5fe4b3be1532a",
+        "boundary_parents": "8eaded450156af4050d1d1aac2e8e2d8762049b7a9b720a2c6e05ee76aa1d282",
+        "dump": "74b98f228a7e1f2157b55c99992769e664e5285842bf36ac93e37412e556c20e",
+    },
+}
 
 
 def test_level_one_counts():
@@ -135,3 +194,103 @@ def test_dump_format(tmp_path, mesh2):
     assert len(v_line) == 4
     b_line = [ln for ln in lines if ln.startswith("b ")][0].split()
     assert len(b_line) == 7
+
+
+@pytest.mark.parametrize("n", sorted(MESH_SHA256))
+def test_mesh_is_bitwise_pinned(n, tmp_path):
+    mesh = build_cube_mesh(n)
+    digests = {f: hashlib.sha256(getattr(mesh, f).tobytes()).hexdigest() for f in MESH_FIELDS}
+    path = tmp_path / "mesh.txt"
+    dump_mesh(mesh, path)
+    digests["dump"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == MESH_SHA256[n]
+
+
+def test_levels_are_built_once_and_read_only():
+    mesh = build_cube_mesh(3)
+    assert build_cube_mesh(3) is mesh
+    for field in MESH_FIELDS:
+        with pytest.raises(ValueError):
+            getattr(mesh, field)[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mesh.tets = mesh.tets.copy()
+
+
+def _shared_face(m):
+    tets = m.tets.copy()
+    tets[1] = tets[0]
+    return dataclasses.replace(m, tets=tets)
+
+
+def _extra_stored_face(m):
+    # a zero-area face keeps the boundary area at 6
+    return dataclasses.replace(
+        m,
+        boundary_faces=np.vstack([m.boundary_faces, [[0, 0, 0]]]),
+        boundary_normals=np.vstack([m.boundary_normals, [[1.0, 0.0, 0.0]]]),
+        boundary_parents=np.append(m.boundary_parents, 0),
+    )
+
+
+def _interior_face(m):
+    # shifting a face of the plane x = 0 by one vertex id moves it onto x = 1/2
+    faces = m.boundary_faces.copy()
+    on_x0 = (m.vertices[faces][:, :, 0] == 0.0).all(axis=1)
+    faces[np.argmax(on_x0)] += 1
+    return dataclasses.replace(m, boundary_faces=faces)
+
+
+def _wrong_parent(m):
+    parents = m.boundary_parents.copy()
+    parents[3] = parents[0]
+    return dataclasses.replace(m, boundary_parents=parents)
+
+
+def _long_normal(m):
+    normals = m.boundary_normals.copy()
+    normals[5] *= 2.0
+    return dataclasses.replace(m, boundary_normals=normals)
+
+
+def _stretched(m):
+    return dataclasses.replace(m, vertices=m.vertices * 1.01)
+
+
+def _duplicated_face(m):
+    return dataclasses.replace(m, boundary_faces=np.vstack([m.boundary_faces, m.boundary_faces[:1]]))
+
+
+@pytest.mark.parametrize(
+    "corrupt, detail",
+    [
+        pytest.param(
+            _shared_face,
+            "face (np.int64(1), np.int64(4), np.int64(13)) shared by 3 tets",
+            id="shared-by-3",
+        ),
+        pytest.param(_extra_stored_face, "49 stored boundary faces, 48 found", id="face-count"),
+        pytest.param(
+            _interior_face,
+            "stored face (np.int64(1), np.int64(4), np.int64(13)) is not a boundary face",
+            id="interior-face",
+        ),
+        pytest.param(
+            _wrong_parent,
+            "face (np.int64(0), np.int64(3), np.int64(12)) has wrong parent tet",
+            id="wrong-parent",
+        ),
+        pytest.param(
+            _long_normal,
+            "face (np.int64(0), np.int64(9), np.int64(12)) normal is not unit length",
+            id="unit-normal",
+        ),
+        pytest.param(_stretched, "volume sum np.float64(1.030301) differs from 1", id="volume-sum"),
+        pytest.param(
+            _duplicated_face, "boundary area sum np.float64(6.125) differs from 6", id="area-sum"
+        ),
+    ],
+)
+def test_integrity_reports_first_violation(mesh2, corrupt, detail):
+    report = mesh_integrity(corrupt(mesh2))
+    assert not report.ok
+    assert report.detail == detail

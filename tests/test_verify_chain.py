@@ -164,43 +164,43 @@ def test_main_estimate_stable_under_refinement(ctx):
     assert max(rhos) / min(rhos) < 1.5
 
 
-def test_h1_trace_bound_on_solution(ground_state_p2_n8):
+def test_h1_trace_bound_on_solution(ground_state_p2_n8, ctx):
     nl, outcome = ground_state_p2_n8
-    rec = h1_trace_bound(outcome, nl)
+    rec = h1_trace_bound(outcome, nl, ctx)
     assert rec.verdict == "pass"
     assert rec.data["part_a"] == "pass" and rec.data["part_b"] == "pass"
 
 
-def test_h1_trace_bound_zero(mesh4):
+def test_h1_trace_bound_zero(mesh4, ctx):
     nl = make_power_nonlinearity(2.0)
-    rec = h1_trace_bound(const(mesh4, 0.0), nl)
+    rec = h1_trace_bound(const(mesh4, 0.0), nl, ctx)
     assert rec.verdict == "pass"
     assert rec.left == 0.0 and rec.right == 0.0
 
 
-def test_h1_trace_bound_detects_non_solution(mesh4, rng):
+def test_h1_trace_bound_detects_non_solution(mesh4, rng, ctx):
     nl = make_power_nonlinearity(2.0)
     u = FemFunction(mesh4, 1.0 + rng.random(mesh4.num_vertices))
-    rec = h1_trace_bound(u, nl)
+    rec = h1_trace_bound(u, nl, ctx)
     assert rec.data["part_a"] == "fail"  # encodes solutionhood
     assert rec.data["part_b"] == "pass"  # Holder holds universally
     assert rec.verdict == "fail"
 
 
-def test_equivalence_trivial_family(mesh4):
+def test_equivalence_trivial_family(mesh4, ctx):
     nl = make_power_nonlinearity(2.0)
     family = [certify_solution(const(mesh4, 0.0), nl, 1e-8) for _ in range(3)]
-    report = norm_equivalence_report(family)
+    report = norm_equivalence_report(family, ctx)
     assert report.co_bounded
     assert report.co_vanishing
 
 
-def test_equivalence_ground_state_family():
+def test_equivalence_ground_state_family(ctx):
     nl = make_power_nonlinearity(2.0)
     family = [
         solve_ground_state(build_cube_mesh(n), nl, 1e-8, seed=11) for n in (4, 8, 16)
     ]
-    report = norm_equivalence_report(family)
+    report = norm_equivalence_report(family, ctx)
     assert report.co_bounded
     assert not report.co_vanishing
     for column in ("l_two_low_star_boundary", "h1", "linf", "c_norm"):
@@ -209,15 +209,15 @@ def test_equivalence_ground_state_family():
         assert hi / lo < 1.2  # same continuum object across meshes
 
 
-def test_equivalence_refuses_non_solutions(mesh4, ground_state_p2_n8):
+def test_equivalence_refuses_non_solutions(mesh4, ground_state_p2_n8, ctx):
     nl, outcome = ground_state_p2_n8
     scaled = certify_solution(
         FemFunction(outcome.solution.mesh, 3.0 * outcome.solution.values), nl, 1e-8
     )
     with pytest.raises(CertificationError):
-        norm_equivalence_report([outcome, scaled])
+        norm_equivalence_report([outcome, scaled], ctx)
     with pytest.raises(ValueError):
-        norm_equivalence_report([])
+        norm_equivalence_report([], ctx)
 
 
 def test_energy_bound_pure_power(ground_state_p2_n8):
