@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -29,6 +30,7 @@ from .norms import norm_report
 from .verify_chain import (
     build_corpus,
     energy_bound_check,
+    first_failures,
     gn_ratio_suite,
     h1_trace_bound,
     main_estimate_ratio,
@@ -70,10 +72,16 @@ class ExperimentConfig:
             raise UsageError(f"unknown command {self.command!r}")
         if self.command == "verify" and self.suite not in _SUITES:
             raise UsageError(f"unknown suite {self.suite!r}")
+        if not self.p_list or not self.n_list:
+            raise UsageError("--p and --n need at least one value")
         if any(n < 1 for n in self.n_list):
             raise UsageError("mesh levels must be >= 1")
-        if self.tol <= 0:
-            raise UsageError("tolerance must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise UsageError("tolerance must be finite and positive")
+        if not (math.isfinite(self.b0) and self.b0 > 0):
+            raise UsageError("B0 must be finite and positive")
+        if self.seed is not None and self.seed < 0:
+            raise UsageError("seed must be >= 0")
         if self.samples < 1:
             raise UsageError("sample count must be >= 1")
         randomized = self.command in ("verify", "sweep", "solve-nonlinear")
@@ -316,137 +324,65 @@ def _solve_family(config, p, n_list):
 
 def _cmd_verify(config):
     ctx = derive_context(config.N, config.p_list[0], config.q_override)
-    records = []
-    status = 0
     suite = config.suite
+    if suite == "regularity":
+        report = regularity_ratio_suite(ctx, config.n_list, config.samples, config.seed)
+        print(f"regularity suite: per-n maxima {report.maxima}")
+        _emit(config, report.rows)
+        return 0
 
     # the randomized suites mix computed solutions into their corpora
-    outcomes = []
-    nl = None
-    if suite in ("gn", "chain", "energy", "equivalence"):
+    nl, outcomes = None, []
+    if suite != "universal":
         nl, outcomes = _solve_family(config, config.p_list[0], config.n_list)
     solutions_by_n = {o.solution.mesh.n: [o.solution] for o in outcomes}
+    records, asserted = [], []  # report rows; the step records a run can fail on
 
     if suite in ("universal", "chain"):
         for n in config.n_list:
-            mesh = build_cube_mesh(n)
             report = run_universal_suite(
-                mesh, ctx, config.b0, config.samples, config.seed,
+                build_cube_mesh(n), ctx, config.b0, config.samples, config.seed,
                 solutions=solutions_by_n.get(n, ()),
             )
-            bad = report.violations
-            if bad:
-                status = 1
-                first = bad[0]
-                print(
-                    f"FAIL: step {first.step} violated at n={n}: "
-                    f"left={first.left!r} right={first.right!r}",
-                    file=sys.stderr,
-                )
-            records.extend(report.summary_rows())
+            records += report.summary_rows()
+            asserted += report.records
             print(
                 f"universal n={n}: {len(report.records)} records, "
-                f"{len(bad)} violations, branches={report.branch_counts()}"
+                f"{len(report.violations)} violations, branches={report.branch_counts()}"
             )
-
     if suite in ("gn", "chain"):
-        corpora = []
-        for n in config.n_list:
-            mesh = build_cube_mesh(n)
-            corpora.append(
-                build_corpus(mesh, config.samples, config.seed,
-                             solutions=solutions_by_n.get(n, ()))
-            )
+        corpora = [
+            build_corpus(build_cube_mesh(n), config.samples, config.seed,
+                         solutions=solutions_by_n.get(n, ()))
+            for n in config.n_list
+        ]
         gn = gn_ratio_suite(corpora, ctx)
-        for row in gn.rows:
-            records.append(
-                {
-                    "step": "gn_interpolation",
-                    "n": row["n"],
-                    "p": float(ctx.p),
-                    "q": float(ctx.q),
-                    "max_ratio_or_margin": row["max_ratio"],
-                    "verdict": gn.verdict,
-                    "branch": "both" if row["branch_sup_gt1"] and row["branch_sup_le1"] else "one",
-                }
-            )
+        records += gn.summary_rows(ctx)
         print(f"gn suite: verdict={gn.verdict} maxima="
               f"{[(r['n'], r['max_ratio']) for r in gn.rows]}")
+    if suite == "chain":
+        for outcome in outcomes:
+            for rec in (main_estimate_ratio(outcome, ctx), h1_trace_bound(outcome, nl, ctx)):
+                records.append(rec.row(ctx))
+                asserted.append(rec)
+    if suite in ("chain", "equivalence"):
+        eq = norm_equivalence_report(outcomes, ctx)
+        records += eq.summary_rows(ctx)
+        print(f"equivalence: co_bounded={eq.co_bounded} co_vanishing={eq.co_vanishing}")
+    if suite in ("chain", "energy"):
+        en = energy_bound_check(outcomes, nl)
+        records += en.summary_rows(ctx)
+        asserted += en.records
+        print(f"energy: bounded_energy={en.bounded_energy} bounded_h1={en.bounded_h1}")
 
-    if suite == "regularity":
-        report = regularity_ratio_suite(
-            ctx, config.n_list, config.samples, config.seed
+    failed = first_failures(asserted)
+    for rec in failed:
+        print(
+            f"FAIL: {rec.step} at n={rec.n}: left={float(rec.left)!r} right={float(rec.right)!r}",
+            file=sys.stderr,
         )
-        records.extend(report.csv_rows())
-        print(f"regularity suite: per-n maxima {report.maxima}")
-
-    if suite in ("chain", "energy", "equivalence"):
-        if suite in ("chain",):
-            for outcome in outcomes:
-                rec = main_estimate_ratio(outcome, ctx)
-                records.append(
-                    {
-                        "step": rec.step,
-                        "n": rec.n,
-                        "p": float(ctx.p),
-                        "q": float(ctx.q),
-                        "max_ratio_or_margin": rec.data["rho"],
-                        "verdict": rec.verdict,
-                        "branch": rec.branch,
-                    }
-                )
-                trace = h1_trace_bound(outcome, nl, ctx)
-                if trace.verdict == "fail":
-                    status = 1
-                    print(f"FAIL: h1_trace_bound at n={trace.n}", file=sys.stderr)
-                records.append(
-                    {
-                        "step": trace.step,
-                        "n": trace.n,
-                        "p": float(ctx.p),
-                        "q": float(ctx.q),
-                        "max_ratio_or_margin": trace.right - trace.left,
-                        "verdict": trace.verdict,
-                        "branch": trace.branch,
-                    }
-                )
-        if suite in ("chain", "equivalence"):
-            eq = norm_equivalence_report(outcomes, ctx)
-            records.append(
-                {
-                    "step": "norm_equivalence",
-                    "n": max(config.n_list),
-                    "p": float(ctx.p),
-                    "q": float(ctx.q),
-                    "max_ratio_or_margin": eq.column_max["linf"],
-                    "verdict": "co-bounded" if eq.co_bounded else "unbounded",
-                    "branch": "co-vanishing" if eq.co_vanishing else "non-vanishing",
-                }
-            )
-            print(f"equivalence: co_bounded={eq.co_bounded} co_vanishing={eq.co_vanishing}")
-        if suite in ("chain", "energy"):
-            en = energy_bound_check(outcomes, nl)
-            if not en.consistent:
-                status = 1
-                print("FAIL: energy bound inconsistent", file=sys.stderr)
-            for row in en.rows:
-                records.append(
-                    {
-                        "step": "energy_bound",
-                        "n": row["n"],
-                        "p": float(ctx.p),
-                        "q": float(ctx.q),
-                        "max_ratio_or_margin": row["J"] - row["lower_bound"],
-                        "verdict": row["bound_verdict"],
-                        "branch": "",
-                    }
-                )
-            print(f"energy: bounded_energy={en.bounded_energy} bounded_h1={en.bounded_h1}")
-
-    if not records:
-        raise UsageError(f"suite {suite!r} produced no records for this configuration")
     _emit(config, records)
-    return status
+    return 1 if failed else 0
 
 
 def _cmd_sweep(config):

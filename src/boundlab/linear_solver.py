@@ -287,23 +287,9 @@ class RegularityReport:
     maxima: dict                 # n -> {"ratio_w1m": .., "ratio_linf": ..}
     q: float
     m: float
-    range_flag: str = ""
-
-    def csv_rows(self):
-        return [
-            {
-                "n": r["n"],
-                "sample": r["sample"],
-                "q": r["q"],
-                "m": r["m"],
-                "ratio_w1m": r["ratio_w1m"],
-                "ratio_linf": r["ratio_linf"],
-            }
-            for r in self.rows
-        ]
 
 
-def regularity_ratio_suite(ctx, n_list, sample_count, seed, r_check=None, tol=1e-10):
+def regularity_ratio_suite(ctx, n_list, sample_count, seed, tol=1e-10):
     """Ratios ||v||_{W^{1,m}} / ||h||_{L^q(bnd)} and ||v||_inf / ||h||_{L^q(bnd)}.
 
     Boundary data are seeded draws from the smooth dictionary; the same
@@ -345,10 +331,8 @@ def regularity_ratio_suite(ctx, n_list, sample_count, seed, r_check=None, tol=1e
                     "m": m,
                     "ratio_w1m": ratio_w1m,
                     "ratio_linf": ratio_linf,
-                    "min_nodal": float(v.values.min()),
                 }
             )
         maxima[n] = {"ratio_w1m": best_w1m, "ratio_linf": best_linf}
 
-    flag = "" if r_check is None else trace_range_flag(ctx.N, ctx.q, r_check)
-    return RegularityReport(rows=rows, maxima=maxima, q=q, m=m, range_flag=flag)
+    return RegularityReport(rows=rows, maxima=maxima, q=q, m=m)

@@ -157,10 +157,10 @@ def mesh_integrity(mesh):
         t = int(np.argmax(vols <= 0))
         return IntegrityReport(False, f"negative volume: tet {t} has signed volume {vols[t]:.3e}")
     if abs(vols.sum() - 1.0) > _VOLUME_TOL:
-        return IntegrityReport(False, f"volume sum {vols.sum()!r} differs from 1")
+        return IntegrityReport(False, f"volume sum {float(vols.sum())!r} differs from 1")
     areas = face_areas(mesh)
     if abs(areas.sum() - 6.0) > _AREA_TOL:
-        return IntegrityReport(False, f"boundary area sum {areas.sum()!r} differs from 6")
+        return IntegrityReport(False, f"boundary area sum {float(areas.sum())!r} differs from 6")
 
     # every tet face as a sorted row, in (tet, omitted vertex) order, then the
     # stored boundary faces; np.unique matches equal rows across both.  Rows
@@ -175,7 +175,7 @@ def mesh_integrity(mesh):
     shared = np.flatnonzero(owners > 2)
     if shared.size:
         k = shared[np.argmin(first[shared])]
-        return IntegrityReport(False, f"face {tuple(rows[first[k]])} shared by {owners[k]} tets")
+        return IntegrityReport(False, f"face {tuple(rows[first[k]].tolist())} shared by {owners[k]} tets")
     found = int(np.count_nonzero(owners == 1))
     if found != mesh.num_boundary_faces:
         return IntegrityReport(
@@ -199,7 +199,7 @@ def mesh_integrity(mesh):
     if failed.any():
         f = int(np.argmax(failed))
         detail = next(text for mask, text in checks if mask[f])
-        return IntegrityReport(False, detail.format(tuple(stored[f])))
+        return IntegrityReport(False, detail.format(tuple(stored[f].tolist())))
     return IntegrityReport(True)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .assembly import FemFunction, fem_space
 from .linear_solver import SMOOTH_FIELDS, smooth_field_from_coefficients
 from .nonlinear import SolveOutcome, ar_check
-from .norms import gn_ratio, norm_h1, norm_linf, norm_lp
+from .norms import energy_J, gn_ratio, norm_h1, norm_linf, norm_lp
 
 __all__ = [
     "CertificationError",
@@ -26,8 +26,11 @@ __all__ = [
     "Corpus",
     "build_corpus",
     "StepRecord",
+    "step_row",
+    "first_failures",
     "ChainReport",
     "sup_branch",
+    "branch_label",
     "chain_boundary_growth",
     "boundary_holder",
     "infty_cont",
@@ -109,23 +112,37 @@ class StepRecord:
     n: int = 0
     data: dict = field(default_factory=dict)
 
-    def as_dict(self):
-        out = {
-            "step": self.step,
-            "left": self.left,
-            "right": self.right,
-            "constant": self.constant,
-            "verdict": self.verdict,
-            "branch": self.branch,
-            "n": self.n,
-        }
-        out.update(self.data)
-        return out
+    def row(self, ctx):
+        """This record as its report row.  The main estimate reports its
+        observed constant rho; every other step reports its margin right - left."""
+        value = self.constant if self.step == "main_estimate" else self.right - self.left
+        return step_row(ctx, self.step, self.n, value, self.verdict, self.branch)
+
+
+def step_row(ctx, step, n, value, verdict, branch):
+    """One row of the verify report; every suite reports through it."""
+    return dict(step=step, n=n, p=float(ctx.p), q=float(ctx.q),
+                max_ratio_or_margin=value, verdict=verdict, branch=branch)
+
+
+def first_failures(records):
+    """The first failing record of each (step, n), in record order."""
+    first = {}
+    for r in records:
+        if r.verdict == "fail":
+            first.setdefault((r.step, r.n), r)
+    return list(first.values())
 
 
 def sup_branch(u):
     """Which side of the sup-norm dichotomy a function exercises."""
     return "sup>1" if norm_linf(u) > 1.0 else "sup<=1"
+
+
+def branch_label(branches):
+    """Branch label of a group: "both" sides of the dichotomy, or the one seen."""
+    seen = set(branches) - {""}
+    return "both" if len(seen) > 1 else (seen.pop() if seen else "")
 
 
 # -- explicit-constant steps ---------------------------------------------------
@@ -215,7 +232,7 @@ def run_universal_suite(mesh, ctx, B0, size, seed, solutions=()):
         records.append(chain_boundary_growth(u, ctx, B0))
         records.append(boundary_holder(u, psi, ctx, B0))
         records.append(infty_cont(u))
-    return ChainReport(context=ctx, records=records, corpus=corpus.descriptor)
+    return ChainReport(context=ctx, records=records)
 
 
 # -- fitted-constant steps -----------------------------------------------------
@@ -223,7 +240,7 @@ def run_universal_suite(mesh, ctx, B0, size, seed, solutions=()):
 
 @dataclass(eq=False)
 class GnSuiteReport:
-    rows: list          # per n: n, size, max_ratio, branch counts
+    rows: list          # per n: n, size, max_ratio, branch label
     verdict: str        # "saturating" or "growing"
     factors: list       # max-ratio factors between consecutive levels
 
@@ -232,6 +249,12 @@ class GnSuiteReport:
             if row["n"] == n:
                 return row["max_ratio"]
         raise KeyError(n)
+
+    def summary_rows(self, ctx):
+        return [
+            step_row(ctx, "gn_interpolation", r["n"], r["max_ratio"], self.verdict, r["branch"])
+            for r in self.rows
+        ]
 
 
 def gn_ratio_suite(corpora, ctx):
@@ -242,21 +265,12 @@ def gn_ratio_suite(corpora, ctx):
     """
     rows = []
     for corpus in sorted(corpora, key=lambda c: c.descriptor.n):
-        ratios = []
-        gt1 = le1 = 0
-        for u in corpus.functions:
-            ratios.append(gn_ratio(u, ctx))
-            if sup_branch(u) == "sup>1":
-                gt1 += 1
-            else:
-                le1 += 1
         rows.append(
             {
                 "n": corpus.descriptor.n,
                 "size": len(corpus.functions),
-                "max_ratio": max(ratios),
-                "branch_sup_gt1": gt1,
-                "branch_sup_le1": le1,
+                "max_ratio": max(gn_ratio(u, ctx) for u in corpus.functions),
+                "branch": branch_label(sup_branch(u) for u in corpus.functions),
             }
         )
     factors = [b["max_ratio"] / a["max_ratio"] for a, b in zip(rows, rows[1:])]
@@ -371,6 +385,13 @@ class EquivalenceReport:
     co_bounded: bool
     co_vanishing: bool
 
+    def summary_rows(self, ctx):
+        """One row at the finest level: the largest sup norm over the family."""
+        verdict = "co-bounded" if self.co_bounded else "unbounded"
+        branch = "co-vanishing" if self.co_vanishing else "non-vanishing"
+        n = max(r["n"] for r in self.rows)
+        return [step_row(ctx, "norm_equivalence", n, self.column_max["linf"], verdict, branch)]
+
 
 _EQUIV_COLUMNS = ("l_two_low_star_boundary", "h1", "linf", "c_norm")
 
@@ -419,6 +440,17 @@ class EnergyReport:
     bounded_h1: bool
     consistent: bool
 
+    @property
+    def records(self):
+        """Each member's bound lower_bound <= J as a step record."""
+        return [
+            StepRecord("energy_bound", r["lower_bound"], r["J"], 1.0, r["bound_verdict"], n=r["n"])
+            for r in self.rows
+        ]
+
+    def summary_rows(self, ctx):
+        return [r.row(ctx) for r in self.records]
+
 
 def energy_bound_check(outcomes, nl, rel_tol=1e-6):
     """Energy bound of the superlinear problem over a certified family.
@@ -428,8 +460,6 @@ def energy_bound_check(outcomes, nl, rel_tol=1e-6):
     C(s0) (zero for the pure power, where s0 = 0).  The two boundedness flags
     realise both directions of the equivalence on the finite family.
     """
-    from .norms import energy_J
-
     check = ar_check(nl)
     if not check.ok:
         raise ValueError(f"nonlinearity fails the superlinearity check: {check.message}")
@@ -494,7 +524,6 @@ class ChainReport:
 
     context: object
     records: list
-    corpus: CorpusDescriptor = None
 
     def __post_init__(self):
         keys = {r.data["ctx_key"] for r in self.records if "ctx_key" in r.data}
@@ -520,47 +549,15 @@ class ChainReport:
         return counts["sup>1"] > 0 and counts["sup<=1"] > 0
 
     def summary_rows(self):
-        """Aggregated per-step rows: (step, n, p, q, max_ratio_or_margin, verdict, branch)."""
+        """One row per (step, n): the smallest margin, "fail" if any record
+        fails, and the branches exercised."""
         groups = {}
         for r in self.records:
             groups.setdefault((r.step, r.n), []).append(r)
         rows = []
         for (step, n), records in groups.items():
-            margins = [r.right - r.left for r in records]
-            verdict = "pass" if all(r.verdict != "fail" for r in records) else "fail"
-            branches = {r.branch for r in records if r.branch}
-            branch = "both" if len(branches) > 1 else (branches.pop() if branches else "")
-            rows.append(
-                {
-                    "step": step,
-                    "n": n,
-                    "p": float(self.context.p),
-                    "q": float(self.context.q),
-                    "max_ratio_or_margin": min(margins),
-                    "verdict": verdict,
-                    "branch": branch,
-                }
-            )
+            margin = min(r.right - r.left for r in records)
+            verdict = "fail" if any(r.verdict == "fail" for r in records) else "pass"
+            branch = branch_label(r.branch for r in records)
+            rows.append(step_row(self.context, step, n, margin, verdict, branch))
         return rows
-
-    def as_dict(self):
-        out = {
-            "context": {k: str(v) for k, v in (
-                ("N", self.context.N),
-                ("p", self.context.p),
-                ("q", self.context.q),
-                ("m", self.context.m),
-                ("sigma", self.context.sigma),
-                ("A", self.context.A),
-                ("A_hat1", self.context.A_hat1),
-                ("A_hat2", self.context.A_hat2),
-            )},
-            "records": [r.as_dict() for r in self.records],
-        }
-        if self.corpus is not None:
-            out["corpus"] = {
-                "seed": self.corpus.seed,
-                "size": self.corpus.size,
-                "n": self.corpus.n,
-            }
-        return out

@@ -4,8 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from boundlab import cli
+from boundlab import cli, verify_chain
+from boundlab.assembly import FemFunction
 from boundlab.cli import main, parse_config, write_report
 from boundlab.linear_solver import MANUFACTURED_CASES
 
@@ -213,8 +215,8 @@ def test_exponents_accepts_other_dimensions(capsys):
 
 
 @pytest.mark.parametrize(
-    "entries", [{"sample": 10}, {"samples": "ten"}, {"p_list": ["1/0"]}],
-    ids=["unknown-key", "non-numeric", "zero-denominator"],
+    "entries", [{"sample": 10}, {"samples": "ten"}, {"p_list": ["1/0"]}, {"p_list": []}],
+    ids=["unknown-key", "non-numeric", "zero-denominator", "empty-list"],
 )
 def test_bad_config_file_entry_is_status_2(tmp_path, entries, capsys):
     conf = tmp_path / "conf.json"
@@ -264,3 +266,89 @@ def test_non_finite_boundary_field_is_status_1(monkeypatch, capsys):
     assert main(["solve-linear", "--case", "exp-x1", "--n", "2"]) == 1
     err = capsys.readouterr().err
     assert "numerical fault" in err and "non-finite" in err
+
+
+@pytest.mark.parametrize(
+    "option",
+    [["--tol", "nan"], ["--tol", "inf"], ["--seed", "-1"], ["--B0", "-1"], ["--B0", "nan"]],
+    ids=["tol-nan", "tol-inf", "seed-negative", "B0-negative", "B0-nan"],
+)
+def test_invalid_numeric_option_is_status_2(option, capsys):
+    argv = ["verify", "--suite", "chain", "--n", "2", "--samples", "4", "--seed", "1"] + option
+    assert main(argv) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+def _boundary_max_doubled(monkeypatch):
+    norm_linf = verify_chain.norm_linf
+
+    def doubled(u, region="volume"):
+        return norm_linf(u, region) * (2.0 if region == "boundary" else 1.0)
+
+    monkeypatch.setattr(verify_chain, "norm_linf", doubled)
+
+
+def _trace_bound_of_non_solution(monkeypatch):
+    h1_trace_bound = cli.h1_trace_bound
+
+    def of_double(outcome, nl, ctx):
+        u = outcome.solution
+        return h1_trace_bound(FemFunction(u.mesh, 2.0 * u.values), nl, ctx)
+
+    monkeypatch.setattr(cli, "h1_trace_bound", of_double)
+
+
+def _energy_lowered(monkeypatch):
+    energy_J = verify_chain.energy_J
+    monkeypatch.setattr(verify_chain, "energy_J", lambda u, nl: energy_J(u, nl) - 1.0)
+
+
+@pytest.mark.parametrize(
+    "break_step, step",
+    [
+        (_boundary_max_doubled, "boundary_max_vs_volume_max"),
+        (_trace_bound_of_non_solution, "h1_trace_bound"),
+        (_energy_lowered, "energy_bound"),
+    ],
+    ids=["universal", "h1-trace", "energy"],
+)
+def test_failing_step_is_status_1(break_step, step, monkeypatch, tmp_path, capsys):
+    break_step(monkeypatch)
+    out = tmp_path / "chain.json"
+    argv = ["verify", "--suite", "chain", "--n", "2", "--samples", "4", "--seed", "7"]
+    assert main(argv + ["--output", str(out)]) == 1
+    fails = [line for line in capsys.readouterr().err.splitlines() if line.startswith("FAIL:")]
+    assert len(fails) == 1
+    assert fails[0].startswith(f"FAIL: {step} at n=2: left=") and " right=" in fails[0]
+    verdicts = {r["step"]: r["verdict"] for r in json.loads(out.read_text())["records"]}
+    assert verdicts[step] == "fail"
+    assert list(verdicts.values()).count("fail") == 1
+
+
+def test_gn_rows_name_the_branch_like_universal_rows(tmp_path):
+    # with one sample both suites see only the ground state, on the sup<=1 side
+    out = tmp_path / "chain.json"
+    argv = ["verify", "--suite", "chain", "--n", "2,4", "--samples", "1", "--seed", "7"]
+    assert main(argv + ["--output", str(out)]) == 0
+    rows = json.loads(out.read_text())["records"]
+    for n in (2, 4):
+        branches = {r["step"]: r["branch"] for r in rows if r["n"] == n}
+        assert branches["gn_interpolation"] == branches["boundary_growth"] == "sup<=1"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(cli._COMMANDS),
+    suite=st.sampled_from(cli._SUITES),
+    n=st.sampled_from(["1", "2"]),
+    samples=st.integers(1, 4),
+    seed=st.sampled_from(["-1", "0", "7"]),
+    tol=st.sampled_from(["1e-8", "0", "nan", "inf"]),
+    b0=st.sampled_from(["1", "0", "-1", "nan"]),
+)
+def test_exit_status_property(command, suite, n, samples, seed, tol, b0):
+    argv = [command, "--n", n, "--samples", str(samples), "--seed", seed, "--tol", tol, "--B0", b0]
+    if command == "verify":
+        argv += ["--suite", suite]
+    invalid = seed == "-1" or tol != "1e-8" or b0 != "1"
+    assert main(argv) in ({2} if invalid else {0, 1})

@@ -108,11 +108,12 @@ def test_trace_range_flags():
     assert trace_range_flag(3, 1.5, 5.0).startswith("ok")
     assert trace_range_flag(3, 2, 100.0).startswith("ok")
     assert trace_range_flag(3, 3, 100.0).startswith("ok")
+    assert trace_range_flag(3, 1.0, 3.0).startswith("outside trace range")
 
 
 def test_regularity_suite_shape_and_saturation():
     ctx = derive_context(3, 2)
-    report = regularity_ratio_suite(ctx, [2, 4], 3, seed=9, r_check=7)
+    report = regularity_ratio_suite(ctx, [2, 4], 3, seed=9)
     assert len(report.rows) == 6
     for row in report.rows:
         assert row["q"] == 3.0 and row["m"] == 4.5
@@ -121,18 +122,7 @@ def test_regularity_suite_shape_and_saturation():
     # same data across levels: maxima within a factor 2 already at n=2 vs 4
     m2, m4 = report.maxima[2], report.maxima[4]
     assert m4["ratio_w1m"] <= 2.0 * m2["ratio_w1m"]
-    assert report.range_flag.startswith("ok")  # q = 3 > N-1 = 2
-
-    csv_rows = report.csv_rows()
-    assert list(csv_rows[0].keys()) == ["n", "sample", "q", "m", "ratio_w1m", "ratio_linf"]
-
-
-def test_regularity_suite_range_flag_out_of_range():
-    ctx = derive_context(3, 2)
-    report = regularity_ratio_suite(ctx, [2], 1, seed=9)
-    assert report.range_flag == ""
-    # flag is computed from (q, r) alone
-    assert trace_range_flag(3, 1.0, 3.0).startswith("outside trace range")
+    assert list(report.rows[0].keys()) == ["n", "sample", "q", "m", "ratio_w1m", "ratio_linf"]
 
 
 def test_regularity_suite_requires_three_dimensions():

@@ -263,31 +263,15 @@ def _duplicated_face(m):
 @pytest.mark.parametrize(
     "corrupt, detail",
     [
-        pytest.param(
-            _shared_face,
-            "face (np.int64(1), np.int64(4), np.int64(13)) shared by 3 tets",
-            id="shared-by-3",
-        ),
+        pytest.param(_shared_face, "face (1, 4, 13) shared by 3 tets", id="shared-by-3"),
         pytest.param(_extra_stored_face, "49 stored boundary faces, 48 found", id="face-count"),
         pytest.param(
-            _interior_face,
-            "stored face (np.int64(1), np.int64(4), np.int64(13)) is not a boundary face",
-            id="interior-face",
+            _interior_face, "stored face (1, 4, 13) is not a boundary face", id="interior-face"
         ),
-        pytest.param(
-            _wrong_parent,
-            "face (np.int64(0), np.int64(3), np.int64(12)) has wrong parent tet",
-            id="wrong-parent",
-        ),
-        pytest.param(
-            _long_normal,
-            "face (np.int64(0), np.int64(9), np.int64(12)) normal is not unit length",
-            id="unit-normal",
-        ),
-        pytest.param(_stretched, "volume sum np.float64(1.030301) differs from 1", id="volume-sum"),
-        pytest.param(
-            _duplicated_face, "boundary area sum np.float64(6.125) differs from 6", id="area-sum"
-        ),
+        pytest.param(_wrong_parent, "face (0, 3, 12) has wrong parent tet", id="wrong-parent"),
+        pytest.param(_long_normal, "face (0, 9, 12) normal is not unit length", id="unit-normal"),
+        pytest.param(_stretched, "volume sum 1.030301 differs from 1", id="volume-sum"),
+        pytest.param(_duplicated_face, "boundary area sum 6.125 differs from 6", id="area-sum"),
     ],
 )
 def test_integrity_reports_first_violation(mesh2, corrupt, detail):
