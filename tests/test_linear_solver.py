@@ -125,6 +125,16 @@ def test_regularity_suite_shape_and_saturation():
     assert list(report.rows[0].keys()) == ["n", "sample", "q", "m", "ratio_w1m", "ratio_linf"]
 
 
+def test_regularity_suite_range_flag_out_of_range():
+    ctx = derive_context(3, 2)
+    report = regularity_ratio_suite(ctx, [2], 1, seed=9)
+    # the report carries no range flag; the flag is computed from (q, r) alone
+    assert not hasattr(report, "range_flag")
+    assert all("range_flag" not in row for row in report.rows)
+    assert trace_range_flag(3, report.q, 3.0).startswith("ok")
+    assert trace_range_flag(3, 1.0, 3.0).startswith("outside trace range")
+
+
 def test_regularity_suite_requires_three_dimensions():
     from fractions import Fraction
 
