@@ -35,7 +35,7 @@ from .verify_chain import (
     h1_trace_bound,
     main_estimate_ratio,
     norm_equivalence_report,
-    run_universal_suite,
+    universal_suite,
 )
 
 __all__ = ["ExperimentConfig", "UsageError", "run", "write_report", "main"]
@@ -76,6 +76,8 @@ class ExperimentConfig:
             raise UsageError("--p and --n need at least one value")
         if any(n < 1 for n in self.n_list):
             raise UsageError("mesh levels must be >= 1")
+        if len(set(self.n_list)) < len(self.n_list) or len(set(self.p_list)) < len(self.p_list):
+            raise UsageError("--p and --n must not repeat a value")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise UsageError("tolerance must be finite and positive")
         if not (math.isfinite(self.b0) and self.b0 > 0):
@@ -322,6 +324,18 @@ def _solve_family(config, p, n_list):
     return nl, outcomes
 
 
+def _print_failures(ctx, records):
+    """One stderr line per failing (step, n) of these records; returns how many."""
+    failed = first_failures(records)
+    for rec in failed:
+        print(
+            f"FAIL: {rec.step} at p={ctx.p} n={rec.n}: "
+            f"left={float(rec.left)!r} right={float(rec.right)!r}",
+            file=sys.stderr,
+        )
+    return len(failed)
+
+
 def _cmd_verify(config):
     ctx = derive_context(config.N, config.p_list[0], config.q_override)
     suite = config.suite
@@ -338,24 +352,24 @@ def _cmd_verify(config):
     solutions_by_n = {o.solution.mesh.n: [o.solution] for o in outcomes}
     records, asserted = [], []  # report rows; the step records a run can fail on
 
-    if suite in ("universal", "chain"):
-        for n in config.n_list:
-            report = run_universal_suite(
-                build_cube_mesh(n), ctx, config.b0, config.samples, config.seed,
-                solutions=solutions_by_n.get(n, ()),
-            )
-            records += report.summary_rows()
-            asserted += report.records
-            print(
-                f"universal n={n}: {len(report.records)} records, "
-                f"{len(report.violations)} violations, branches={report.branch_counts()}"
-            )
-    if suite in ("gn", "chain"):
+    corpora = []
+    if suite in ("universal", "gn", "chain"):
+        # each level's corpus is built once and shared by the universal and gn suites
         corpora = [
             build_corpus(build_cube_mesh(n), config.samples, config.seed,
                          solutions=solutions_by_n.get(n, ()))
             for n in config.n_list
         ]
+    if suite in ("universal", "chain"):
+        for corpus in corpora:
+            report = universal_suite(corpus, ctx, config.b0)
+            records += report.summary_rows()
+            asserted += report.records
+            print(
+                f"universal n={corpus.descriptor.n}: {len(report.records)} records, "
+                f"{len(report.violations)} violations, branches={report.branch_counts()}"
+            )
+    if suite in ("gn", "chain"):
         gn = gn_ratio_suite(corpora, ctx)
         records += gn.summary_rows(ctx)
         print(f"gn suite: verdict={gn.verdict} maxima="
@@ -375,12 +389,7 @@ def _cmd_verify(config):
         asserted += en.records
         print(f"energy: bounded_energy={en.bounded_energy} bounded_h1={en.bounded_h1}")
 
-    failed = first_failures(asserted)
-    for rec in failed:
-        print(
-            f"FAIL: {rec.step} at n={rec.n}: left={float(rec.left)!r} right={float(rec.right)!r}",
-            file=sys.stderr,
-        )
+    failed = _print_failures(ctx, asserted)
     _emit(config, records)
     return 1 if failed else 0
 
@@ -398,9 +407,8 @@ def _cmd_sweep(config):
             outcome = solve_ground_state(mesh, nl, config.tol, config.seed)
             rec = main_estimate_ratio(outcome, ctx)
             trace = h1_trace_bound(outcome, nl, ctx)
-            if trace.verdict == "fail" or rec.verdict != "finite":
+            if _print_failures(ctx, [rec, trace]):
                 status = 1
-                print(f"FAIL: p={p} n={n}", file=sys.stderr)
             c0_running = max(c0_running, rec.data["rho"])
             overall_c0 = max(overall_c0, c0_running)
             records.append(

@@ -3,7 +3,8 @@
 The H1 norm and the max norms are exact for P1 functions (quadratic form,
 nodal maxima); the L^r and W^{1,m} integrands use the degree-7 quadrature,
 which is exact whenever r is an even integer <= 6 and approximates the
-fractional powers otherwise.
+fractional powers otherwise.  Every quadrature norm of a P1 function goes
+through ``norm_table``, which evaluates many functions at once.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ __all__ = [
     "norm_linf",
     "norm_w1m",
     "norm_lp_boundary_field",
+    "norm_table",
     "energy_J",
     "gn_ratio",
+    "gn_ratios",
     "NormReport",
     "norm_report",
 ]
@@ -39,20 +42,86 @@ def _check_region(region):
         raise ValueError(f"region must be 'volume' or 'boundary', got {region!r}")
 
 
+# quadrature values per block: 2**16 doubles (512 KiB), so a block's log|u|,
+# one power of it and the nodal gather stay inside a 2 MiB L2 cache
+_BLOCK_VALUES = 2**16
+
+
+def _log_blocks(columns, cells, basis):
+    """Blocks of cells: (cell slice, nodal values (S, cells, k), log|u| at the
+    quadrature points (S, cells * nq)).  ``columns`` is the (S, nv) matrix."""
+    count = columns.shape[0]
+    step = max(1, _BLOCK_VALUES // (count * basis.shape[0]))
+    for start in range(0, len(cells), step):
+        rows = slice(start, start + step)
+        nodal = columns[:, cells[rows]]
+        point_values = np.abs(nodal.reshape(-1, basis.shape[1]) @ basis.T)
+        yield rows, nodal, np.log(point_values, out=point_values).reshape(count, -1)
+
+
+def norm_table(mesh, values, volume=(), boundary=(), w1m=(), holder_p=None):
+    """Norms of every column of the nodal matrix ``values`` (nv x S), in one pass.
+
+    Returns a dict of length-S arrays keyed by "linf" and "linf_boundary"
+    (nodal maxima), ("volume", r) and ("boundary", r) (L^r norms),
+    ("w1m", m) (W^{1,m} norms) and, when ``holder_p`` is given, "holder":
+    the boundary integral of |u_s|^p |u_{s+1}|, pairing each column with the
+    next one cyclically.  The quadrature is evaluated block by block of
+    cells; each block takes log|u| once and every power |u|^e is
+    exp(e log|u|), so a zero value contributes exactly zero.
+    """
+    volume = tuple(float(r) for r in volume)
+    boundary = tuple(float(r) for r in boundary)
+    w1m = tuple(float(m) for m in w1m)
+    if any(r < 1 for r in volume + boundary):
+        raise ValueError(f"integrability index must be >= 1, got {min(volume + boundary)}")
+    if any(m < 1 for m in w1m):
+        raise ValueError(f"Sobolev index must be >= 1, got {min(w1m)}")
+    space = fem_space(mesh)
+    columns = np.asarray(values, dtype=float).reshape(mesh.num_vertices, -1).T
+    count = columns.shape[0]
+    magnitudes = np.abs(columns)
+    table = {
+        "linf": magnitudes.max(axis=1),
+        "linf_boundary": magnitudes[:, space.boundary_vertex_index].max(axis=1),
+    }
+    # integrals of |u|^e over the volume and the boundary, of |grad u|^m
+    vol = {e: np.zeros(count) for e in volume + w1m}
+    grad = {m: np.zeros(count) for m in w1m}
+    bnd = {e: np.zeros(count) for e in boundary}
+    holder = np.zeros(count)
+    with np.errstate(divide="ignore"):
+        if vol:
+            for rows, nodal, logs in _log_blocks(columns, mesh.tets, space.vol_basis):
+                weights = space.vol_w[rows].ravel()
+                for e, total in vol.items():
+                    total += np.exp(e * logs) @ weights
+                if grad:
+                    # gradients (cells, 3, S), constant on each cell
+                    g = space.grad_basis[rows].transpose(0, 2, 1) @ nodal.transpose(1, 2, 0)
+                    half_logs = 0.5 * np.log(np.einsum("tds,tds->ts", g, g))
+                    for m, total in grad.items():
+                        total += space.tet_vols[rows] @ np.exp(m * half_logs)
+        if bnd or holder_p is not None:
+            for rows, _, logs in _log_blocks(columns, mesh.boundary_faces, space.bnd_basis):
+                weights = space.bnd_w[rows].ravel()
+                for e, total in bnd.items():
+                    total += np.exp(e * logs) @ weights
+                if holder_p is not None:
+                    holder += np.exp(holder_p * logs + np.roll(logs, -1, axis=0)) @ weights
+    table.update({("volume", r): vol[r] ** (1.0 / r) for r in volume})
+    table.update({("w1m", m): (vol[m] + grad[m]) ** (1.0 / m) for m in w1m})
+    table.update({("boundary", r): bnd[r] ** (1.0 / r) for r in boundary})
+    if holder_p is not None:
+        table["holder"] = holder
+    return table
+
+
 def norm_lp(u, r, region="volume"):
     """L^r norm of u over the volume or the boundary."""
-    r = float(r)
-    if r < 1:
-        raise ValueError(f"integrability index must be >= 1, got {r}")
     _check_region(region)
-    space = fem_space(u.mesh)
-    if region == "volume":
-        vals = space.volume_values(u.values)
-        total = space.volume_integral(np.abs(vals) ** r)
-    else:
-        vals = space.boundary_values(u.values)
-        total = space.boundary_integral(np.abs(vals) ** r)
-    return total ** (1.0 / r)
+    r = float(r)
+    return float(norm_table(u.mesh, u.values, **{region: (r,)})[region, r][0])
 
 
 def norm_linf(u, region="volume"):
@@ -67,14 +136,7 @@ def norm_linf(u, region="volume"):
 def norm_w1m(u, m):
     """(int |u|^m + int |grad u|^m)^(1/m); the gradient part is exact."""
     m = float(m)
-    if m < 1:
-        raise ValueError(f"Sobolev index must be >= 1, got {m}")
-    space = fem_space(u.mesh)
-    vals = space.volume_values(u.values)
-    value_part = space.volume_integral(np.abs(vals) ** m)
-    grad_mags = np.linalg.norm(space.gradients(u.values), axis=1)
-    grad_part = float(np.sum(space.tet_vols * grad_mags**m))
-    return (value_part + grad_part) ** (1.0 / m)
+    return float(norm_table(u.mesh, u.values, w1m=(m,))["w1m", m][0])
 
 
 def norm_lp_boundary_field(mesh, g, r):
@@ -95,8 +157,9 @@ def energy_J(u, nl):
     return half_h1 - space.boundary_integral(nl.F(space.bnd_pts, uq))
 
 
-def gn_ratio(u, ctx):
-    """Interpolation ratio ||u||_inf / (||u||_{W^{1,m}}^sigma ||u||_{L^{2*}}^(1-sigma)).
+def gn_ratios(mesh, values, ctx):
+    """Interpolation ratio ||u||_inf / (||u||_{W^{1,m}}^sigma ||u||_{L^{2*}}^(1-sigma))
+    of every column of the nodal matrix ``values``.
 
     Scaling invariant (all norms are 1-homogeneous and the exponents sum
     to one); bounded ratios over a corpus are the finite-sample surrogate
@@ -105,13 +168,16 @@ def gn_ratio(u, ctx):
     sigma = float(ctx.sigma)
     m = float(ctx.m)
     r_vol = float(ctx.two_star)
-    top = norm_linf(u)
-    w = norm_w1m(u, m)
-    lv = norm_lp(u, r_vol, "volume")
-    denominator = w**sigma * lv ** (1.0 - sigma)
-    if denominator == 0.0:
+    table = norm_table(mesh, values, volume=(r_vol,), w1m=(m,))
+    denominator = table["w1m", m] ** sigma * table["volume", r_vol] ** (1.0 - sigma)
+    if np.any(denominator == 0.0):
         raise ValueError("interpolation ratio undefined for the zero function")
-    return top / denominator
+    return table["linf"] / denominator
+
+
+def gn_ratio(u, ctx):
+    """Interpolation ratio of one function; see gn_ratios."""
+    return float(gn_ratios(u.mesh, u.values, ctx)[0])
 
 
 @dataclass(eq=False)

@@ -18,7 +18,7 @@ import numpy as np
 from .assembly import FemFunction, fem_space
 from .linear_solver import SMOOTH_FIELDS, smooth_field_from_coefficients
 from .nonlinear import SolveOutcome, ar_check
-from .norms import energy_J, gn_ratio, norm_h1, norm_linf, norm_lp
+from .norms import energy_J, gn_ratios, norm_h1, norm_linf, norm_lp, norm_table
 
 __all__ = [
     "CertificationError",
@@ -34,6 +34,7 @@ __all__ = [
     "chain_boundary_growth",
     "boundary_holder",
     "infty_cont",
+    "universal_suite",
     "run_universal_suite",
     "gn_ratio_suite",
     "GnSuiteReport",
@@ -62,6 +63,15 @@ class Corpus:
     descriptor: CorpusDescriptor
     functions: list
     kinds: list
+
+    @property
+    def mesh(self):
+        return self.functions[0].mesh
+
+    @property
+    def values(self):
+        """The corpus as one nodal matrix, a column per function."""
+        return np.column_stack([u.values for u in self.functions])
 
 
 def build_corpus(mesh, size, seed, solutions=()):
@@ -125,18 +135,27 @@ def step_row(ctx, step, n, value, verdict, branch):
                 max_ratio_or_margin=value, verdict=verdict, branch=branch)
 
 
+# verdicts that fail a run: an asserted step that fails, or a main estimate
+# whose observed constant is not finite
+_FAILING_VERDICTS = ("fail", "nonfinite")
+
+
 def first_failures(records):
     """The first failing record of each (step, n), in record order."""
     first = {}
     for r in records:
-        if r.verdict == "fail":
+        if r.verdict in _FAILING_VERDICTS:
             first.setdefault((r.step, r.n), r)
     return list(first.values())
 
 
+def _side(linf):
+    return "sup>1" if linf > 1.0 else "sup<=1"
+
+
 def sup_branch(u):
     """Which side of the sup-norm dichotomy a function exercises."""
-    return "sup>1" if norm_linf(u) > 1.0 else "sup<=1"
+    return _side(norm_linf(u))
 
 
 def branch_label(branches):
@@ -146,6 +165,86 @@ def branch_label(branches):
 
 
 # -- explicit-constant steps ---------------------------------------------------
+#
+# Each step is a pure function of norm-table rows (see ``norm_table``): one
+# table per corpus holds every norm the three steps read.
+
+
+def _universal_table(mesh, values, ctx):
+    """Norm table of the columns of ``values`` with the boundary norms the
+    explicit-constant steps read: L^{pq}, L^r and L^{p r'} at the
+    trace-critical r, plus the Holder pairing of each column with the next."""
+    p = float(ctx.p)
+    q = float(ctx.q)
+    r = float(ctx.two_low_star)
+    if p * q < r:
+        raise ValueError("boundary growth step requires p*q >= trace-critical exponent")
+    return norm_table(mesh, values, boundary=(p * q, r, p * r / (r - 1.0)), holder_p=p)
+
+
+def _rows(table):
+    """The norm table as one dict of floats per column."""
+    return [
+        {key: float(column[s]) for key, column in table.items()}
+        for s in range(len(table["linf"]))
+    ]
+
+
+def _boundary_growth(row, ctx, B0, mesh):
+    p = float(ctx.p)
+    q = float(ctx.q)
+    r = float(ctx.two_low_star)
+    area = float(fem_space(mesh).face_areas.sum())
+    constant = B0**q * 2.0 ** (q - 1.0) * max(area, 1.0)
+
+    flux_q = B0**q * row["boundary", p * q] ** (p * q)
+    trace_mass = row["boundary", r] ** r
+    right = constant * (1.0 + row["linf"] ** (p * q - r) * trace_mass)
+    verdict = "pass" if flux_q <= right else "fail"
+    return StepRecord(
+        step="boundary_growth",
+        left=flux_q,
+        right=right,
+        constant=constant,
+        verdict=verdict,
+        branch=_side(row["linf"]),
+        n=mesh.n,
+        data={"ctx_key": ctx.key()},
+    )
+
+
+def _boundary_holder(row, psi_row, ctx, B0, mesh):
+    # row["holder"] is int_bnd |u|^p |psi|, and ||f(u)||_{r'} = B0 ||u||_{p r'}^p
+    p = float(ctx.p)
+    r = float(ctx.two_low_star)
+    left = B0 * row["holder"]
+    f_norm = B0 * row["boundary", p * r / (r - 1.0)] ** p
+    right = f_norm * psi_row["boundary", r]
+    verdict = "pass" if left <= right * (1.0 + 1e-10) + 1e-300 else "fail"
+    return StepRecord(
+        step="boundary_holder",
+        left=left,
+        right=right,
+        constant=1.0,
+        verdict=verdict,
+        branch=_side(row["linf"]),
+        n=mesh.n,
+        data={"ctx_key": ctx.key()},
+    )
+
+
+def _infty_cont(row, mesh):
+    left = row["linf_boundary"]
+    right = row["linf"]
+    return StepRecord(
+        step="boundary_max_vs_volume_max",
+        left=left,
+        right=right,
+        constant=1.0,
+        verdict="pass" if left <= right else "fail",
+        branch=_side(right),
+        n=mesh.n,
+    )
 
 
 def chain_boundary_growth(u, ctx, B0=1.0):
@@ -156,83 +255,39 @@ def chain_boundary_growth(u, ctx, B0=1.0):
     C = B0^q * 2^(q-1) * max(|bnd|, 1).  This holds for every function, not
     only solutions, so the verdict asserts it outright.
     """
-    p = float(ctx.p)
-    q = float(ctx.q)
-    r = float(ctx.two_low_star)
-    if p * q < r:
-        raise ValueError("boundary growth step requires p*q >= trace-critical exponent")
-    space = fem_space(u.mesh)
-    area = float(space.face_areas.sum())
-    constant = B0**q * 2.0 ** (q - 1.0) * max(area, 1.0)
-
-    flux_q = B0**q * norm_lp(u, p * q, "boundary") ** (p * q)
-    linf = norm_linf(u)
-    trace_mass = norm_lp(u, r, "boundary") ** r
-    right = constant * (1.0 + linf ** (p * q - r) * trace_mass)
-    verdict = "pass" if flux_q <= right else "fail"
-    return StepRecord(
-        step="boundary_growth",
-        left=flux_q,
-        right=right,
-        constant=constant,
-        verdict=verdict,
-        branch=sup_branch(u),
-        n=u.mesh.n,
-        data={"ctx_key": ctx.key()},
-    )
+    (row,) = _rows(_universal_table(u.mesh, u.values, ctx))
+    return _boundary_growth(row, ctx, B0, u.mesh)
 
 
 def boundary_holder(u, psi, ctx, B0=1.0):
     """Duality bound int_bnd |f(u) psi| <= ||f(u)||_{conj} * ||psi||_{trace-critical}."""
-    p = float(ctx.p)
-    r = float(ctx.two_low_star)
-    r_conj = r / (r - 1.0)
-    space = fem_space(u.mesh)
-    uq = space.boundary_values(u.values)
-    fq = B0 * np.sign(uq) * np.abs(uq) ** p
-    psiq = space.boundary_values(psi.values)
-    left = space.boundary_integral(np.abs(fq * psiq))
-    f_norm = space.boundary_integral(np.abs(fq) ** r_conj) ** (1.0 / r_conj)
-    right = f_norm * norm_lp(psi, r, "boundary")
-    verdict = "pass" if left <= right * (1.0 + 1e-10) + 1e-300 else "fail"
-    return StepRecord(
-        step="boundary_holder",
-        left=left,
-        right=right,
-        constant=1.0,
-        verdict=verdict,
-        branch=sup_branch(u),
-        n=u.mesh.n,
-        data={"ctx_key": ctx.key()},
-    )
+    row, psi_row = _rows(_universal_table(u.mesh, np.column_stack([u.values, psi.values]), ctx))
+    return _boundary_holder(row, psi_row, ctx, B0, u.mesh)
 
 
 def infty_cont(u):
     """Discrete form of ||u||_{inf, bnd} <= ||u||_{inf, volume} (exact)."""
-    left = norm_linf(u, "boundary")
-    right = norm_linf(u, "volume")
-    return StepRecord(
-        step="boundary_max_vs_volume_max",
-        left=left,
-        right=right,
-        constant=1.0,
-        verdict="pass" if left <= right else "fail",
-        branch=sup_branch(u),
-        n=u.mesh.n,
-    )
+    (row,) = _rows(norm_table(u.mesh, u.values))
+    return _infty_cont(row, u.mesh)
+
+
+def universal_suite(corpus, ctx, B0=1.0):
+    """All explicit-constant steps over a corpus, read from one norm table;
+    each function is paired with the next one for the Holder step.  Returns
+    a ChainReport."""
+    mesh = corpus.mesh
+    rows = _rows(_universal_table(mesh, corpus.values, ctx))
+    records = []
+    for row, psi_row in zip(rows, rows[1:] + rows[:1]):
+        records.append(_boundary_growth(row, ctx, B0, mesh))
+        records.append(_boundary_holder(row, psi_row, ctx, B0, mesh))
+        records.append(_infty_cont(row, mesh))
+    return ChainReport(context=ctx, records=records)
 
 
 def run_universal_suite(mesh, ctx, B0, size, seed, solutions=()):
     """All explicit-constant steps over a fresh corpus; returns a ChainReport."""
-    corpus = build_corpus(mesh, size, seed, solutions=solutions)
-    records = []
-    size_actual = len(corpus.functions)
-    for i, u in enumerate(corpus.functions):
-        psi = corpus.functions[(i + 1) % size_actual]
-        records.append(chain_boundary_growth(u, ctx, B0))
-        records.append(boundary_holder(u, psi, ctx, B0))
-        records.append(infty_cont(u))
-    return ChainReport(context=ctx, records=records)
+    return universal_suite(build_corpus(mesh, size, seed, solutions=solutions), ctx, B0)
 
 
 # -- fitted-constant steps -----------------------------------------------------
@@ -269,7 +324,7 @@ def gn_ratio_suite(corpora, ctx):
             {
                 "n": corpus.descriptor.n,
                 "size": len(corpus.functions),
-                "max_ratio": max(gn_ratio(u, ctx) for u in corpus.functions),
+                "max_ratio": float(np.max(gn_ratios(corpus.mesh, corpus.values, ctx))),
                 "branch": branch_label(sup_branch(u) for u in corpus.functions),
             }
         )

@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -270,8 +272,9 @@ def test_non_finite_boundary_field_is_status_1(monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "option",
-    [["--tol", "nan"], ["--tol", "inf"], ["--seed", "-1"], ["--B0", "-1"], ["--B0", "nan"]],
-    ids=["tol-nan", "tol-inf", "seed-negative", "B0-negative", "B0-nan"],
+    [["--tol", "nan"], ["--tol", "inf"], ["--seed", "-1"], ["--B0", "-1"], ["--B0", "nan"],
+     ["--n", "2,2"], ["--p", "2,2"]],
+    ids=["tol-nan", "tol-inf", "seed-negative", "B0-negative", "B0-nan", "n-repeated", "p-repeated"],
 )
 def test_invalid_numeric_option_is_status_2(option, capsys):
     argv = ["verify", "--suite", "chain", "--n", "2", "--samples", "4", "--seed", "1"] + option
@@ -280,12 +283,14 @@ def test_invalid_numeric_option_is_status_2(option, capsys):
 
 
 def _boundary_max_doubled(monkeypatch):
-    norm_linf = verify_chain.norm_linf
+    norm_table = verify_chain.norm_table
 
-    def doubled(u, region="volume"):
-        return norm_linf(u, region) * (2.0 if region == "boundary" else 1.0)
+    def doubled(*args, **kwargs):
+        table = norm_table(*args, **kwargs)
+        table["linf_boundary"] = 2.0 * table["linf_boundary"]
+        return table
 
-    monkeypatch.setattr(verify_chain, "norm_linf", doubled)
+    monkeypatch.setattr(verify_chain, "norm_table", doubled)
 
 
 def _trace_bound_of_non_solution(monkeypatch):
@@ -319,10 +324,50 @@ def test_failing_step_is_status_1(break_step, step, monkeypatch, tmp_path, capsy
     assert main(argv + ["--output", str(out)]) == 1
     fails = [line for line in capsys.readouterr().err.splitlines() if line.startswith("FAIL:")]
     assert len(fails) == 1
-    assert fails[0].startswith(f"FAIL: {step} at n=2: left=") and " right=" in fails[0]
+    assert fails[0].startswith(f"FAIL: {step} at p=2 n=2: left=") and " right=" in fails[0]
     verdicts = {r["step"]: r["verdict"] for r in json.loads(out.read_text())["records"]}
     assert verdicts[step] == "fail"
     assert list(verdicts.values()).count("fail") == 1
+
+
+def _main_estimate_nonfinite(monkeypatch):
+    # a non-finite H1 norm makes the observed constant rho non-finite
+    monkeypatch.setattr(verify_chain, "norm_h1", lambda u: math.nan)
+
+
+@pytest.mark.parametrize(
+    "break_step, step",
+    [(_trace_bound_of_non_solution, "h1_trace_bound"), (_main_estimate_nonfinite, "main_estimate")],
+    ids=["h1-trace", "nonfinite-main-estimate"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--suite", "chain", "--n", "2", "--samples", "4", "--seed", "7"],
+     ["sweep", "--p", "2", "--n", "2", "--seed", "1"]],
+    ids=["verify", "sweep"],
+)
+def test_verify_and_sweep_fail_by_one_rule(argv, break_step, step, monkeypatch, tmp_path, capsys):
+    break_step(monkeypatch)
+    out = tmp_path / "report.json"
+    assert main(argv + ["--output", str(out)]) == 1
+    fails = [line for line in capsys.readouterr().err.splitlines() if line.startswith("FAIL:")]
+    assert len(fails) == 1
+    assert re.fullmatch(rf"FAIL: {step} at p=2 n=2: left=\S+ right=\S+", fails[0])
+    assert out.exists()
+
+
+def test_each_level_builds_its_corpus_once(monkeypatch):
+    levels = []
+    build_corpus = verify_chain.build_corpus
+
+    def counted(mesh, *args, **kwargs):
+        levels.append(mesh.n)
+        return build_corpus(mesh, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_corpus", counted)
+    monkeypatch.setattr(verify_chain, "build_corpus", counted)
+    assert main(["verify", "--suite", "chain", "--n", "2,4", "--samples", "8", "--seed", "7"]) == 0
+    assert levels == [2, 4]
 
 
 def test_gn_rows_name_the_branch_like_universal_rows(tmp_path):

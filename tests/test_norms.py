@@ -1,11 +1,16 @@
 import json
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from boundlab.assembly import FemFunction, interpolate
+from boundlab import norms
+from boundlab.assembly import FemFunction, fem_space, interpolate
 from boundlab.exponents import derive_context
+from boundlab.mesh import build_cube_mesh
 from boundlab.nonlinear import make_power_nonlinearity
 from boundlab.norms import (
     energy_J,
@@ -15,8 +20,10 @@ from boundlab.norms import (
     norm_lp,
     norm_lp_boundary_field,
     norm_report,
+    norm_table,
     norm_w1m,
 )
+from boundlab.verify_chain import Corpus, CorpusDescriptor, gn_ratio_suite
 
 
 @pytest.fixture(scope="module")
@@ -184,3 +191,60 @@ def test_norm_report_serializes(mesh4, ctx):
     text = json.dumps(payload)
     assert json.loads(text)["m"] == 4.5
     assert payload["n"] == 4 and payload["p"] == 2.0 and payload["q"] == 3.0
+
+
+def _table_oracle(mesh, values, volume, boundary, w1m, holder_p):
+    """The table's entries by the per-function formulas: np.power at every
+    quadrature point and np.sum of the weighted values."""
+    space = fem_space(mesh)
+    columns = [values[:, s] for s in range(values.shape[1])]
+    vol = [np.abs(space.volume_values(c)) for c in columns]
+    bnd = [np.abs(space.boundary_values(c)) for c in columns]
+    grad = [np.linalg.norm(space.gradients(c), axis=1) for c in columns]
+    oracle = {
+        "linf": [np.max(np.abs(c)) for c in columns],
+        "linf_boundary": [np.max(np.abs(c[space.boundary_vertex_index])) for c in columns],
+        "holder": [np.sum(space.bnd_w * np.power(b, holder_p) * b_next)
+                   for b, b_next in zip(bnd, bnd[1:] + bnd[:1])],
+    }
+    for r in volume:
+        oracle["volume", r] = [np.sum(space.vol_w * np.power(v, r)) ** (1 / r) for v in vol]
+    for r in boundary:
+        oracle["boundary", r] = [np.sum(space.bnd_w * np.power(b, r)) ** (1 / r) for b in bnd]
+    for m in w1m:
+        oracle["w1m", m] = [
+            (np.sum(space.vol_w * np.power(v, m)) + np.sum(space.tet_vols * np.power(g, m))) ** (1 / m)
+            for v, g in zip(vol, grad)
+        ]
+    return oracle
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    count=st.integers(1, 19),
+    seed=st.integers(0, 2**32 - 1),
+    block=st.sampled_from([1, 1000, norms._BLOCK_VALUES]),
+)
+def test_norm_table_matches_per_function_formulas(n, count, seed, block):
+    # blocks of 1 cell, of a few cells (1000 values do not divide into 64 or
+    # 16 point cells, nor into count columns evenly) and the module's size
+    mesh = build_cube_mesh(n)
+    rng = np.random.default_rng(seed)
+    amplitudes = 10.0 ** rng.uniform(-3.0, 2.0, count)
+    values = amplitudes * rng.standard_normal((mesh.num_vertices, count))
+    zero = rng.integers(count)
+    values[:, zero] = 0.0
+    exponents = dict(volume=(6.0, 2.5), boundary=(6.0, 4.0, 8.0 / 3.0), w1m=(4.5,), holder_p=2.0)
+    with mock.patch.object(norms, "_BLOCK_VALUES", block), warnings.catch_warnings():
+        warnings.simplefilter("error")  # log(0) of the zero column stays silent
+        table = norm_table(mesh, values, **exponents)
+    oracle = _table_oracle(mesh, values, **exponents)
+    assert set(table) == set(oracle)
+    for key, expected in oracle.items():
+        np.testing.assert_allclose(table[key], expected, rtol=1e-12, atol=0, err_msg=str(key))
+        assert table[key][zero] == 0.0
+    functions = [FemFunction(mesh, values[:, s]) for s in range(count)]
+    corpus = Corpus(CorpusDescriptor(seed=seed, size=count, n=n), functions, ["random"] * count)
+    with pytest.raises(ValueError):
+        gn_ratio_suite([corpus], derive_context(3, 2))
