@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .mesh import face_areas
+from .mesh import _KUHN_CORNERS, _MESHES, face_areas
 from .quadrature import tetrahedron_rule, triangle_rule
 
 __all__ = [
@@ -71,30 +71,32 @@ class SparseOperator:
         return self.matrix.diagonal()
 
 
+# integral of b_i b_j over a tet, per unit volume
+_MASS_PATTERN = (np.ones((4, 4)) + np.eye(4)) / 20.0
+
+
 class _FemSpace:
-    """Cached geometry, quadrature and operators for one mesh."""
+    """Cached geometry, quadrature and operators for one build_cube_mesh level.
+
+    A level lists its tets cell by cell, so tet t is a translate of Kuhn shape
+    t % 6 scaled by 1/n, with volume 1/(6 n^3): no per-tet array is needed.
+    """
 
     def __init__(self, mesh):
+        if _MESHES.get(mesh.n) is not mesh:
+            raise ValueError("degenerate tet or foreign mesh: not a build_cube_mesh level")
         self.mesh = mesh
         self.nv = mesh.num_vertices
 
-        vtx = mesh.vertices[mesh.tets]                        # (nt, 4, 3)
-        edges = vtx[:, 1:, :] - vtx[:, :1, :]                 # (nt, 3, 3)
-        dets = np.linalg.det(edges)
-        self.tet_vols = dets / 6.0
-        if np.any(self.tet_vols <= 0):
-            raise ValueError("degenerate tet: non-positive volume in mesh")
-        inv = np.linalg.inv(edges)                            # (nt, 3, 3)
-        grads = np.empty((mesh.num_tets, 4, 3))
-        grads[:, 1:, :] = np.transpose(inv, (0, 2, 1))
-        grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
-        self.grad_basis = grads
+        self.tet_volume = 1.0 / (6.0 * mesh.n**3)
+        edges = _KUHN_CORNERS[:, 1:, :] - _KUHN_CORNERS[:, :1, :]   # (6, 3, 3), det 1
+        self.grad_shapes = np.empty((6, 4, 3))
+        self.grad_shapes[:, 1:, :] = mesh.n * np.transpose(np.linalg.inv(edges), (0, 2, 1))
+        self.grad_shapes[:, 0, :] = -self.grad_shapes[:, 1:, :].sum(axis=1)
 
         ref_pts, ref_w = tetrahedron_rule()
-        lam = np.column_stack([1.0 - ref_pts.sum(axis=1), ref_pts])  # (nq, 4)
-        self.vol_basis = lam
-        self.vol_pts = np.einsum("qi,tid->tqd", lam, vtx)
-        self.vol_w = np.outer(6.0 * self.tet_vols, ref_w)            # rows sum to vol
+        self.vol_basis = np.column_stack([1.0 - ref_pts.sum(axis=1), ref_pts])  # (nq, 4)
+        self.tet_w = 6.0 * self.tet_volume * ref_w                       # sums to the volume
 
         bref_pts, bref_w = triangle_rule()
         blam = np.column_stack([1.0 - bref_pts.sum(axis=1), bref_pts])  # (nqb, 3)
@@ -115,7 +117,9 @@ class _FemSpace:
 
     # -- operators ---------------------------------------------------------
 
-    def _scatter_tets(self, element_matrices):
+    def _shape_operator(self, shape_matrices):
+        """Operator from the (6, 4, 4) element matrices of the shapes, repeated in every cell."""
+        element_matrices = np.tile(shape_matrices, (self.mesh.n**3, 1, 1))
         rows = np.broadcast_to(self.mesh.tets[:, :, None], element_matrices.shape)
         cols = np.broadcast_to(self.mesh.tets[:, None, :], element_matrices.shape)
         mat = sparse.coo_matrix(
@@ -126,18 +130,13 @@ class _FemSpace:
 
     def mass_operator(self):
         if self._mass is None:
-            pattern = (np.ones((4, 4)) + np.eye(4)) / 20.0
-            me = self.tet_vols[:, None, None] * pattern
-            self._mass = self._scatter_tets(me)
+            self._mass = self._shape_operator(np.broadcast_to(self.tet_volume * _MASS_PATTERN, (6, 4, 4)))
         return self._mass
 
     def h1_operator(self):
         if self._h1 is None:
-            ke = np.einsum("tid,tjd->tij", self.grad_basis, self.grad_basis)
-            ke *= self.tet_vols[:, None, None]
-            pattern = (np.ones((4, 4)) + np.eye(4)) / 20.0
-            ke += self.tet_vols[:, None, None] * pattern
-            self._h1 = self._scatter_tets(ke)
+            stiffness = np.einsum("kid,kjd->kij", self.grad_shapes, self.grad_shapes)
+            self._h1 = self._shape_operator(self.tet_volume * (stiffness + _MASS_PATTERN))
         return self._h1
 
     # -- evaluation at quadrature points ------------------------------------
@@ -149,10 +148,11 @@ class _FemSpace:
         return values[self.mesh.boundary_faces] @ self.bnd_basis.T  # (nf, nqb)
 
     def gradients(self, values):
-        return np.einsum("tid,ti->td", self.grad_basis, values[self.mesh.tets])
+        nodal = values[self.mesh.tets].reshape(-1, 6, 4)                # (cells, 6, 4)
+        return np.einsum("kid,cki->ckd", self.grad_shapes, nodal).reshape(-1, 3)
 
     def volume_integral(self, point_values):
-        return float(np.sum(self.vol_w * point_values))
+        return float(np.sum(self.tet_w * point_values))
 
     def boundary_integral(self, point_values):
         return float(np.sum(self.bnd_w * point_values))

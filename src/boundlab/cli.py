@@ -10,6 +10,7 @@ not writable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -509,10 +510,7 @@ def parse_config(argv):
                 value = tuple(int(v) for v in value)
             settings[key] = value
 
-    for key in (
-        "N", "p_list", "q_override", "n_list", "samples", "seed",
-        "tol", "output", "fmt", "case", "suite", "b0", "dump",
-    ):
+    for key in (f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "command"):
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value

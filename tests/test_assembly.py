@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from boundlab.assembly import (
     FemFunction,
@@ -10,7 +11,7 @@ from boundlab.assembly import (
     fem_space,
     interpolate,
 )
-from boundlab.mesh import Mesh, build_cube_mesh
+from boundlab.mesh import Mesh, build_cube_mesh, signed_volumes
 
 
 def constant_field(value):
@@ -144,3 +145,69 @@ def test_assembly_deterministic(mesh4):
     fresh = build_cube_mesh(4)
     b = assemble_h1_operator(fresh)
     assert (a.matrix != b.matrix).nnz == 0
+
+
+def _per_tet_reference(mesh):
+    """Per-tet geometry from the vertex coordinates: basis gradients from
+    inv of each tet's edge matrix, volumes from det, and the H1 and mass
+    operators assembled tet by tet from them."""
+    vtx = mesh.vertices[mesh.tets]
+    edges = vtx[:, 1:, :] - vtx[:, :1, :]
+    vols = np.linalg.det(edges) / 6.0
+    grads = np.empty((mesh.num_tets, 4, 3))
+    grads[:, 1:, :] = np.transpose(np.linalg.inv(edges), (0, 2, 1))
+    grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
+    pattern = (np.ones((4, 4)) + np.eye(4)) / 20.0
+    mass = vols[:, None, None] * pattern
+    h1 = vols[:, None, None] * np.einsum("tid,tjd->tij", grads, grads) + mass
+    rows = np.broadcast_to(mesh.tets[:, :, None], mass.shape).ravel()
+    cols = np.broadcast_to(mesh.tets[:, None, :], mass.shape).ravel()
+    shape = (mesh.num_vertices, mesh.num_vertices)
+    operators = [sparse.coo_matrix((m.ravel(), (rows, cols)), shape=shape).tocsr() for m in (h1, mass)]
+    return grads, vols, operators
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_closed_form_geometry_matches_per_tet_reference(n, rng):
+    mesh = build_cube_mesh(n)
+    space = fem_space(mesh)
+    grads, vols, (h1, mass) = _per_tet_reference(mesh)
+    # every tet's gradients, read through its nodal values
+    values = rng.standard_normal(mesh.num_vertices)
+    expected = np.einsum("tid,ti->td", grads, values[mesh.tets])
+    assert np.abs(space.gradients(values) - expected).max() <= 1e-12 * np.abs(expected).max()
+    shapes = space.grad_shapes[np.arange(mesh.num_tets) % 6]
+    assert np.abs(shapes - grads).max() <= 1e-12 * np.abs(grads).max()
+    assert np.abs(signed_volumes(mesh.vertices, mesh.tets) - space.tet_volume).max() <= 1e-12 * space.tet_volume
+    assert np.abs(vols - space.tet_volume).max() <= 1e-12 * space.tet_volume
+    for operator, reference in ((assemble_h1_operator(mesh), h1), (assemble_mass_operator(mesh), mass)):
+        matrix = operator.matrix
+        assert np.array_equal(matrix.indptr, reference.indptr)
+        assert np.array_equal(matrix.indices, reference.indices)
+        assert np.all(np.abs(matrix.data - reference.data) <= 1e-13 * np.abs(reference.data))
+
+
+def test_reordered_tets_abort(mesh2):
+    # swapping two tet rows keeps every volume positive, but tet t is then
+    # no longer a translate of shape t % 6
+    tets = mesh2.tets.copy()
+    tets[[0, 1]] = tets[[1, 0]]
+    assert np.all(signed_volumes(mesh2.vertices, tets) > 0)
+    reordered = Mesh(
+        vertices=mesh2.vertices,
+        tets=tets,
+        boundary_faces=mesh2.boundary_faces,
+        boundary_normals=mesh2.boundary_normals,
+        boundary_parents=mesh2.boundary_parents,
+        n=mesh2.n,
+    )
+    with pytest.raises(ValueError, match="build_cube_mesh"):
+        assemble_h1_operator(reordered)
+
+
+def test_workspace_holds_no_per_tet_array():
+    mesh = build_cube_mesh(8)
+    space = fem_space(mesh)
+    for name, value in vars(space).items():
+        if isinstance(value, np.ndarray) and value.ndim:
+            assert value.shape[0] != mesh.num_tets, name

@@ -208,12 +208,12 @@ def _table_oracle(mesh, values, volume, boundary, w1m, holder_p):
                    for b, b_next in zip(bnd, bnd[1:] + bnd[:1])],
     }
     for r in volume:
-        oracle["volume", r] = [np.sum(space.vol_w * np.power(v, r)) ** (1 / r) for v in vol]
+        oracle["volume", r] = [np.sum(space.tet_w * np.power(v, r)) ** (1 / r) for v in vol]
     for r in boundary:
         oracle["boundary", r] = [np.sum(space.bnd_w * np.power(b, r)) ** (1 / r) for b in bnd]
     for m in w1m:
         oracle["w1m", m] = [
-            (np.sum(space.vol_w * np.power(v, m)) + np.sum(space.tet_vols * np.power(g, m))) ** (1 / m)
+            (np.sum(space.tet_w * np.power(v, m)) + np.sum(space.tet_volume * np.power(g, m))) ** (1 / m)
             for v, g in zip(vol, grad)
         ]
     return oracle
