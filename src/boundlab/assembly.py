@@ -2,8 +2,10 @@
 
 Provides the H1 operator (stiffness + mass, exact for piecewise linears),
 boundary load vectors and boundary-weighted mass operators, all built with
-the degree-7 quadrature rules from :mod:`boundlab.quadrature`.  Assembly is
-sequential with a fixed element order, so repeated runs are bit-identical.
+the degree-7 quadrature rules from :mod:`boundlab.quadrature`, and a
+multigrid V-cycle per level that preconditions solves with the H1 operator.
+Assembly is sequential with a fixed element order, so repeated runs are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import LinearOperator, splu
 
-from .mesh import _KUHN_CORNERS, _MESHES, face_areas
+from .mesh import _KUHN_CORNERS, _MESHES, build_cube_mesh, face_areas
 from .quadrature import tetrahedron_rule, triangle_rule
 
 __all__ = [
@@ -74,6 +77,28 @@ class SparseOperator:
 # integral of b_i b_j over a tet, per unit volume
 _MASS_PATTERN = (np.ones((4, 4)) + np.eye(4)) / 20.0
 
+# damping of the Jacobi sweeps that smooth each multigrid level
+_JACOBI_OMEGA = 0.6
+
+
+def _prolongation(n):
+    """P1 prolongation from level n to level 2n, as a sparse matrix.
+
+    The Kuhn split of level 2n refines that of level n, so fine vertex
+    (I, J, K) lies on the coarse edge from floor((I, J, K) / 2) to
+    ceil((I, J, K) / 2) and takes the mean of its two ends.
+    """
+    kk, jj, ii = np.indices((2 * n + 1,) * 3).reshape(3, -1)
+    fine = np.column_stack([ii, jj, kk])
+    strides = np.array([1, n + 1, (n + 1) ** 2])
+    rows = np.tile(np.arange(len(fine)), 2)
+    cols = np.concatenate([(fine // 2) @ strides, (-(-fine // 2)) @ strides])
+    # a vertex of level n is its own floor and ceil: its two halves add up to 1
+    mat = sparse.coo_matrix(
+        (np.full(len(rows), 0.5), (rows, cols)), shape=(len(fine), (n + 1) ** 3)
+    )
+    return mat.tocsr()
+
 
 class _FemSpace:
     """Cached geometry, quadrature and operators for one build_cube_mesh level.
@@ -114,6 +139,7 @@ class _FemSpace:
 
         self._h1 = None
         self._mass = None
+        self._vcycle = None
 
     # -- operators ---------------------------------------------------------
 
@@ -139,16 +165,54 @@ class _FemSpace:
             self._h1 = self._shape_operator(self.tet_volume * (stiffness + _MASS_PATTERN))
         return self._h1
 
+    def vcycle(self):
+        """One symmetric multigrid V-cycle: an SPD approximate inverse of the H1 operator.
+
+        Level n // 2's H1 operator is the Galerkin coarse operator of level n
+        (P^T A_n P = A_{n/2} for nested P1 spaces), so the hierarchy is the
+        cached levels themselves.  While n is even and n > 2, the cycle runs
+        two damped Jacobi sweeps (omega = 0.6), the V-cycle of level n // 2 on
+        the restricted residual, and two more sweeps.  Any other level is
+        solved exactly by a sparse LU, factored once and cached on that level;
+        so for an odd finest n (5, 25, ...) the preconditioner is the exact
+        inverse.  Returned as a LinearOperator, the ``M`` of scipy's Krylov
+        solvers.
+        """
+        if self._vcycle is None:
+            matrix = self.h1_operator().matrix
+            n = self.mesh.n
+            if n % 2 or n <= 2:
+                solve = splu(matrix.tocsc()).solve
+            else:
+                coarse = fem_space(build_cube_mesh(n // 2)).vcycle()
+                prolong = _prolongation(n // 2)
+                restrict = prolong.T.tocsr()
+                step = _JACOBI_OMEGA / matrix.diagonal()
+
+                def solve(r):
+                    x = step * r
+                    x += step * (r - matrix @ x)
+                    x += prolong @ coarse.matvec(restrict @ (r - matrix @ x))
+                    x += step * (r - matrix @ x)
+                    x += step * (r - matrix @ x)
+                    return x
+
+            self._vcycle = LinearOperator(matrix.shape, matvec=solve, dtype=float)
+        return self._vcycle
+
     # -- evaluation at quadrature points ------------------------------------
 
-    def volume_values(self, values):
-        return values[self.mesh.tets] @ self.vol_basis.T      # (nt, nq)
+    # ``tets`` selects a slice of the tets; it must cover whole cells (6 tets
+    # each, starting at a multiple of 6) for ``gradients``
+
+    def volume_values(self, values, tets=slice(None)):
+        return values[self.mesh.tets[tets]] @ self.vol_basis.T      # (nt, nq)
 
     def boundary_values(self, values):
         return values[self.mesh.boundary_faces] @ self.bnd_basis.T  # (nf, nqb)
 
-    def gradients(self, values):
-        nodal = values[self.mesh.tets].reshape(-1, 6, 4)                # (cells, 6, 4)
+    def gradients(self, values, tets=slice(None)):
+        nodal = values[self.mesh.tets[tets]].reshape(-1, 6, 4)          # (cells, 6, 4)
         return np.einsum("kid,cki->ckd", self.grad_shapes, nodal).reshape(-1, 3)
 
     def volume_integral(self, point_values):

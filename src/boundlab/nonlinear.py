@@ -4,7 +4,8 @@ A :class:`Nonlinearity` bundles the boundary flux f(x, s), its antiderivative
 F(x, s) and the s-derivative, plus the growth and superlinearity data that
 certify it.  Ground states of the pure-power family are computed by inverse
 iteration on the constraint manifold, unscaled through the multiplier, and
-polished with damped Newton on the discrete weak residual.
+polished with damped Newton on the discrete weak residual, whose steps are
+multigrid-preconditioned MINRES solves.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import splu
+# splu is not called here: the name stays bound so that bench/tracer.py's
+# nonlinear.splu wrapper also reaches the coarse-level factorization in assembly
+from scipy.sparse.linalg import minres, splu  # noqa: F401
 
 from .assembly import FemFunction, fem_space
 
@@ -256,9 +259,13 @@ def certify_solution(u, nl, tol):
 def newton_refine(u0, nl, tol, max_iterations=50, max_halvings=30):
     """Damped Newton on the weak residual, from the supplied start.
 
-    The step solves (H1 operator - boundary jacobian of f_s) * delta = -residual
-    with a sparse direct factorization; the step is halved until the residual
-    norm decreases.  Raises :class:`SolverDivergence` when damping stalls.
+    The step solves (H1 operator - boundary jacobian of f_s) * delta = -residual.
+    That Jacobian is symmetric and indefinite at a mountain-pass solution
+    (Morse index 1), so the solve is MINRES preconditioned by the level's
+    multigrid V-cycle, to relative tolerance min(1e-10, 0.1 * residual).  The
+    step is halved until the residual norm decreases.  Raises
+    :class:`SolverDivergence` when MINRES stops short of its tolerance or
+    damping stalls.
     """
     space = fem_space(u0.mesh)
     operator = space.h1_operator()
@@ -284,8 +291,20 @@ def newton_refine(u0, nl, tol, max_iterations=50, max_halvings=30):
     for it in range(1, max_iterations + 1):
         uq = space.boundary_values(values)
         jac_bnd = space.boundary_operator_from_values(nl.f_s(space.bnd_pts, uq))
-        jac = (operator.matrix - jac_bnd.matrix).tocsc()
-        delta = splu(jac).solve(-r)
+        jac = operator.matrix - jac_bnd.matrix
+        steps = []
+        delta, info = minres(
+            jac, -r, M=space.vcycle(), rtol=min(1e-10, 0.1 * history[-1]),
+            callback=lambda x: steps.append(None),
+        )
+        if info != 0:
+            inner = float(np.linalg.norm(jac @ delta + r)) / float(np.linalg.norm(r))
+            raise SolverDivergence(
+                f"Newton step {it}: MINRES stopped after {len(steps)} iterations "
+                f"at relative residual {inner:.3e}",
+                values,
+                history,
+            )
 
         r_norm = float(np.linalg.norm(r))
         step = 1.0
@@ -349,6 +368,7 @@ def solve_ground_state(
 
     space = fem_space(mesh)
     operator = space.h1_operator()
+    vcycle = space.vcycle()
     maxiter = 10 * operator.dimension
 
     rng = np.random.default_rng(seed)
@@ -365,7 +385,7 @@ def solve_ground_state(
 
     # one linear solve to smooth the random start
     load = space.boundary_load_from_values(space.boundary_values(w))
-    w, _, _ = _pcg(operator.matrix, load, linear_tol, maxiter)
+    w, _, _ = _pcg(operator.matrix, load, linear_tol, maxiter, vcycle)
     w = renormalize(w)
 
     mu = operator.quadratic_form(w)
@@ -373,7 +393,7 @@ def solve_ground_state(
     converged = False
     for outer in range(1, max_outer + 1):
         load = space.boundary_load_from_values(boundary_power(w))
-        w_new, _, _ = _pcg(operator.matrix, load, linear_tol, maxiter, x0=w)
+        w_new, _, _ = _pcg(operator.matrix, load, linear_tol, maxiter, vcycle, x0=w)
         w = renormalize(w_new)
         mu_new = operator.quadratic_form(w)
         mu_trace.append(mu_new)

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
-from boundlab.assembly import assemble_boundary_load
+from boundlab.assembly import _prolongation, assemble_boundary_load, assemble_h1_operator, fem_space
 from boundlab.exponents import derive_context
 from boundlab.linear_solver import (
     MANUFACTURED_CASES,
@@ -141,3 +142,45 @@ def test_regularity_suite_requires_three_dimensions():
     ctx = derive_context(4, Fraction(3, 2))
     with pytest.raises(ValueError):
         regularity_ratio_suite(ctx, [2], 1, seed=0)
+
+
+# -- multigrid hierarchy -------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_prolongation_gives_coarse_operator(n):
+    # nested P1 spaces: the Galerkin product of level 2n is level n's operator
+    prolong = _prolongation(n)
+    fine = assemble_h1_operator(build_cube_mesh(2 * n)).matrix
+    coarse = assemble_h1_operator(build_cube_mesh(n)).matrix.toarray()
+    galerkin = (prolong.T @ fine @ prolong).toarray()
+    assert np.abs(galerkin - coarse).max() <= 1e-13 * np.abs(coarse).max()
+
+
+def test_vcycle_symmetric_positive(mesh8, rng):
+    vcycle = fem_space(mesh8).vcycle()
+    for _ in range(5):
+        x, y = rng.standard_normal((2, mesh8.num_vertices))
+        mx, my = vcycle.matvec(x), vcycle.matvec(y)
+        assert abs(mx @ y - x @ my) <= 1e-12 * np.linalg.norm(mx) * np.linalg.norm(y)
+        assert mx @ x > 0.0
+
+
+def test_cg_iterations_do_not_grow_with_level(rng):
+    fn = smooth_field_from_coefficients(rng.standard_normal(14))
+    counts = [
+        solve_neumann(build_cube_mesh(n), lambda p, nrm: fn(p), 1e-10).iterations
+        for n in (8, 16, 24)
+    ]
+    assert all(0 < k <= 25 for k in counts), counts
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_odd_level_matches_direct_solve(n, rng):
+    mesh = build_cube_mesh(n)
+    fn = smooth_field_from_coefficients(rng.standard_normal(14))
+    h = lambda p, nrm: fn(p)
+    result = solve_neumann(mesh, h, 1e-10)
+    assert result.residual_norm <= 1e-10
+    direct = spsolve(assemble_h1_operator(mesh).matrix.tocsc(), assemble_boundary_load(mesh, h))
+    assert np.linalg.norm(result.solution.values - direct) <= 1e-8 * np.linalg.norm(direct)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import minres
 
+from boundlab import nonlinear
 from boundlab.assembly import FemFunction, fem_space, interpolate
 from boundlab.linear_solver import solve_neumann
 from boundlab.mesh import build_cube_mesh
 from boundlab.nonlinear import (
     Nonlinearity,
+    SolverDivergence,
     antiderivative_check,
     ar_check,
     ar_defect,
@@ -215,6 +218,15 @@ def test_newton_superlinear_tail(ground_state_p2_n8):
     ratios = [b / a for a, b in zip(history, history[1:])]
     assert ratios[-1] < 1e-2 * ratios[0]
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
+
+
+def test_newton_raises_when_minres_falls_short(ground_state_p2_n8, monkeypatch):
+    nl, outcome = ground_state_p2_n8
+    capped = lambda *args, **kwargs: minres(*args, **{**kwargs, "maxiter": 1})
+    monkeypatch.setattr(nonlinear, "minres", capped)
+    perturbed = FemFunction(outcome.solution.mesh, 1.3 * outcome.solution.values)
+    with pytest.raises(SolverDivergence, match=r"MINRES stopped after 1 iterations"):
+        newton_refine(perturbed, nl, 1e-8)
 
 
 def test_certify_solution_carries_residual(mesh4):
