@@ -12,7 +12,6 @@ from .exponents import ExponentContext, critical_exponents, derive_context, chec
 from .mesh import Mesh, build_cube_mesh, mesh_integrity, boundary_vertex_set
 from .assembly import (
     FemFunction,
-    SparseOperator,
     interpolate,
     assemble_h1_operator,
     assemble_boundary_load,

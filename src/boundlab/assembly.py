@@ -2,8 +2,9 @@
 
 Provides the H1 operator (stiffness + mass, exact for piecewise linears),
 boundary load vectors and boundary-weighted mass operators, all built with
-the degree-7 quadrature rules from :mod:`boundlab.quadrature`, and a
-multigrid V-cycle per level that preconditions solves with the H1 operator.
+the degree-7 quadrature rules from :mod:`boundlab.quadrature` (operators are
+plain scipy CSR matrices), and a multigrid V-cycle per level that
+preconditions solves with the H1 operator.
 Assembly is sequential with a fixed element order, so repeated runs are
 bit-identical.
 """
@@ -22,7 +23,6 @@ from .quadrature import tetrahedron_rule, triangle_rule
 
 __all__ = [
     "FemFunction",
-    "SparseOperator",
     "interpolate",
     "fem_space",
     "assemble_h1_operator",
@@ -52,26 +52,6 @@ class FemFunction:
 def interpolate(mesh, fn):
     """FemFunction with nodal values fn(vertices); fn is vectorized over points."""
     return FemFunction(mesh, np.asarray(fn(mesh.vertices), dtype=float))
-
-
-@dataclass(eq=False)
-class SparseOperator:
-    """Symmetric sparse operator acting on nodal value vectors."""
-
-    matrix: sparse.csr_matrix
-
-    @property
-    def dimension(self):
-        return self.matrix.shape[0]
-
-    def apply(self, values):
-        return self.matrix @ values
-
-    def quadratic_form(self, values):
-        return float(values @ (self.matrix @ values))
-
-    def diagonal(self):
-        return self.matrix.diagonal()
 
 
 # integral of b_i b_j over a tet, per unit volume
@@ -152,7 +132,7 @@ class _FemSpace:
             (element_matrices.ravel(), (rows.ravel(), cols.ravel())),
             shape=(self.nv, self.nv),
         )
-        return SparseOperator(mat.tocsr())
+        return mat.tocsr()
 
     def mass_operator(self):
         if self._mass is None:
@@ -179,7 +159,7 @@ class _FemSpace:
         solvers.
         """
         if self._vcycle is None:
-            matrix = self.h1_operator().matrix
+            matrix = self.h1_operator()
             n = self.mesh.n
             if n % 2 or n <= 2:
                 solve = splu(matrix.tocsc()).solve
@@ -238,7 +218,7 @@ class _FemSpace:
         mat = sparse.coo_matrix(
             (entries.ravel(), (rows.ravel(), cols.ravel())), shape=(self.nv, self.nv)
         )
-        return SparseOperator(mat.tocsr())
+        return mat.tocsr()
 
 
 _SPACE_CACHE = weakref.WeakKeyDictionary()

@@ -45,6 +45,12 @@ _COMMANDS = ("exponents", "mesh-info", "solve-linear", "solve-nonlinear", "verif
 # commands that derive an exponent context from (N, p, q)
 _EXPONENT_COMMANDS = ("exponents", "solve-nonlinear", "verify", "sweep")
 _SUITES = ("universal", "gn", "regularity", "chain", "energy", "equivalence")
+# list options of which a command reads only the first value
+_SINGLE_VALUED = {
+    "mesh-info": ("n_list",),
+    "solve-nonlinear": ("p_list", "n_list"),
+    "verify": ("p_list",),
+}
 
 
 class UsageError(ValueError):
@@ -79,6 +85,9 @@ class ExperimentConfig:
             raise UsageError("mesh levels must be >= 1")
         if len(set(self.n_list)) < len(self.n_list) or len(set(self.p_list)) < len(self.p_list):
             raise UsageError("--p and --n must not repeat a value")
+        for key in _SINGLE_VALUED.get(self.command, ()):
+            if len(getattr(self, key)) > 1:
+                raise UsageError(f"{self.command} takes one --{key[0]} value")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise UsageError("tolerance must be finite and positive")
         if not (math.isfinite(self.b0) and self.b0 > 0):

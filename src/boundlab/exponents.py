@@ -2,8 +2,8 @@
 
 All quantities live in `fractions.Fraction`, so the algebraic identities
 between them can be checked with equality instead of tolerances.  Floats are
-produced only at the boundary to the numeric modules, via
-:meth:`ExponentContext.as_floats`.
+produced only at the boundary to the numeric modules, each of which converts
+the fields it reads with ``float(ctx.x)``.
 """
 
 from __future__ import annotations
@@ -71,21 +71,6 @@ class ExponentContext:
     A: Fraction
     A_hat1: Fraction
     A_hat2: Fraction
-
-    def as_floats(self):
-        """Float view used by the numeric modules."""
-        return {
-            "N": self.N,
-            "p": float(self.p),
-            "two_star": float(self.two_star),
-            "two_low_star": float(self.two_low_star),
-            "q": float(self.q),
-            "m": float(self.m),
-            "sigma": float(self.sigma),
-            "A": float(self.A),
-            "A_hat1": float(self.A_hat1),
-            "A_hat2": float(self.A_hat2),
-        }
 
     def key(self):
         """Stable identifier used to detect cross-step context mixing."""

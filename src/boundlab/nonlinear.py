@@ -10,7 +10,7 @@ multigrid-preconditioned MINRES solves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 # splu is not called here: the name stays bound so that bench/tracer.py's
@@ -186,20 +186,32 @@ def antiderivative_check(nl, s_values=None, x_points=None, tol=1e-6):
 
 # -- weak residual and solves --------------------------------------------------
 
+# stage 1 of solve_ground_state: the constraint iteration stops when the
+# multiplier's relative change is <= _MULTIPLIER_TOL, and fails after _MAX_OUTER steps
+_MAX_OUTER = 500
+_MULTIPLIER_TOL = 1e-8
+# newton_refine fails after _MAX_NEWTON steps, or when _MAX_HALVINGS halvings
+# of one step do not decrease the residual norm
+_MAX_NEWTON = 50
+_MAX_HALVINGS = 30
+
 
 def _residual_vector(space, operator, values, nl):
     uq = space.boundary_values(values)
     load = space.boundary_load_from_values(nl.f(space.bnd_pts, uq))
-    return operator.apply(values) - load
+    return operator @ values - load
+
+
+def _relative(operator, r, values):
+    """Norm of the residual r of ``values``, relative to 1 + ||operator values||."""
+    return float(np.linalg.norm(r)) / (1.0 + float(np.linalg.norm(operator @ values)))
 
 
 def weak_residual(u, nl):
     """Relative Euclidean norm of the discrete weak-form residual."""
     space = fem_space(u.mesh)
     operator = space.h1_operator()
-    r = _residual_vector(space, operator, u.values, nl)
-    scale = 1.0 + float(np.linalg.norm(operator.apply(u.values)))
-    return float(np.linalg.norm(r)) / scale
+    return _relative(operator, _residual_vector(space, operator, u.values, nl), u.values)
 
 
 @dataclass(eq=False)
@@ -241,61 +253,56 @@ class SolverDivergence(RuntimeError):
         self.history = history
 
 
-def certify_solution(u, nl, tol):
-    """Wrap an existing function as an outcome carrying its honest residual."""
-    res = weak_residual(u, nl)
+def _outcome(u, tol, history, newton_iterations=0):
+    """Outcome of u with the last residual of its history as certificate."""
     return SolveOutcome(
         solution=u,
         multiplier=float("nan"),
-        weak_residual=res,
+        weak_residual=history[-1],
         outer_iterations=0,
-        newton_iterations=0,
+        newton_iterations=newton_iterations,
         positive=bool(np.all(u.values > 0)),
         tolerance=tol,
-        residual_history=[res],
+        residual_history=history,
     )
 
 
-def newton_refine(u0, nl, tol, max_iterations=50, max_halvings=30):
+def certify_solution(u, nl, tol):
+    """Wrap an existing function as an outcome carrying its honest residual."""
+    return _outcome(u, tol, [weak_residual(u, nl)])
+
+
+def newton_refine(u0, nl, tol):
     """Damped Newton on the weak residual, from the supplied start.
 
     The step solves (H1 operator - boundary jacobian of f_s) * delta = -residual.
     That Jacobian is symmetric and indefinite at a mountain-pass solution
     (Morse index 1), so the solve is MINRES preconditioned by the level's
     multigrid V-cycle, to relative tolerance min(1e-10, 0.1 * residual).  The
-    step is halved until the residual norm decreases.  Raises
-    :class:`SolverDivergence` when MINRES stops short of its tolerance or
-    damping stalls.
+    step is halved, at most ``_MAX_HALVINGS`` times, until the residual norm
+    decreases.  Raises :class:`SolverDivergence` when MINRES stops short of
+    its tolerance, damping stalls, or ``_MAX_NEWTON`` steps do not reach tol.
     """
     space = fem_space(u0.mesh)
     operator = space.h1_operator()
     values = u0.values.copy()
-
-    def rel(r, v):
-        return float(np.linalg.norm(r)) / (1.0 + float(np.linalg.norm(operator.apply(v))))
-
     r = _residual_vector(space, operator, values, nl)
-    history = [rel(r, values)]
-    if history[-1] <= tol:
-        return SolveOutcome(
-            solution=FemFunction(u0.mesh, values),
-            multiplier=float("nan"),
-            weak_residual=history[-1],
-            outer_iterations=0,
-            newton_iterations=0,
-            positive=bool(np.all(values > 0)),
-            tolerance=tol,
-            residual_history=history,
-        )
-
-    for it in range(1, max_iterations + 1):
+    history = [_relative(operator, r, values)]
+    it = 0
+    while history[-1] > tol:
+        if it == _MAX_NEWTON:
+            raise SolverDivergence(
+                f"Newton did not reach tolerance {tol} in {_MAX_NEWTON} iterations",
+                values,
+                history,
+            )
+        it += 1
         uq = space.boundary_values(values)
-        jac_bnd = space.boundary_operator_from_values(nl.f_s(space.bnd_pts, uq))
-        jac = operator.matrix - jac_bnd.matrix
+        jac = operator - space.boundary_operator_from_values(nl.f_s(space.bnd_pts, uq))
         steps = []
         delta, info = minres(
             jac, -r, M=space.vcycle(), rtol=min(1e-10, 0.1 * history[-1]),
-            callback=lambda x: steps.append(None),
+            callback=steps.append,
         )
         if info != 0:
             inner = float(np.linalg.norm(jac @ delta + r)) / float(np.linalg.norm(r))
@@ -308,15 +315,13 @@ def newton_refine(u0, nl, tol, max_iterations=50, max_halvings=30):
 
         r_norm = float(np.linalg.norm(r))
         step = 1.0
-        accepted = False
-        for _ in range(max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             trial = values + step * delta
             r_trial = _residual_vector(space, operator, trial, nl)
             if float(np.linalg.norm(r_trial)) < r_norm:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             raise SolverDivergence(
                 f"Newton stalled at iteration {it}: residual does not decrease "
                 f"under the damping schedule",
@@ -325,35 +330,20 @@ def newton_refine(u0, nl, tol, max_iterations=50, max_halvings=30):
             )
         values = trial
         r = r_trial
-        history.append(rel(r, values))
-        if history[-1] <= tol:
-            return SolveOutcome(
-                solution=FemFunction(u0.mesh, values),
-                multiplier=float("nan"),
-                weak_residual=history[-1],
-                outer_iterations=0,
-                newton_iterations=it,
-                positive=bool(np.all(values > 0)),
-                tolerance=tol,
-                residual_history=history,
-            )
-    raise SolverDivergence(
-        f"Newton did not reach tolerance {tol} in {max_iterations} iterations",
-        values,
-        history,
-    )
+        history.append(_relative(operator, r, values))
+    return _outcome(FemFunction(u0.mesh, values), tol, history, it)
 
 
-def solve_ground_state(
-    mesh, nl, tol, seed, max_outer=500, multiplier_tol=1e-8, linear_tol=None
-):
+def solve_ground_state(mesh, nl, tol, seed):
     """Positive ground state of the pure-power problem on a mesh.
 
     Stage 1 runs inverse iteration on the constraint manifold
     int_bnd |w|^(p+1) = 1: repeatedly solve the linear problem with flux data
-    |w|^(p-1) w and renormalize, until the multiplier a(w, w) stabilizes.
-    Stage 2 unscales u = (mu/lam)^(1/(p-1)) w so u carries the stated flux
-    condition.  Stage 3 polishes with damped Newton to the requested residual.
+    |w|^(p-1) w and renormalize, until the multiplier a(w, w) stabilizes
+    (relative change <= ``_MULTIPLIER_TOL``, at most ``_MAX_OUTER`` steps; each
+    CG solve to min(1e-10, 0.01 * tol)).  Stage 2 unscales
+    u = (mu/lam)^(1/(p-1)) w so u carries the stated flux condition.  Stage 3
+    polishes with damped Newton to the requested residual.
     """
     from .linear_solver import _pcg
 
@@ -363,13 +353,11 @@ def solve_ground_state(
         raise ValueError("tolerance must be positive")
     p = nl.p
     lam = nl.scale
-    if linear_tol is None:
-        linear_tol = min(1e-10, 0.01 * tol)
+    linear_tol = min(1e-10, 0.01 * tol)
 
     space = fem_space(mesh)
     operator = space.h1_operator()
     vcycle = space.vcycle()
-    maxiter = 10 * operator.dimension
 
     rng = np.random.default_rng(seed)
     w = 0.5 + rng.random(space.nv)
@@ -385,38 +373,26 @@ def solve_ground_state(
 
     # one linear solve to smooth the random start
     load = space.boundary_load_from_values(space.boundary_values(w))
-    w, _, _ = _pcg(operator.matrix, load, linear_tol, maxiter, vcycle)
+    w, _, _ = _pcg(operator, load, linear_tol, vcycle)
     w = renormalize(w)
 
-    mu = operator.quadratic_form(w)
+    mu = float(w @ (operator @ w))
     mu_trace = [mu]
-    converged = False
-    for outer in range(1, max_outer + 1):
+    for outer in range(1, _MAX_OUTER + 1):
         load = space.boundary_load_from_values(boundary_power(w))
-        w_new, _, _ = _pcg(operator.matrix, load, linear_tol, maxiter, vcycle, x0=w)
+        w_new, _, _ = _pcg(operator, load, linear_tol, vcycle, x0=w)
         w = renormalize(w_new)
-        mu_new = operator.quadratic_form(w)
+        mu_new = float(w @ (operator @ w))
         mu_trace.append(mu_new)
-        if abs(mu_new - mu) <= multiplier_tol * max(1.0, abs(mu_new)):
-            mu = mu_new
-            converged = True
-            break
+        converged = abs(mu_new - mu) <= _MULTIPLIER_TOL * max(1.0, abs(mu_new))
         mu = mu_new
-    if not converged:
+        if converged:
+            break
+    else:
         raise StagnationError(
-            f"constraint iteration did not stabilize the multiplier in {max_outer} steps",
+            f"constraint iteration did not stabilize the multiplier in {_MAX_OUTER} steps",
             mu_trace,
         )
 
     u = FemFunction(mesh, (mu / lam) ** (1.0 / (p - 1.0)) * w)
-    refined = newton_refine(u, nl, tol)
-    return SolveOutcome(
-        solution=refined.solution,
-        multiplier=mu,
-        weak_residual=refined.weak_residual,
-        outer_iterations=outer,
-        newton_iterations=refined.newton_iterations,
-        positive=refined.positive,
-        tolerance=tol,
-        residual_history=refined.residual_history,
-    )
+    return replace(newton_refine(u, nl, tol), multiplier=mu, outer_iterations=outer)

@@ -34,7 +34,7 @@ __all__ = [
 def norm_h1(u):
     """Square root of the H1 quadratic form (exact for P1)."""
     space = fem_space(u.mesh)
-    return math.sqrt(space.h1_operator().quadratic_form(u.values))
+    return math.sqrt(float(u.values @ (space.h1_operator() @ u.values)))
 
 
 def _check_region(region):
@@ -153,7 +153,7 @@ def norm_lp_boundary_field(mesh, g, r):
 def energy_J(u, nl):
     """Energy 1/2 ||u||_H1^2 - int_bnd F(x, u) of the boundary-flux problem."""
     space = fem_space(u.mesh)
-    half_h1 = 0.5 * space.h1_operator().quadratic_form(u.values)
+    half_h1 = 0.5 * float(u.values @ (space.h1_operator() @ u.values))
     uq = space.boundary_values(u.values)
     return half_h1 - space.boundary_integral(nl.F(space.bnd_pts, uq))
 

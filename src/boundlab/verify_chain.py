@@ -399,7 +399,7 @@ def h1_trace_bound(u, nl, ctx, rel_tol=1e-6):
         _require_certified(u, "h1_trace_bound")
         u = u.solution
     space = fem_space(u.mesh)
-    h1_sq = space.h1_operator().quadratic_form(u.values)
+    h1_sq = float(u.values @ (space.h1_operator() @ u.values))
     uq = space.boundary_values(u.values)
     fq = nl.f(space.bnd_pts, uq)
     uf = space.boundary_integral(fq * uq)
@@ -534,7 +534,7 @@ def energy_bound_check(outcomes, nl, rel_tol=1e-6):
     for idx, outcome in enumerate(outcomes):
         u = outcome.solution
         space = fem_space(u.mesh)
-        h1_sq = space.h1_operator().quadratic_form(u.values)
+        h1_sq = float(u.values @ (space.h1_operator() @ u.values))
         uq = space.boundary_values(u.values)
         uf = space.boundary_integral(nl.f(space.bnd_pts, uq) * uq)
         theta_F = nl.theta * space.boundary_integral(nl.F(space.bnd_pts, uq))

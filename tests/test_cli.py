@@ -282,6 +282,19 @@ def test_invalid_numeric_option_is_status_2(option, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--suite", "energy", "--p", "2,5/2", "--n", "2", "--samples", "4", "--seed", "1"],
+     ["solve-nonlinear", "--p", "2,5/2", "--n", "2", "--seed", "1"],
+     ["solve-nonlinear", "--p", "2", "--n", "2,4", "--seed", "1"],
+     ["mesh-info", "--n", "2,4"]],
+    ids=["verify-p", "solve-nonlinear-p", "solve-nonlinear-n", "mesh-info-n"],
+)
+def test_single_valued_option_with_two_values_is_status_2(argv, capsys):
+    assert main(argv) == 2
+    assert "takes one" in capsys.readouterr().err
+
+
 def _boundary_max_doubled(monkeypatch):
     norm_table = verify_chain.norm_table
 

@@ -9,6 +9,7 @@ from boundlab.exponents import derive_context
 from boundlab.linear_solver import (
     MANUFACTURED_CASES,
     NonconvergenceError,
+    _pcg,
     trace_range_flag,
     manufactured_convergence,
     regularity_ratio_suite,
@@ -38,6 +39,39 @@ def test_result_invariant_residual_below_tolerance(mesh4):
 def test_nonconvergence_raises(mesh4):
     with pytest.raises(NonconvergenceError):
         solve_neumann(mesh4, lambda p, nrm: np.ones(p.shape[:-1]), 1e-12, maxiter=2)
+
+
+def _pcg_system(mesh):
+    h = lambda p, nrm: 1.0 + p[..., 0] * p[..., 2]
+    return assemble_h1_operator(mesh), assemble_boundary_load(mesh, h), fem_space(mesh).vcycle()
+
+
+def test_pcg_reports_true_residual(mesh8):
+    matrix, rhs, vcycle = _pcg_system(mesh8)
+    x, iterations, res = _pcg(matrix, rhs, 1e-10, vcycle)
+    assert iterations > 0
+    assert res == float(np.linalg.norm(rhs - matrix @ x)) / float(np.linalg.norm(rhs))
+    assert res <= 1e-10
+
+
+def test_pcg_exact_start_and_zero_rhs_take_no_iterations(mesh8):
+    matrix, rhs, vcycle = _pcg_system(mesh8)
+    exact = spsolve(matrix.tocsc(), rhs)
+    x, iterations, res = _pcg(matrix, rhs, 1e-10, vcycle, x0=exact)
+    assert iterations == 0
+    assert np.array_equal(x, exact)
+    assert res <= 1e-10
+    x, iterations, res = _pcg(matrix, np.zeros_like(rhs), 1e-10, vcycle)
+    assert np.all(x == 0.0)
+    assert (iterations, res) == (0, 0.0)
+
+
+def test_pcg_nonconvergence_carries_iteration_cap(mesh8):
+    matrix, rhs, vcycle = _pcg_system(mesh8)
+    with pytest.raises(NonconvergenceError) as info:
+        _pcg(matrix, rhs, 1e-12, vcycle, maxiter=3)
+    assert info.value.iterations == 3
+    assert info.value.residual_norm > 1e-12
 
 
 def test_rejects_bad_tolerance(mesh4):
@@ -151,8 +185,8 @@ def test_regularity_suite_requires_three_dimensions():
 def test_prolongation_gives_coarse_operator(n):
     # nested P1 spaces: the Galerkin product of level 2n is level n's operator
     prolong = _prolongation(n)
-    fine = assemble_h1_operator(build_cube_mesh(2 * n)).matrix
-    coarse = assemble_h1_operator(build_cube_mesh(n)).matrix.toarray()
+    fine = assemble_h1_operator(build_cube_mesh(2 * n))
+    coarse = assemble_h1_operator(build_cube_mesh(n)).toarray()
     galerkin = (prolong.T @ fine @ prolong).toarray()
     assert np.abs(galerkin - coarse).max() <= 1e-13 * np.abs(coarse).max()
 
@@ -182,5 +216,5 @@ def test_odd_level_matches_direct_solve(n, rng):
     h = lambda p, nrm: fn(p)
     result = solve_neumann(mesh, h, 1e-10)
     assert result.residual_norm <= 1e-10
-    direct = spsolve(assemble_h1_operator(mesh).matrix.tocsc(), assemble_boundary_load(mesh, h))
+    direct = spsolve(assemble_h1_operator(mesh).tocsc(), assemble_boundary_load(mesh, h))
     assert np.linalg.norm(result.solution.values - direct) <= 1e-8 * np.linalg.norm(direct)

@@ -151,7 +151,7 @@ def test_ground_state_certificate(ground_state_p2_n8):
     assert outcome.positive
     assert outcome.multiplier > 0.0
     space = fem_space(outcome.solution.mesh)
-    h1_sq = space.h1_operator().quadratic_form(outcome.solution.values)
+    h1_sq = float(outcome.solution.values @ (space.h1_operator() @ outcome.solution.values))
     uq = space.boundary_values(outcome.solution.values)
     boundary_mass = space.boundary_integral(np.abs(uq) ** 3)
     assert abs(h1_sq - boundary_mass) <= 1e-6 * h1_sq
@@ -227,6 +227,17 @@ def test_newton_raises_when_minres_falls_short(ground_state_p2_n8, monkeypatch):
     perturbed = FemFunction(outcome.solution.mesh, 1.3 * outcome.solution.values)
     with pytest.raises(SolverDivergence, match=r"MINRES stopped after 1 iterations"):
         newton_refine(perturbed, nl, 1e-8)
+
+
+def test_newton_iteration_cap_counts_steps(ground_state_p2_n8, monkeypatch):
+    # 1% above the ground state, Newton needs exactly two steps to reach 1e-8
+    nl, outcome = ground_state_p2_n8
+    perturbed = FemFunction(outcome.solution.mesh, 1.01 * outcome.solution.values)
+    monkeypatch.setattr(nonlinear, "_MAX_NEWTON", 1)
+    with pytest.raises(SolverDivergence, match=r"in 1 iterations"):
+        newton_refine(perturbed, nl, 1e-8)
+    monkeypatch.setattr(nonlinear, "_MAX_NEWTON", 2)
+    assert newton_refine(perturbed, nl, 1e-8).newton_iterations == 2
 
 
 def test_certify_solution_carries_residual(mesh4):

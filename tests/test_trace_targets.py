@@ -49,4 +49,6 @@ def test_every_per_layer_metric_is_measured(tmp_path, monkeypatch):
             unmeasured[name] = reason
     assert unmeasured == {}
     assert tracer.layer_metric("linear_solver.pcg.calls", table)[0] > 0
+    # iterations are counted from _pcg's result, so a lost count reads as 0
+    assert tracer.layer_metric("linear_solver.pcg.iterations", table)[0] > 0
     assert tracer.layer_metric("nonlinear.splu.calls", table)[0] > 0
