@@ -68,16 +68,17 @@ def _prolongation(n):
     (I, J, K) lies on the coarse edge from floor((I, J, K) / 2) to
     ceil((I, J, K) / 2) and takes the mean of its two ends.
     """
-    kk, jj, ii = np.indices((2 * n + 1,) * 3).reshape(3, -1)
-    fine = np.column_stack([ii, jj, kk])
-    strides = np.array([1, n + 1, (n + 1) ** 2])
-    rows = np.tile(np.arange(len(fine)), 2)
-    cols = np.concatenate([(fine // 2) @ strides, (-(-fine // 2)) @ strides])
-    # a vertex of level n is its own floor and ceil: its two halves add up to 1
-    mat = sparse.coo_matrix(
-        (np.full(len(rows), 0.5), (rows, cols)), shape=(len(fine), (n + 1) ** 3)
+    s = n + 1
+    fine = np.arange(2 * n + 1)
+    ends = [s * s * c[:, None, None] + s * c[:, None] + c for c in (fine // 2, (fine + 1) // 2)]
+    nf = fine.size**3
+    mat = sparse.csr_matrix(
+        (np.full(2 * nf, 0.5), np.stack(ends, axis=-1).ravel(), np.arange(0, 2 * nf + 1, 2)),
+        shape=(nf, s**3),
     )
-    return mat.tocsr()
+    # a vertex of level n is its own floor and ceil: its two halves add up to 1
+    mat.sum_duplicates()
+    return mat
 
 
 class _FemSpace:
@@ -124,15 +125,46 @@ class _FemSpace:
     # -- operators ---------------------------------------------------------
 
     def _shape_operator(self, shape_matrices):
-        """Operator from the (6, 4, 4) element matrices of the shapes, repeated in every cell."""
-        element_matrices = np.tile(shape_matrices, (self.mesh.n**3, 1, 1))
-        rows = np.broadcast_to(self.mesh.tets[:, :, None], element_matrices.shape)
-        cols = np.broadcast_to(self.mesh.tets[:, None, :], element_matrices.shape)
-        mat = sparse.coo_matrix(
-            (element_matrices.ravel(), (rows.ravel(), cols.ravel())),
-            shape=(self.nv, self.nv),
-        )
-        return mat.tocsr()
+        """Operator from the (6, 4, 4) element matrices of the shapes, repeated in every cell.
+
+        Entry (k, i, j) couples row v = cell + corner i with column
+        v + corner j - corner i, an offset that is the same in every cell.  So
+        the operator is a sum of 15 offset diagonals, and each entry adds one
+        constant to the n^3 block of its diagonal where corner i of a cell
+        lies.  The CSR is filled one diagonal at a time, in increasing offset
+        order so columns come out sorted; every coupling a cell creates is
+        stored once, zero or not.
+        """
+        n, nv = self.mesh.n, self.nv
+        s = n + 1
+        corners = _KUHN_CORNERS @ np.array([1, s, s * s])                  # (6, 4)
+        offsets, diagonal = np.unique(corners[:, None, :] - corners[:, :, None], return_inverse=True)
+        diagonal = diagonal.reshape(6, 4, 4)
+
+        def block(k, i):
+            x, y, z = _KUHN_CORNERS[k, i]
+            return slice(z, z + n), slice(y, y + n), slice(x, x + n)
+
+        coupled = np.zeros((offsets.size, s, s, s), dtype=bool)
+        for (k, i, _), d in np.ndenumerate(diagonal):
+            coupled[d][block(k, i)] = True
+        index = np.int32 if coupled.size < 2**31 else np.int64
+        indptr = np.zeros(nv + 1, dtype=index)
+        np.cumsum(coupled.sum(axis=0).ravel(), out=indptr[1:])
+        indices = np.empty(indptr[-1], dtype=index)
+        data = np.empty(indptr[-1])
+        slot = indptr[:-1].copy()                     # next free entry of each row
+        rows = np.arange(nv, dtype=index)
+        for d, offset in enumerate(offsets.astype(index)):
+            values = np.zeros((s, s, s))
+            for k, i, j in np.argwhere(diagonal == d):
+                values[block(k, i)] += shape_matrices[k, i, j]
+            here = coupled[d].ravel()
+            at = slot[here]
+            indices[at] = rows[here] + offset
+            data[at] = values.ravel()[here]
+            slot += here
+        return sparse.csr_matrix((data, indices, indptr), shape=(nv, nv))
 
     def mass_operator(self):
         if self._mass is None:

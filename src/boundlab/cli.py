@@ -25,7 +25,7 @@ from .linear_solver import (
     manufactured_convergence,
     regularity_ratio_suite,
 )
-from .mesh import boundary_vertex_set, build_cube_mesh, dump_mesh, face_areas, mesh_integrity, signed_volumes
+from .mesh import boundary_vertex_set, build_cube_mesh, dump_mesh, mesh_integrity
 from .nonlinear import SolverDivergence, StagnationError, make_power_nonlinearity, solve_ground_state
 from .norms import norm_report
 from .verify_chain import (
@@ -244,11 +244,9 @@ def _cmd_mesh_info(config):
     n = config.n_list[0]
     mesh = build_cube_mesh(n)
     report = mesh_integrity(mesh)
-    volume = float(signed_volumes(mesh.vertices, mesh.tets).sum())
-    area = float(face_areas(mesh).sum())
     print(f"n={n}: {mesh.num_vertices} vertices, {mesh.num_tets} tets, "
           f"{mesh.num_boundary_faces} boundary faces")
-    print(f"  volume={volume!r}  boundary area={area!r}")
+    print(f"  volume={report.volume!r}  boundary area={report.area!r}")
     print(f"  boundary vertices: {len(boundary_vertex_set(mesh))}")
     print(f"  integrity: {report.detail}")
     if config.dump:
@@ -260,8 +258,8 @@ def _cmd_mesh_info(config):
             "vertices": mesh.num_vertices,
             "tets": mesh.num_tets,
             "boundary_faces": mesh.num_boundary_faces,
-            "volume": volume,
-            "area": area,
+            "volume": report.volume,
+            "area": report.area,
             "integrity": report.detail,
         }
     ]

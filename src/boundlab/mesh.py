@@ -81,6 +81,12 @@ _KUHN_CORNERS = np.array(
     [_path_corners(p, s) for p, s in zip(_KUHN_PATHS, _KUHN_SIGNS)]
 )  # (6, 4, 3)
 
+# _FACE_PLANES[p, 4 k + o] is set when the face of shape k opposite local
+# vertex o lies in plane p of its subcube: x_p = 0 for p < 3, x_(p-3) = 1 after
+_FACE_PLANES = np.concatenate(
+    [(_KUHN_CORNERS[:, _FACE_VERTICES] == side).all(axis=2) for side in (0, 1)], axis=2
+).reshape(24, 6).T
+
 
 def signed_volumes(vertices, tets):
     """Signed volume of every tet (positive for correct orientation)."""
@@ -110,19 +116,31 @@ def build_cube_mesh(n):
 
 def _kuhn_mesh(n):
     s = n + 1
-    kk, jj, ii = np.indices((s, s, s)).reshape(3, -1)
-    vertices = np.column_stack([ii, jj, kk]).astype(float) / n
+    # vertex i + s j + s^2 k sits at (i, j, k) / n
+    coords = np.arange(s) / n
+    vertices = np.empty((s, s, s, 3))
+    vertices[..., 0] = coords
+    vertices[..., 1] = coords[:, None]
+    vertices[..., 2] = coords[:, None, None]
+    vertices = vertices.reshape(-1, 3)
 
-    # subcubes in (k, j, i) order, each split into the six path tets
-    kc, jc, ic = np.indices((n, n, n)).reshape(3, -1)
-    cells = np.column_stack([ic, jc, kc])                                # (n^3, 3)
-    grid = (cells[:, None, None, :] + _KUHN_CORNERS).reshape(-1, 4, 3)   # (nt, 4, 3)
-    tets = grid @ np.array([1, s, s * s], dtype=np.int64)
+    # subcubes in (k, j, i) order, each split into the six path tets: a tet is
+    # its subcube's corner-0 vertex plus its shape's flat corner offsets
+    r = np.arange(n)
+    base = (s * s * r[:, None, None] + s * r[:, None] + r).ravel()      # (n^3,)
+    tets = (base[:, None, None] + _KUHN_CORNERS @ np.array([1, s, s * s])).reshape(-1, 4)
 
-    # a face is on the boundary iff its three vertices share a cube face plane
-    planes = np.concatenate([grid == 0, grid == n], axis=2)              # (nt, 4, 6)
-    on_boundary = planes[:, _FACE_VERTICES].all(axis=2).any(axis=2)     # (nt, 4)
-    parents, omitted = np.nonzero(on_boundary)
+    # boundary faces lie in the subcubes touching the cube's surface; a face
+    # is on the boundary iff it lies in a subcube plane that is a cube face
+    edge = np.zeros(n, dtype=bool)
+    edge[[0, -1]] = True
+    cells = np.flatnonzero(edge[:, None, None] | edge[:, None] | edge)
+    k, j, i = np.unravel_index(cells, (n, n, n))
+    cell_coords = np.column_stack([i, j, k])
+    sides = np.concatenate([cell_coords == 0, cell_coords == n - 1], axis=1)   # (cells, 6)
+    cell, face = np.nonzero(sides @ _FACE_PLANES)
+    parents = 6 * cells[cell] + face // 4
+    omitted = face % 4
     faces = np.sort(tets[parents[:, None], _FACE_VERTICES[omitted]], axis=1)
 
     a, b, c = (vertices[faces[:, k]] for k in range(3))
@@ -146,44 +164,81 @@ def face_areas(mesh):
 
 @dataclass(frozen=True)
 class IntegrityReport:
+    """Outcome of mesh_integrity, with the total tet volume and boundary area it summed."""
+
     ok: bool
-    detail: str = "pass"
+    detail: str
+    volume: float
+    area: float
+
+
+# tets per slab of the signed-volume pass, which bounds its temporaries
+_VOLUME_SLAB = 1 << 15
+
+
+def _sorted_face_rows(mesh, stored):
+    """Stable lexicographic order of all face rows, and where each distinct row starts in it.
+
+    Row 4 t + o is the face of tet t opposite local vertex o, rows 4 nt + f
+    the stored boundary faces; every row lists its vertices in increasing
+    order.  The three vertex columns are compared, never combined into one
+    integer key, so nothing can overflow.
+    """
+    nt = mesh.num_tets
+    index = np.int32 if mesh.num_vertices < 2**31 else np.int64
+    cols = np.empty((3, 4 * nt + len(stored)), dtype=index)
+    tet_cols = cols[:, : 4 * nt].reshape(3, nt, 4)
+    for o, face in enumerate(_FACE_VERTICES):
+        tet_cols[:, :, o] = np.sort(mesh.tets[:, face], axis=1).T
+    cols[:, 4 * nt:] = stored.T
+    order = np.lexsort(cols[::-1])
+    starts = np.zeros(order.size, dtype=bool)
+    starts[:1] = True
+    for col in cols:
+        ranked = col[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
+    return order, np.flatnonzero(starts)
 
 
 def mesh_integrity(mesh):
     """Check every structural invariant; report the first violation."""
-    vols = signed_volumes(mesh.vertices, mesh.tets)
+    nt = mesh.num_tets
+    vols = np.empty(nt)
+    for start in range(0, nt, _VOLUME_SLAB):
+        vols[start:start + _VOLUME_SLAB] = signed_volumes(mesh.vertices, mesh.tets[start:start + _VOLUME_SLAB])
+    volume = float(vols.sum())
+    area = float(face_areas(mesh).sum())
+
+    def fail(detail):
+        return IntegrityReport(False, detail, volume, area)
+
     if np.any(vols <= 0):
         t = int(np.argmax(vols <= 0))
-        return IntegrityReport(False, f"negative volume: tet {t} has signed volume {vols[t]:.3e}")
-    if abs(vols.sum() - 1.0) > _VOLUME_TOL:
-        return IntegrityReport(False, f"volume sum {float(vols.sum())!r} differs from 1")
-    areas = face_areas(mesh)
-    if abs(areas.sum() - 6.0) > _AREA_TOL:
-        return IntegrityReport(False, f"boundary area sum {float(areas.sum())!r} differs from 6")
+        return fail(f"negative volume: tet {t} has signed volume {vols[t]:.3e}")
+    if abs(volume - 1.0) > _VOLUME_TOL:
+        return fail(f"volume sum {volume!r} differs from 1")
+    if abs(area - 6.0) > _AREA_TOL:
+        return fail(f"boundary area sum {area!r} differs from 6")
 
-    # every tet face as a sorted row, in (tet, omitted vertex) order, then the
-    # stored boundary faces; np.unique matches equal rows across both.  Rows
-    # are reduced to integer keys in two steps, so no key exceeds (#rows) * nv;
-    # np.unique(axis=0) sorts a structured dtype and is several times slower.
-    nt, nv = mesh.num_tets, mesh.num_vertices
+    # group equal rows among the tet faces and the stored faces: a group's
+    # owners are its tet rows, its first row the earliest (the sort is stable)
     stored = np.sort(mesh.boundary_faces, axis=1)
-    rows = np.concatenate([np.sort(mesh.tets[:, _FACE_VERTICES], axis=2).reshape(-1, 3), stored])
-    _, pair = np.unique(rows[:, 0] * nv + rows[:, 1], return_inverse=True)
-    _, first, key = np.unique(pair * nv + rows[:, 2], return_index=True, return_inverse=True)
-    owners = np.bincount(key[: 4 * nt], minlength=first.size)
+    order, groups = _sorted_face_rows(mesh, stored)
+    first = order[groups]
+    at = np.flatnonzero(order >= 4 * nt)
+    stored_key = np.empty(len(stored), dtype=np.intp)
+    stored_key[order[at] - 4 * nt] = np.searchsorted(groups, at, side="right") - 1
+    owners = np.diff(groups, append=order.size)
+    np.subtract.at(owners, stored_key, 1)
     shared = np.flatnonzero(owners > 2)
     if shared.size:
         k = shared[np.argmin(first[shared])]
-        return IntegrityReport(False, f"face {tuple(rows[first[k]].tolist())} shared by {owners[k]} tets")
+        face = np.sort(mesh.tets[first[k] // 4, _FACE_VERTICES[first[k] % 4]])
+        return fail(f"face {tuple(face.tolist())} shared by {owners[k]} tets")
     found = int(np.count_nonzero(owners == 1))
     if found != mesh.num_boundary_faces:
-        return IntegrityReport(
-            False,
-            f"{mesh.num_boundary_faces} stored boundary faces, {found} found",
-        )
+        return fail(f"{mesh.num_boundary_faces} stored boundary faces, {found} found")
 
-    stored_key = key[4 * nt:]
     is_boundary = owners[stored_key] == 1
     parents = np.where(is_boundary, first[stored_key] // 4, 0)
     normals = mesh.boundary_normals
@@ -199,8 +254,8 @@ def mesh_integrity(mesh):
     if failed.any():
         f = int(np.argmax(failed))
         detail = next(text for mask, text in checks if mask[f])
-        return IntegrityReport(False, detail.format(tuple(stored[f].tolist())))
-    return IntegrityReport(True)
+        return fail(detail.format(tuple(stored[f].tolist())))
+    return IntegrityReport(True, "pass", volume, area)
 
 
 def boundary_vertex_set(mesh):

@@ -1,7 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 from scipy import sparse
 
+from boundlab import assembly
+from boundlab import mesh as mesh_module
 from boundlab.assembly import (
     FemFunction,
     assemble_boundary_jacobian,
@@ -167,7 +171,7 @@ def _per_tet_reference(mesh):
     return grads, vols, operators
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
 def test_closed_form_geometry_matches_per_tet_reference(n, rng):
     mesh = build_cube_mesh(n)
     space = fem_space(mesh)
@@ -210,3 +214,15 @@ def test_workspace_holds_no_per_tet_array():
     for name, value in vars(space).items():
         if isinstance(value, np.ndarray) and value.ndim:
             assert value.shape[0] != mesh.num_tets, name
+
+
+def test_h1_operator_peak_memory_is_bounded(monkeypatch, traced_peak):
+    # fresh level and workspace caches, so level 32 and its operator are
+    # built here and dropped afterwards
+    levels = {}
+    monkeypatch.setattr(mesh_module, "_MESHES", levels)
+    monkeypatch.setattr(assembly, "_MESHES", levels)
+    monkeypatch.setattr(assembly, "_SPACE_CACHE", weakref.WeakKeyDictionary())
+    mesh = build_cube_mesh(32)
+    matrix, peak = traced_peak(lambda: fem_space(mesh).h1_operator())
+    assert peak <= 6 * (matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes)

@@ -4,6 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from boundlab import mesh as mesh_module
 from boundlab.mesh import (
     Mesh,
     boundary_vertex_set,
@@ -17,8 +18,10 @@ from boundlab.mesh import (
 MESH_FIELDS = ("vertices", "tets", "boundary_faces", "boundary_normals", "boundary_parents")
 
 # SHA-256 of the raw bytes of each Mesh array and of the dump_mesh text, as
-# recorded from a per-subcube loop with a face dictionary; any change to values,
-# order, dtype or the sign of a zero normal component changes a digest.
+# recorded from a per-subcube loop with a face dictionary (levels 1-6) and from
+# the whole-mesh corner-grid build that preceded the offset form (levels 8, 12
+# and 16); any change to values, order, dtype or the sign of a zero normal
+# component changes a digest.
 MESH_SHA256 = {
     1: {
         "vertices": "e9f28c6bc6e2644a82da4d74358847b9634525c2eafd7f827046303751bac2c5",
@@ -67,6 +70,30 @@ MESH_SHA256 = {
         "boundary_normals": "c3b5dd78ed1a89895088a143f221454ecfba22a8ebeb03586da5fe4b3be1532a",
         "boundary_parents": "8eaded450156af4050d1d1aac2e8e2d8762049b7a9b720a2c6e05ee76aa1d282",
         "dump": "74b98f228a7e1f2157b55c99992769e664e5285842bf36ac93e37412e556c20e",
+    },
+    8: {
+        "vertices": "f14c8e29e84f9f032ca3407f111d03b57c85987b0c013d56a5111853ff81beba",
+        "tets": "36aac58c1364f57091c1aa1d825e6884f1630bbd1c6958b4c2e94dc6d521d45a",
+        "boundary_faces": "4d2746a2f9fcca3e0762a4a533074d2c2c5314581e5fa0a545d7ed0dcafaf993",
+        "boundary_normals": "661ddd1e41de594218a83702a31ca92817fc212e805f91341965d9c26cc357a1",
+        "boundary_parents": "aff553436fb037bee16916e98c897cc3cd91c2aad4167513218ca0eab34305ec",
+        "dump": "1181be668793408233872cbdd9390bce2ce2984f497ce2cee8d10e42f4775f38",
+    },
+    12: {
+        "vertices": "2b5af6705fa2f3582c3836e6418d5b12fd7f06a375cccfd8f8ed24adc2f774d5",
+        "tets": "7202a547fefc59cf2b1fa4caebbeef8da3d921a109232f1a45f7ac22006eecac",
+        "boundary_faces": "771357ebc5c847f87a5a1f1bf411bfc0e46207159905131dbf22486cf4ccbe3f",
+        "boundary_normals": "f6d265a0fba68cff684482ce9fd6ce1b2f9af1f1ebe3b517d2a6f40377ba7bb9",
+        "boundary_parents": "080ad58340371d2bada02a2a5e4a2f4152e74b23af06559953014b6fc8d902c7",
+        "dump": "3684f00cebbbc311b3ca74ebf6c29332e09261a9bf0462b3950d7ce162c4bcd2",
+    },
+    16: {
+        "vertices": "1c98bdd1a840b5f4a2a4c974fb7ab9a7839dc1965598152fdccc353ebbb2908b",
+        "tets": "517b53a5ecb179cb56439e40f58a62f6358ae26dddfba0b2fe9280d1a98e3db2",
+        "boundary_faces": "487d01e4fd087b69fcbe11063d5e986948945e0d23f498f834378c27cf1604f5",
+        "boundary_normals": "375c4aa07669f5b691f4ca05323b1fa8516a500c146054af99f452961c2f2251",
+        "boundary_parents": "b3e0019e775979f90fabb590258e1efa64aaac07378ea90c85b73c9902a4c7ee",
+        "dump": "7e6b7c7dec3cec730a94e36f2ea42cb067f4322861137c529f563013942896c0",
     },
 }
 
@@ -204,6 +231,33 @@ def test_mesh_is_bitwise_pinned(n, tmp_path):
     dump_mesh(mesh, path)
     digests["dump"] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == MESH_SHA256[n]
+
+
+def _kept_bytes(mesh):
+    return sum(getattr(mesh, field).nbytes for field in MESH_FIELDS)
+
+
+def test_build_peak_memory_is_bounded(monkeypatch, traced_peak):
+    # a fresh level cache, so level 32 is built here and dropped afterwards
+    monkeypatch.setattr(mesh_module, "_MESHES", {})
+    mesh, peak = traced_peak(lambda: build_cube_mesh(32))
+    assert peak <= 3 * _kept_bytes(mesh)
+
+
+def test_integrity_peak_memory_is_bounded(monkeypatch, traced_peak):
+    monkeypatch.setattr(mesh_module, "_MESHES", {})
+    mesh = build_cube_mesh(32)
+    report, peak = traced_peak(lambda: mesh_integrity(mesh))
+    assert report.ok
+    assert peak <= 5 * _kept_bytes(mesh)
+
+
+def test_integrity_report_carries_the_sums():
+    # more tets than one signed-volume slab
+    mesh = build_cube_mesh(18)
+    report = mesh_integrity(mesh)
+    assert report.volume == float(signed_volumes(mesh.vertices, mesh.tets).sum())
+    assert report.area == float(face_areas(mesh).sum())
 
 
 def test_levels_are_built_once_and_read_only():
