@@ -10,7 +10,6 @@ not writable.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -51,6 +50,15 @@ _SINGLE_VALUED = {
     "solve-nonlinear": ("p_list", "n_list"),
     "verify": ("p_list",),
 }
+# report-header fields of a config, in header order
+_HEADER_FIELDS = ("command", "N", "p_list", "q_override", "n_list", "samples", "seed", "tol",
+                  "suite", "case", "b0")
+# record columns each command copies from its result, in report order
+_EXPONENT_COLUMNS = ("N", "p", "q", "m", "sigma", "A", "A_hat1", "A_hat2")  # ExponentContext
+_CONVERGENCE_COLUMNS = ("n", "vertices", "h1_error", "l2_error", "h1_error_rel")  # table row
+_OUTCOME_COLUMNS = ("multiplier", "weak_residual", "outer_iterations", "newton_iterations",
+                    "positive")  # SolveOutcome
+_ESTIMATE_COLUMNS = ("rho", "rho_hat", "h1")  # main-estimate data
 
 
 class UsageError(ValueError):
@@ -116,19 +124,7 @@ class ExperimentConfig:
                     raise UsageError(str(exc)) from exc
 
     def as_dict(self):
-        return {
-            "command": self.command,
-            "N": self.N,
-            "p_list": [str(p) for p in self.p_list],
-            "q_override": None if self.q_override is None else str(self.q_override),
-            "n_list": list(self.n_list),
-            "samples": self.samples,
-            "seed": self.seed,
-            "tol": self.tol,
-            "suite": self.suite,
-            "case": self.case,
-            "b0": self.b0,
-        }
+        return {name: getattr(self, name) for name in _HEADER_FIELDS}
 
 
 # -- deterministic serialization -------------------------------------------------
@@ -224,18 +220,8 @@ def _cmd_exponents(config):
             for c in checks:
                 if not c.passed:
                     print(f"    {c.name}: {c.detail}", file=sys.stderr)
-        rec = {
-            "N": ctx.N,
-            "p": ctx.p,
-            "q": ctx.q,
-            "m": ctx.m,
-            "sigma": ctx.sigma,
-            "A": ctx.A,
-            "A_hat1": ctx.A_hat1,
-            "A_hat2": ctx.A_hat2,
-            "identities": "pass" if ok else "fail",
-        }
-        records.append(rec)
+        columns = {key: getattr(ctx, key) for key in _EXPONENT_COLUMNS}
+        records.append({**columns, "identities": "pass" if ok else "fail"})
     _emit(config, records)
     return status
 
@@ -279,18 +265,8 @@ def _cmd_solve_linear(config):
             f"l2_error={row['l2_error']:.6e}"
             + (f"  orders=({oh:.2f}, {ol:.2f})" if oh is not None else "")
         )
-        records.append(
-            {
-                "case": config.case,
-                "n": row["n"],
-                "vertices": row["vertices"],
-                "h1_error": row["h1_error"],
-                "l2_error": row["l2_error"],
-                "h1_error_rel": row["h1_error_rel"],
-                "h1_order": oh,
-                "l2_order": ol,
-            }
-        )
+        columns = {key: row[key] for key in _CONVERGENCE_COLUMNS}
+        records.append({"case": config.case, **columns, "h1_order": oh, "l2_order": ol})
     _emit(config, records)
     return 0
 
@@ -308,17 +284,9 @@ def _cmd_solve_nonlinear(config):
         f"multiplier={outcome.multiplier:.6f} positive={outcome.positive}"
     )
     print(f"  h1={report.h1!r}  linf={report.linf!r}")
-    rec = {
-        "p": float(p),
-        "n": n,
-        "multiplier": outcome.multiplier,
-        "weak_residual": outcome.weak_residual,
-        "outer_iterations": outcome.outer_iterations,
-        "newton_iterations": outcome.newton_iterations,
-        "positive": outcome.positive,
-    }
-    rec.update(report.as_dict())
-    rec["values"] = outcome.solution.values.tolist()
+    columns = {key: getattr(outcome, key) for key in _OUTCOME_COLUMNS}
+    rec = {"p": float(p), "n": n, **columns, **report.as_dict(),
+           "values": outcome.solution.values.tolist()}
     _emit(config, [rec])
     return 0
 
@@ -419,20 +387,10 @@ def _cmd_sweep(config):
                 status = 1
             c0_running = max(c0_running, rec.data["rho"])
             overall_c0 = max(overall_c0, c0_running)
-            records.append(
-                {
-                    "p": float(p),
-                    "n": n,
-                    "A": float(ctx.A),
-                    "rho": rec.data["rho"],
-                    "rho_hat": rec.data["rho_hat"],
-                    "h1": rec.data["h1"],
-                    "linf": rec.left,
-                    "weak_residual": outcome.weak_residual,
-                    "trace_bound": trace.verdict,
-                    "fitted_C0": c0_running,
-                }
-            )
+            columns = {key: rec.data[key] for key in _ESTIMATE_COLUMNS}
+            records.append({"p": float(p), "n": n, "A": float(ctx.A), **columns,
+                            "linf": rec.left, "weak_residual": outcome.weak_residual,
+                            "trace_bound": trace.verdict, "fitted_C0": c0_running})
             print(
                 f"p={p} n={n}: rho={rec.data['rho']:.6f} "
                 f"rho_hat={rec.data['rho_hat']:.6f} fitted_C0={c0_running:.6f}"
@@ -459,6 +417,33 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}: {exc}")
 
 
+# the converter of each option's text, shared by its flag and its config-file entry
+_FIELD_TYPES = {
+    "N": int, "p_list": _fraction_list, "q_override": Fraction, "n_list": _int_list,
+    "samples": int, "seed": int, "tol": float, "b0": float,
+    "output": str, "fmt": str, "case": str, "suite": str, "dump": str,
+}
+# (flag, config field, further argparse settings) of the options every command takes
+_COMMON_FLAGS = (
+    ("--N", "N", {"help": "space dimension (exponents only)"}),
+    ("--p", "p_list", {"help": "comma-separated rational powers, e.g. 2 or 3/2,2"}),
+    ("--q", "q_override", {}),
+    ("--n", "n_list", {"help": "comma-separated mesh levels, e.g. 4,8,16"}),
+    ("--samples", "samples", {}),
+    ("--seed", "seed", {}),
+    ("--tol", "tol", {}),
+    ("--B0", "b0", {}),
+    ("--output", "output", {"help": "report file path"}),
+    ("--format", "fmt", {"choices": ("json", "csv")}),
+)
+# the options one command alone takes
+_COMMAND_FLAGS = {
+    "solve-linear": (("--case", "case", {"choices": sorted(MANUFACTURED_CASES)}),),
+    "verify": (("--suite", "suite", {"choices": _SUITES}),),
+    "mesh-info": (("--dump", "dump", {"help": "write plain-text mesh dump here"}),),
+}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="boundlab",
@@ -467,31 +452,38 @@ def _build_parser():
     )
     parser.add_argument("--config", help="JSON config file; flags override its entries")
     sub = parser.add_subparsers(dest="command")
-
-    def add_common(sp):
-        sp.add_argument("--N", type=int, default=None, help="space dimension (exponents only)")
-        sp.add_argument("--p", dest="p_list", type=_fraction_list, default=None,
-                        help="comma-separated rational powers, e.g. 2 or 3/2,2")
-        sp.add_argument("--q", dest="q_override", type=Fraction, default=None)
-        sp.add_argument("--n", dest="n_list", type=_int_list, default=None,
-                        help="comma-separated mesh levels, e.g. 4,8,16")
-        sp.add_argument("--samples", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--B0", dest="b0", type=float, default=None)
-        sp.add_argument("--output", default=None, help="report file path")
-        sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None)
-
     for name in _COMMANDS:
         sp = sub.add_parser(name)
-        add_common(sp)
-        if name == "solve-linear":
-            sp.add_argument("--case", default=None, choices=sorted(MANUFACTURED_CASES))
-        if name == "verify":
-            sp.add_argument("--suite", default=None, choices=_SUITES)
-        if name == "mesh-info":
-            sp.add_argument("--dump", default=None, help="write plain-text mesh dump here")
+        for flag, key, settings in _COMMON_FLAGS + _COMMAND_FLAGS.get(name, ()):
+            sp.add_argument(flag, dest=key, type=_FIELD_TYPES[key], default=None, **settings)
     return parser
+
+
+def _file_settings(path):
+    """Config-file entries, each parsed as the text its flag would take.
+
+    A JSON list is joined with commas and ``null`` leaves the default.
+    """
+    try:
+        with open(path) as fh:
+            entries = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read config file: {exc}")
+    if not isinstance(entries, dict):
+        raise UsageError("config file must hold a JSON object")
+    settings = {}
+    for key, value in entries.items():
+        if key not in _FIELD_TYPES:
+            raise UsageError(f"unknown config entry {key!r}")
+        if value is None:
+            continue
+        parts = value if isinstance(value, list) else [value]
+        text = ",".join(v if isinstance(v, str) else json.dumps(v) for v in parts)
+        try:
+            settings[key] = _FIELD_TYPES[key](text)
+        except (ValueError, ZeroDivisionError, argparse.ArgumentTypeError) as exc:
+            raise UsageError(f"config entry {key!r}: {exc}") from None
+    return settings
 
 
 def parse_config(argv):
@@ -501,26 +493,11 @@ def parse_config(argv):
         parser.print_usage(sys.stderr)
         raise UsageError("a command is required")
 
-    settings = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                file_conf = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file: {exc}")
-        for key, value in file_conf.items():
-            if key == "p_list":
-                value = tuple(Fraction(str(v)) for v in value)
-            elif key == "q_override" and value is not None:
-                value = Fraction(str(value))
-            elif key == "n_list":
-                value = tuple(int(v) for v in value)
-            settings[key] = value
-
-    for key in (f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "command"):
+    settings = _file_settings(args.config) if args.config else {}
+    for key in _FIELD_TYPES:
         value = getattr(args, key, None)
         if value is not None:
-            settings[key] = value
+            settings[key] = value  # flags win over file entries
 
     config = ExperimentConfig(command=args.command, **settings)
     config.validate()

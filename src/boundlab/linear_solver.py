@@ -19,6 +19,7 @@ from scipy.sparse.linalg import cg
 
 from .assembly import FemFunction, assemble_boundary_load, assemble_h1_operator, fem_space
 from .mesh import build_cube_mesh
+from .norms import norm_linf, norm_lp_boundary_field, norm_w1m
 
 __all__ = [
     "LinearSolveResult",
@@ -294,8 +295,6 @@ def regularity_ratio_suite(ctx, n_list, sample_count, seed, tol=1e-10):
     saturation of the maxima under refinement is the finite-sample surrogate
     for a data-independent constant.
     """
-    from .norms import norm_linf, norm_lp_boundary_field, norm_w1m
-
     if ctx.N != 3:
         raise ValueError("the regularity suite runs on the 3-D cube (N = 3)")
     q = float(ctx.q)

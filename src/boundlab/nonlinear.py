@@ -18,6 +18,7 @@ import numpy as np
 from scipy.sparse.linalg import minres, splu  # noqa: F401
 
 from .assembly import FemFunction, fem_space
+from .linear_solver import _pcg
 
 __all__ = [
     "Nonlinearity",
@@ -227,18 +228,6 @@ class SolveOutcome:
     tolerance: float
     residual_history: list = field(default_factory=list)
 
-    def as_dict(self):
-        return {
-            "n": self.solution.mesh.n,
-            "multiplier": self.multiplier,
-            "weak_residual": self.weak_residual,
-            "outer_iterations": self.outer_iterations,
-            "newton_iterations": self.newton_iterations,
-            "positive": self.positive,
-            "tolerance": self.tolerance,
-            "values": self.solution.values.tolist(),
-        }
-
 
 class StagnationError(RuntimeError):
     def __init__(self, message, trace):
@@ -345,8 +334,6 @@ def solve_ground_state(mesh, nl, tol, seed):
     u = (mu/lam)^(1/(p-1)) w so u carries the stated flux condition.  Stage 3
     polishes with damped Newton to the requested residual.
     """
-    from .linear_solver import _pcg
-
     if nl.kind != "power":
         raise ValueError("ground-state solve requires a pure-power nonlinearity")
     if tol <= 0:

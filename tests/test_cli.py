@@ -217,15 +217,49 @@ def test_exponents_accepts_other_dimensions(capsys):
 
 
 @pytest.mark.parametrize(
-    "entries", [{"sample": 10}, {"samples": "ten"}, {"p_list": ["1/0"]}, {"p_list": []}],
-    ids=["unknown-key", "non-numeric", "zero-denominator", "empty-list"],
+    "entries",
+    [{"sample": 10}, {"samples": "ten"}, {"p_list": ["1/0"]}, {"p_list": []},
+     {"samples": 10.5}, {"seed": 7.5}, {"seed": True}, {"n_list": [4.7]}, [1, 2]],
+    ids=["unknown-key", "non-numeric", "zero-denominator", "empty-list", "fractional-samples",
+         "fractional-seed", "boolean-seed", "fractional-level", "not-an-object"],
 )
 def test_bad_config_file_entry_is_status_2(tmp_path, entries, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps(entries))
     argv = ["--config", str(conf), "verify", "--suite", "universal", "--n", "2", "--seed", "1"]
     assert main(argv) == 2
-    assert "usage error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [{"n_list": "16", "p_list": "3/2,2", "q_override": "7/2", "tol": 1e-9, "seed": 11},
+     {"n_list": [16], "p_list": ["3/2", 2], "q_override": 3.5, "tol": "1e-9", "seed": "11",
+      "samples": None}],
+    ids=["comma-text", "json-lists"],
+)
+def test_config_file_entries_parse_like_their_flags(tmp_path, entries):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(entries))
+    from_file = parse_config(["--config", str(conf), "sweep"])
+    from_flags = parse_config(
+        ["sweep", "--n", "16", "--p", "3/2,2", "--q", "7/2", "--tol", "1e-9", "--seed", "11"]
+    )
+    assert from_file.n_list == (16,)
+    assert repr(dataclasses.asdict(from_file)) == repr(dataclasses.asdict(from_flags))
+
+
+def test_csv_header_line_is_pinned(tmp_path):
+    out = tmp_path / "rep.csv"
+    argv = ["exponents", "--N", "4", "--p", "3/2", "--q", "7/2", "--n", "2,4", "--samples", "5",
+            "--seed", "11", "--tol", "1e-9", "--B0", "2", "--format", "csv", "--output", str(out)]
+    assert main(argv) == 0
+    assert out.read_text().splitlines()[0] == (
+        '# {"version": "0.1.0", "config": {"command": "exponents", "N": 4, "p_list": ["3/2"], '
+        '"q_override": "7/2", "n_list": [2, 4], "samples": 5, "seed": 11, '
+        '"tol": 1.0000000000000001e-09, "suite": "chain", "case": "exp-x1", "b0": 2}}'
+    )
 
 
 def test_argparse_error_is_status_2(capsys):

@@ -247,11 +247,3 @@ def test_certify_solution_carries_residual(mesh4):
     assert outcome.weak_residual == 0.0
     one = FemFunction(mesh4, np.ones(mesh4.num_vertices))
     assert certify_solution(one, nl, 1e-8).weak_residual > 1e-8
-
-
-def test_outcome_serializes(ground_state_p2_n8):
-    nl, outcome = ground_state_p2_n8
-    payload = outcome.as_dict()
-    assert payload["n"] == 8
-    assert len(payload["values"]) == outcome.solution.mesh.num_vertices
-    assert payload["positive"] is True
