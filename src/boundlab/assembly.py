@@ -120,7 +120,10 @@ class _FemSpace:
 
         self._h1 = None
         self._mass = None
+        self._prolong = None
         self._vcycle = None
+        # polished ground states of this level, keyed by nonlinear.solve_ground_state
+        self.ground_states = {}
 
     # -- operators ---------------------------------------------------------
 
@@ -177,6 +180,17 @@ class _FemSpace:
             self._h1 = self._shape_operator(self.tet_volume * (stiffness + _MASS_PATTERN))
         return self._h1
 
+    def prolongation(self):
+        """P1 prolongation onto this level from level n // 2, or None on a coarsest level.
+
+        Levels halve while n is even and n > 2; the V-cycle and the nested
+        ground-state solves walk this one hierarchy.  Built once per level.
+        """
+        n = self.mesh.n
+        if self._prolong is None and n % 2 == 0 and n > 2:
+            self._prolong = _prolongation(n // 2)
+        return self._prolong
+
     def vcycle(self):
         """One symmetric multigrid V-cycle: an SPD approximate inverse of the H1 operator.
 
@@ -184,7 +198,7 @@ class _FemSpace:
         (P^T A_n P = A_{n/2} for nested P1 spaces), so the hierarchy is the
         cached levels themselves.  While n is even and n > 2, the cycle runs
         two damped Jacobi sweeps (omega = 0.6), the V-cycle of level n // 2 on
-        the restricted residual, and two more sweeps.  Any other level is
+        the restricted residual, and two more sweeps.  A coarsest level is
         solved exactly by a sparse LU, factored once and cached on that level;
         so for an odd finest n (5, 25, ...) the preconditioner is the exact
         inverse.  Returned as a LinearOperator, the ``M`` of scipy's Krylov
@@ -192,12 +206,11 @@ class _FemSpace:
         """
         if self._vcycle is None:
             matrix = self.h1_operator()
-            n = self.mesh.n
-            if n % 2 or n <= 2:
+            prolong = self.prolongation()
+            if prolong is None:
                 solve = splu(matrix.tocsc()).solve
             else:
-                coarse = fem_space(build_cube_mesh(n // 2)).vcycle()
-                prolong = _prolongation(n // 2)
+                coarse = fem_space(build_cube_mesh(self.mesh.n // 2)).vcycle()
                 restrict = prolong.T.tocsr()
                 step = _JACOBI_OMEGA / matrix.diagonal()
 

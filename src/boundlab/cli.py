@@ -403,6 +403,13 @@ def _cmd_sweep(config):
 # -- argument parsing ---------------------------------------------------------------
 
 
+def _fraction(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"bad rational {text!r}: {exc}")
+
+
 def _fraction_list(text):
     try:
         return tuple(Fraction(part) for part in text.split(","))
@@ -419,7 +426,7 @@ def _int_list(text):
 
 # the converter of each option's text, shared by its flag and its config-file entry
 _FIELD_TYPES = {
-    "N": int, "p_list": _fraction_list, "q_override": Fraction, "n_list": _int_list,
+    "N": int, "p_list": _fraction_list, "q_override": _fraction, "n_list": _int_list,
     "samples": int, "seed": int, "tol": float, "b0": float,
     "output": str, "fmt": str, "case": str, "suite": str, "dump": str,
 }

@@ -2,10 +2,12 @@
 
 A :class:`Nonlinearity` bundles the boundary flux f(x, s), its antiderivative
 F(x, s) and the s-derivative, plus the growth and superlinearity data that
-certify it.  Ground states of the pure-power family are computed by inverse
-iteration on the constraint manifold, unscaled through the multiplier, and
-polished with damped Newton on the discrete weak residual, whose steps are
-multigrid-preconditioned MINRES solves.
+certify it.  Ground states of the pure-power family are computed by nested
+iteration on the level hierarchy: inverse iteration on the constraint
+manifold on the coarsest level, unscaled through the multiplier, then damped
+Newton on the discrete weak residual on every level, each starting from the
+prolongated solution of the level below.  Newton steps are
+multigrid-preconditioned MINRES solves with a matrix-free Jacobian.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 # splu is not called here: the name stays bound so that bench/tracer.py's
 # nonlinear.splu wrapper also reaches the coarse-level factorization in assembly
-from scipy.sparse.linalg import minres, splu  # noqa: F401
+from scipy.sparse.linalg import LinearOperator, minres, splu  # noqa: F401
 
 from .assembly import FemFunction, fem_space
 from .linear_solver import _pcg
+from .mesh import build_cube_mesh
 
 __all__ = [
     "Nonlinearity",
@@ -195,6 +198,10 @@ _MULTIPLIER_TOL = 1e-8
 # of one step do not decrease the residual norm
 _MAX_NEWTON = 50
 _MAX_HALVINGS = 30
+# solve_ground_state polishes every level to min(tol, _POLISH_TOL): at tol 1e-8
+# a certified residual can leave the main estimate's rho 6.5e-6 off (p = 3/2,
+# n = 64), and a 1e-12 polish still leaves it 3.9e-9 off
+_POLISH_TOL = 1e-13
 
 
 def _residual_vector(space, operator, values, nl):
@@ -261,6 +268,18 @@ def certify_solution(u, nl, tol):
     return _outcome(u, tol, [weak_residual(u, nl)])
 
 
+def _jacobian(space, operator, values, nl):
+    """Newton Jacobian (H1 operator - boundary jacobian of f_s) at values, matrix-free.
+
+    Only the boundary part, an O(n^2) CSR, is assembled; a product is
+    ``operator @ v - boundary @ v``, so no CSR of the H1 operator's size is
+    formed per Newton step.
+    """
+    uq = space.boundary_values(values)
+    boundary = space.boundary_operator_from_values(nl.f_s(space.bnd_pts, uq))
+    return LinearOperator(operator.shape, matvec=lambda v: operator @ v - boundary @ v, dtype=float)
+
+
 def newton_refine(u0, nl, tol):
     """Damped Newton on the weak residual, from the supplied start.
 
@@ -286,8 +305,7 @@ def newton_refine(u0, nl, tol):
                 history,
             )
         it += 1
-        uq = space.boundary_values(values)
-        jac = operator - space.boundary_operator_from_values(nl.f_s(space.bnd_pts, uq))
+        jac = _jacobian(space, operator, values, nl)
         steps = []
         delta, info = minres(
             jac, -r, M=space.vcycle(), rtol=min(1e-10, 0.1 * history[-1]),
@@ -323,63 +341,93 @@ def newton_refine(u0, nl, tol):
     return _outcome(FemFunction(u0.mesh, values), tol, history, it)
 
 
-def solve_ground_state(mesh, nl, tol, seed):
-    """Positive ground state of the pure-power problem on a mesh.
+def _normalized(space, values, p):
+    """values scaled onto the constraint manifold int_bnd |w|^(p+1) = 1."""
+    uq = space.boundary_values(values)
+    mass = space.boundary_integral(np.abs(uq) ** (p + 1.0))
+    return values / mass ** (1.0 / (p + 1.0))
 
-    Stage 1 runs inverse iteration on the constraint manifold
-    int_bnd |w|^(p+1) = 1: repeatedly solve the linear problem with flux data
-    |w|^(p-1) w and renormalize, until the multiplier a(w, w) stabilizes
-    (relative change <= ``_MULTIPLIER_TOL``, at most ``_MAX_OUTER`` steps; each
-    CG solve to min(1e-10, 0.01 * tol)).  Stage 2 unscales
-    u = (mu/lam)^(1/(p-1)) w so u carries the stated flux condition.  Stage 3
-    polishes with damped Newton to the requested residual.
+
+def _constraint_iteration(space, nl, tol, seed):
+    """Stage 1 of a ground-state solve on one level, from a seeded random start.
+
+    Inverse iteration on the constraint manifold: repeatedly solve the linear
+    problem with flux data |w|^(p-1) w and renormalize, until the multiplier
+    mu = a(w, w) stabilizes (relative change <= ``_MULTIPLIER_TOL``, at most
+    ``_MAX_OUTER`` steps; each CG solve to min(1e-10, 0.01 * tol)).  Returns
+    the unscaled u = (mu/lam)^(1/(p-1)) w, which carries the stated flux
+    condition, and the number of iterations.
     """
-    if nl.kind != "power":
-        raise ValueError("ground-state solve requires a pure-power nonlinearity")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     p = nl.p
-    lam = nl.scale
     linear_tol = min(1e-10, 0.01 * tol)
-
-    space = fem_space(mesh)
     operator = space.h1_operator()
     vcycle = space.vcycle()
 
     rng = np.random.default_rng(seed)
     w = 0.5 + rng.random(space.nv)
-
-    def boundary_power(values):
-        uq = space.boundary_values(values)
-        return np.sign(uq) * np.abs(uq) ** p
-
-    def renormalize(values):
-        uq = space.boundary_values(values)
-        mass = space.boundary_integral(np.abs(uq) ** (p + 1.0))
-        return values / mass ** (1.0 / (p + 1.0))
-
     # one linear solve to smooth the random start
     load = space.boundary_load_from_values(space.boundary_values(w))
     w, _, _ = _pcg(operator, load, linear_tol, vcycle)
-    w = renormalize(w)
+    w = _normalized(space, w, p)
 
     mu = float(w @ (operator @ w))
     mu_trace = [mu]
     for outer in range(1, _MAX_OUTER + 1):
-        load = space.boundary_load_from_values(boundary_power(w))
+        uq = space.boundary_values(w)
+        load = space.boundary_load_from_values(np.sign(uq) * np.abs(uq) ** p)
         w_new, _, _ = _pcg(operator, load, linear_tol, vcycle, x0=w)
-        w = renormalize(w_new)
+        w = _normalized(space, w_new, p)
         mu_new = float(w @ (operator @ w))
         mu_trace.append(mu_new)
         converged = abs(mu_new - mu) <= _MULTIPLIER_TOL * max(1.0, abs(mu_new))
         mu = mu_new
         if converged:
-            break
-    else:
-        raise StagnationError(
-            f"constraint iteration did not stabilize the multiplier in {_MAX_OUTER} steps",
-            mu_trace,
-        )
+            return (mu / nl.scale) ** (1.0 / (p - 1.0)) * w, outer
+    raise StagnationError(
+        f"constraint iteration did not stabilize the multiplier in {_MAX_OUTER} steps",
+        mu_trace,
+    )
 
-    u = FemFunction(mesh, (mu / lam) ** (1.0 / (p - 1.0)) * w)
-    return replace(newton_refine(u, nl, tol), multiplier=mu, outer_iterations=outer)
+
+def _level_ground_state(space, nl, tol, seed):
+    """Polished ground state of one level, solved once and kept on its workspace."""
+    key = (nl.p, nl.scale, seed, tol)
+    outcome = space.ground_states.get(key)
+    if outcome is None:
+        prolong = space.prolongation()
+        if prolong is None:
+            values, outer = _constraint_iteration(space, nl, tol, seed)
+        else:
+            coarse = _level_ground_state(fem_space(build_cube_mesh(space.mesh.n // 2)), nl, tol, seed)
+            values, outer = prolong @ coarse.solution.values, coarse.outer_iterations
+        outcome = newton_refine(FemFunction(space.mesh, values), nl, min(tol, _POLISH_TOL))
+        values = outcome.solution.values
+        values.flags.writeable = False  # shared by every later solve of this level
+        w = _normalized(space, values, nl.p)
+        outcome = replace(outcome, multiplier=float(w @ (space.h1_operator() @ w)),
+                          outer_iterations=outer, tolerance=tol)
+        space.ground_states[key] = outcome
+    return outcome
+
+
+def solve_ground_state(mesh, nl, tol, seed):
+    """Positive ground state of the pure-power problem on a mesh, by nested iteration.
+
+    The levels of mesh's hierarchy (n halved while even and > 2) are solved
+    coarsest first.  The coarsest level runs the constraint iteration from a
+    random start drawn from ``seed`` (the only use of the seed); every finer
+    level starts from the prolongated solution of the level below.  Each
+    level is polished by damped Newton to residual min(tol, 1e-13), and is
+    solved once per (p, flux scale, seed, tol) and kept on its workspace, so
+    the solves of a sweep over n share their coarse levels.
+
+    The outcome's ``multiplier`` is a(w, w) of the returned solution scaled
+    onto int_bnd |w|^(p+1) = 1, ``outer_iterations`` counts the coarsest
+    level's constraint iterations, and ``newton_iterations`` and
+    ``residual_history`` are those of mesh's own level.
+    """
+    if nl.kind != "power":
+        raise ValueError("ground-state solve requires a pure-power nonlinearity")
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    return _level_ground_state(fem_space(mesh), nl, tol, seed)

@@ -3,12 +3,13 @@ import dataclasses
 import json
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boundlab import cli, verify_chain
+from boundlab import assembly, cli, verify_chain
 from boundlab.assembly import FemFunction
 from boundlab.cli import main, parse_config, write_report
 from boundlab.linear_solver import MANUFACTURED_CASES
@@ -159,6 +160,21 @@ def test_sweep_deterministic_and_reports_c0(tmp_path, capsys):
     assert rec["trace_bound"] == "pass"
 
 
+def test_sweep_level_record_does_not_depend_on_coarser_levels(tmp_path, monkeypatch):
+    # at p = 5/2 rho rises with n, so even fitted_C0 is level 16's own in both runs
+    records = {}
+    for n_list in ("8,16", "16"):
+        # fresh workspaces, so neither run reuses the other's solves
+        monkeypatch.setattr(assembly, "_SPACE_CACHE", weakref.WeakKeyDictionary())
+        out = tmp_path / f"sweep-{n_list}.json"
+        assert main(["sweep", "--p", "5/2", "--n", n_list, "--seed", "11",
+                     "--output", str(out)]) == 0
+        records[n_list] = json.loads(out.read_text())["records"][-1]
+    assert records["8,16"]["n"] == 16
+    # 17-digit floats read back exactly, so equal records print as equal bytes
+    assert cli._json_text(records["8,16"]) == cli._json_text(records["16"])
+
+
 def test_write_report_round_trip(tmp_path):
     records = [{"name": "a", "value": 1.0 / 3.0, "count": 2}]
     jpath = tmp_path / "r.json"
@@ -266,6 +282,22 @@ def test_argparse_error_is_status_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--n", "four"])
     assert exc.value.code == 2
+
+
+def test_bad_rational_flag_names_option_and_text(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["exponents", "--q", "1/0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --q" in err and "'1/0'" in err
+
+
+def test_bad_rational_config_entry_names_entry_and_text(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"q_override": "1/0"}))
+    assert main(["--config", str(conf), "exponents"]) == 2
+    err = capsys.readouterr().err
+    assert "'q_override'" in err and "'1/0'" in err
 
 
 def test_uncertified_solution_is_status_1(monkeypatch, capsys):

@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import minres
 
 from boundlab import nonlinear
 from boundlab.assembly import FemFunction, fem_space, interpolate
+from boundlab.exponents import derive_context
 from boundlab.linear_solver import solve_neumann
 from boundlab.mesh import build_cube_mesh
 from boundlab.nonlinear import (
@@ -19,6 +22,7 @@ from boundlab.nonlinear import (
     solve_ground_state,
     weak_residual,
 )
+from boundlab.verify_chain import main_estimate_ratio
 
 
 def test_power_family_values():
@@ -247,3 +251,65 @@ def test_certify_solution_carries_residual(mesh4):
     assert outcome.weak_residual == 0.0
     one = FemFunction(mesh4, np.ones(mesh4.num_vertices))
     assert certify_solution(one, nl, 1e-8).weak_residual > 1e-8
+
+
+def _normalized_energy(mesh, values, p):
+    """a(w, w) of w = values scaled onto int_bnd |w|^(p+1) = 1."""
+    space = fem_space(mesh)
+    uq = space.boundary_values(values)
+    w = values / space.boundary_integral(np.abs(uq) ** (p + 1.0)) ** (1.0 / (p + 1.0))
+    return float(w @ (space.h1_operator() @ w))
+
+
+def test_ground_state_multiplier_and_iteration_counts(ground_state_p2_n8):
+    nl, outcome = ground_state_p2_n8
+    mesh = outcome.solution.mesh
+    multiplier = _normalized_energy(mesh, outcome.solution.values, 2.0)
+    assert abs(outcome.multiplier - multiplier) <= 1e-12 * multiplier
+    # stage 1 run on level 8 itself, as every solve started before nesting
+    stage1, _ = nonlinear._constraint_iteration(fem_space(mesh), nl, 1e-8, 11)
+    assert abs(outcome.multiplier - _normalized_energy(mesh, stage1, 2.0)) <= 1e-6 * multiplier
+    # level 8's hierarchy is 2, 4, 8: the constraint iteration runs on level 2 only
+    _, outer = nonlinear._constraint_iteration(fem_space(build_cube_mesh(2)), nl, 1e-8, 11)
+    assert outcome.outer_iterations == outer > 0
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_nested_rho_matches_polished_random_start(n):
+    ctx = derive_context(3, Fraction(3, 2))
+    nl = make_power_nonlinearity(1.5)
+    mesh = build_cube_mesh(n)
+    nested = solve_ground_state(mesh, nl, 1e-8, seed=11)
+    start, _ = nonlinear._constraint_iteration(fem_space(mesh), nl, 1e-8, 11)
+    direct = newton_refine(FemFunction(mesh, start), nl, 1e-13)
+    rho_nested = main_estimate_ratio(nested, ctx).data["rho"]
+    rho_direct = main_estimate_ratio(direct, ctx).data["rho"]
+    assert abs(rho_nested - rho_direct) <= 1e-9 * rho_direct
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 2.5])
+def test_prolongated_start_polishes_within_three_newton_steps(p):
+    nl = make_power_nonlinearity(p)
+    for n in (4, 8, 16):
+        outcome = solve_ground_state(build_cube_mesh(n), nl, 1e-8, seed=11)
+        assert 1 <= outcome.newton_iterations <= 3
+        assert outcome.weak_residual <= 1e-13
+
+
+def test_ground_state_tolerance_is_the_callers(mesh4):
+    outcome = solve_ground_state(mesh4, make_power_nonlinearity(2.0), 1e-6, seed=3)
+    assert outcome.tolerance == 1e-6
+    assert outcome.weak_residual <= 1e-13
+
+
+def test_matrix_free_jacobian_matches_assembled(mesh4, rng):
+    nl = make_power_nonlinearity(1.5)
+    space = fem_space(mesh4)
+    operator = space.h1_operator()
+    values = rng.standard_normal(space.nv)
+    jacobian = nonlinear._jacobian(space, operator, values, nl)
+    uq = space.boundary_values(values)
+    assembled = operator - space.boundary_operator_from_values(nl.f_s(space.bnd_pts, uq))
+    for v in rng.standard_normal((5, space.nv)):
+        want = assembled @ v
+        assert np.linalg.norm(jacobian @ v - want) <= 1e-14 * np.linalg.norm(want)
