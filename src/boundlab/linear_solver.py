@@ -19,7 +19,7 @@ from scipy.sparse.linalg import cg
 
 from .assembly import FemFunction, assemble_boundary_load, assemble_h1_operator, fem_space
 from .mesh import build_cube_mesh
-from .norms import norm_linf, norm_lp_boundary_field, norm_w1m
+from .norms import norm_table
 
 __all__ = [
     "LinearSolveResult",
@@ -33,6 +33,7 @@ __all__ = [
     "regularity_ratio_suite",
     "RegularityReport",
     "SMOOTH_FIELDS",
+    "smooth_fields",
 ]
 
 
@@ -230,52 +231,33 @@ def trace_range_flag(N, q, r):
     return "ok: uniform regime (q > N-1)"
 
 
-def _poly(axis):
-    return lambda pts: pts[..., axis]
-
-
-def _poly2(a, b):
-    return lambda pts: pts[..., a] * pts[..., b]
-
-
-def _cospi(axis):
-    return lambda pts: np.cos(np.pi * pts[..., axis])
-
-
-def _sinpi(axis):
-    return lambda pts: np.sin(np.pi * pts[..., axis])
-
-
 #: low-order monomial / trigonometric dictionary used for random smooth data
 SMOOTH_FIELDS = (
     lambda pts: np.ones(pts.shape[:-1]),
-    _poly(0),
-    _poly(1),
-    _poly(2),
-    _poly2(0, 1),
-    _poly2(0, 2),
-    _poly2(1, 2),
+    lambda pts: pts[..., 0],
+    lambda pts: pts[..., 1],
+    lambda pts: pts[..., 2],
+    lambda pts: pts[..., 0] * pts[..., 1],
+    lambda pts: pts[..., 0] * pts[..., 2],
+    lambda pts: pts[..., 1] * pts[..., 2],
     lambda pts: pts[..., 0] * pts[..., 1] * pts[..., 2],
-    _cospi(0),
-    _cospi(1),
-    _cospi(2),
-    _sinpi(0),
-    _sinpi(1),
-    _sinpi(2),
+    lambda pts: np.cos(np.pi * pts[..., 0]),
+    lambda pts: np.cos(np.pi * pts[..., 1]),
+    lambda pts: np.cos(np.pi * pts[..., 2]),
+    lambda pts: np.sin(np.pi * pts[..., 0]),
+    lambda pts: np.sin(np.pi * pts[..., 1]),
+    lambda pts: np.sin(np.pi * pts[..., 2]),
 )
 
 
-def smooth_field_from_coefficients(coeffs):
-    """Linear combination of the smooth dictionary, as a point function."""
-    coeffs = np.asarray(coeffs, dtype=float)
+def smooth_fields(points):
+    """The smooth dictionary at ``points`` (..., 3), stacked on a last axis (..., 14)."""
+    return np.stack([phi(points) for phi in SMOOTH_FIELDS], axis=-1)
 
-    def fn(pts):
-        acc = np.zeros(pts.shape[:-1])
-        for c, phi in zip(coeffs, SMOOTH_FIELDS):
-            acc += c * phi(pts)
-        return acc
 
-    return fn
+# residual of the dictionary solves, so that a sample's combination of them
+# already meets the suite's default tol (worst 4.2e-13 at n = 8, 16, seed 7)
+_BASIS_TOL = 1e-13
 
 
 @dataclass(eq=False)
@@ -294,6 +276,11 @@ def regularity_ratio_suite(ctx, n_list, sample_count, seed, tol=1e-10):
     comparable.  The suite is the experimental side of the lifting estimate:
     saturation of the maxima under refinement is the finite-sample surrogate
     for a data-independent constant.
+
+    The solution operator is linear, so per level the 14 dictionary fields
+    are solved once (to ``_BASIS_TOL``) and each sample's solution is their
+    combination v_s = V c_s.  CG started from it certifies every sample at
+    ``tol``, and one ``norm_table`` call takes all the sample norms.
     """
     if ctx.N != 3:
         raise ValueError("the regularity suite runs on the 3-D cube (N = 3)")
@@ -306,28 +293,27 @@ def regularity_ratio_suite(ctx, n_list, sample_count, seed, tol=1e-10):
     maxima = {}
     for n in n_list:
         mesh = build_cube_mesh(n)
-        best_w1m = 0.0
-        best_linf = 0.0
-        for s in range(sample_count):
-            fn = smooth_field_from_coefficients(coeffs[s])
-            h = lambda pts, normals: fn(pts)
-            h_norm = norm_lp_boundary_field(mesh, h, q)
-            result = solve_neumann(mesh, h, tol)
-            v = result.solution
-            ratio_w1m = norm_w1m(v, m) / h_norm
-            ratio_linf = norm_linf(v) / h_norm
-            best_w1m = max(best_w1m, ratio_w1m)
-            best_linf = max(best_linf, ratio_linf)
-            rows.append(
-                {
-                    "n": n,
-                    "sample": s,
-                    "q": q,
-                    "m": m,
-                    "ratio_w1m": ratio_w1m,
-                    "ratio_linf": ratio_linf,
-                }
-            )
-        maxima[n] = {"ratio_w1m": best_w1m, "ratio_linf": best_linf}
+        space = fem_space(mesh)
+        matrix, vcycle = space.h1_operator(), space.vcycle()
+        fields = smooth_fields(space.bnd_pts)                        # (nf, nqb, 14)
+        loads = np.array([space.boundary_load_from_values(f) for f in np.moveaxis(fields, -1, 0)])
+        basis = np.array([_pcg(matrix, load, _BASIS_TOL, vcycle)[0] for load in loads])
+        values = (coeffs @ basis).T                                  # (nv, S), contiguous columns
+        h_norms = np.empty(sample_count)
+        for s, c in enumerate(coeffs):
+            # a start that already meets tol returns after one matvec; else CG polishes it
+            values[:, s] = _pcg(matrix, c @ loads, tol, vcycle, x0=values[:, s])[0]
+            h_norms[s] = space.boundary_integral(np.abs(fields @ c) ** q) ** (1.0 / q)
+        table = norm_table(mesh, values, w1m=(m,))
+        ratio_w1m = table["w1m", m] / h_norms
+        ratio_linf = table["linf"] / h_norms
+        rows.extend(
+            dict(n=n, sample=s, q=q, m=m, ratio_w1m=float(w), ratio_linf=float(i))
+            for s, (w, i) in enumerate(zip(ratio_w1m, ratio_linf))
+        )
+        maxima[n] = {
+            "ratio_w1m": float(ratio_w1m.max(initial=0.0)),
+            "ratio_linf": float(ratio_linf.max(initial=0.0)),
+        }
 
     return RegularityReport(rows=rows, maxima=maxima, q=q, m=m)

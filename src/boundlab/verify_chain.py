@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import FemFunction, fem_space
-from .linear_solver import SMOOTH_FIELDS, smooth_field_from_coefficients
+from .linear_solver import SMOOTH_FIELDS, smooth_fields
 from .nonlinear import SolveOutcome, ar_check
 from .norms import energy_J, gn_ratios, norm_h1, norm_linf, norm_lp, norm_table
 
@@ -93,11 +93,11 @@ def build_corpus(mesh, size, seed, solutions=()):
         amp = 10.0 ** rng.uniform(-2.0, 1.0)
         functions.append(FemFunction(mesh, amp * rng.standard_normal(nv)))
         kinds.append("random")
+    dictionary = smooth_fields(mesh.vertices)                       # (nv, 14)
     for _ in range(n_smooth):
         coeffs = rng.standard_normal(len(SMOOTH_FIELDS))
         amp = 10.0 ** rng.uniform(-2.0, 1.0)
-        fn = smooth_field_from_coefficients(coeffs)
-        functions.append(FemFunction(mesh, amp * fn(mesh.vertices)))
+        functions.append(FemFunction(mesh, amp * (dictionary @ coeffs)))
         kinds.append("smooth")
     for i in range(n_solution):
         base = solutions[i % len(solutions)]

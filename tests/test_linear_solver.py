@@ -4,19 +4,22 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
+from boundlab import linear_solver
 from boundlab.assembly import _prolongation, assemble_boundary_load, assemble_h1_operator, fem_space
 from boundlab.exponents import derive_context
 from boundlab.linear_solver import (
     MANUFACTURED_CASES,
+    SMOOTH_FIELDS,
     NonconvergenceError,
     _pcg,
     trace_range_flag,
     manufactured_convergence,
     regularity_ratio_suite,
     solve_neumann,
-    smooth_field_from_coefficients,
+    smooth_fields,
 )
 from boundlab.mesh import build_cube_mesh
+from boundlab.norms import norm_linf, norm_lp_boundary_field, norm_w1m
 
 
 def zero_field(pts, normals):
@@ -104,8 +107,10 @@ def test_error_table_bit_identical():
 
 
 def test_solution_operator_linear(mesh4, rng):
-    h1 = smooth_field_from_coefficients(rng.standard_normal(14))
-    h2 = smooth_field_from_coefficients(rng.standard_normal(14))
+    c1 = rng.standard_normal(14)
+    c2 = rng.standard_normal(14)
+    h1 = lambda p: smooth_fields(p) @ c1
+    h2 = lambda p: smooth_fields(p) @ c2
     alpha, beta = rng.standard_normal(2)
     tol = 1e-12
     va = solve_neumann(mesh4, lambda p, nrm: h1(p), tol).solution.values
@@ -118,8 +123,10 @@ def test_solution_operator_linear(mesh4, rng):
 
 
 def test_resolvent_self_adjoint(mesh4, rng):
-    g_fn = smooth_field_from_coefficients(rng.standard_normal(14))
-    h_fn = smooth_field_from_coefficients(rng.standard_normal(14))
+    cg = rng.standard_normal(14)
+    ch = rng.standard_normal(14)
+    g_fn = lambda p: smooth_fields(p) @ cg
+    h_fn = lambda p: smooth_fields(p) @ ch
     g = lambda p, nrm: g_fn(p)
     h = lambda p, nrm: h_fn(p)
     vh = solve_neumann(mesh4, h, 1e-12).solution.values
@@ -158,6 +165,76 @@ def test_regularity_suite_shape_and_saturation():
     m2, m4 = report.maxima[2], report.maxima[4]
     assert m4["ratio_w1m"] <= 2.0 * m2["ratio_w1m"]
     assert list(report.rows[0].keys()) == ["n", "sample", "q", "m", "ratio_w1m", "ratio_linf"]
+
+
+def test_smooth_fields_stack_the_dictionary(mesh4):
+    pts = fem_space(mesh4).bnd_pts
+    fields = smooth_fields(pts)
+    assert fields.shape == pts.shape[:-1] + (len(SMOOTH_FIELDS),)
+    for k, phi in enumerate(SMOOTH_FIELDS):
+        assert np.array_equal(fields[..., k], phi(pts))
+
+
+def _per_sample_ratios(ctx, n_list, sample_count, seed):
+    """Regularity ratios from one full solve per sample: the suite's reference."""
+    q, m = float(ctx.q), float(ctx.m)
+    coeffs = np.random.default_rng(seed).standard_normal((sample_count, len(SMOOTH_FIELDS)))
+    ratios = []
+    for n in n_list:
+        mesh = build_cube_mesh(n)
+        for c in coeffs:
+            h = lambda pts, normals: smooth_fields(pts) @ c
+            h_norm = norm_lp_boundary_field(mesh, h, q)
+            v = solve_neumann(mesh, h, 1e-12).solution
+            ratios.append((norm_w1m(v, m) / h_norm, norm_linf(v) / h_norm))
+    return ratios
+
+
+@pytest.fixture(scope="module")
+def per_sample_reference():
+    return _per_sample_ratios(derive_context(3, 2), [2, 4], 6, seed=3)
+
+
+def _assert_rows_match(rows, reference):
+    assert len(rows) == len(reference)
+    for row, (w1m, linf) in zip(rows, reference):
+        assert abs(row["ratio_w1m"] - w1m) <= 1e-9 * w1m
+        assert abs(row["ratio_linf"] - linf) <= 1e-9 * linf
+
+
+def _counting_pcg(monkeypatch):
+    """Record (tol, iterations, residual) of every _pcg call the suite makes."""
+    calls = []
+
+    def pcg(matrix, rhs, tol, precond, x0=None, maxiter=None):
+        x, iterations, res = _pcg(matrix, rhs, tol, precond, x0=x0, maxiter=maxiter)
+        calls.append((tol, iterations, res))
+        return x, iterations, res
+
+    monkeypatch.setattr(linear_solver, "_pcg", pcg)
+    return calls
+
+
+def test_regularity_suite_matches_per_sample_solves(per_sample_reference, monkeypatch):
+    calls = _counting_pcg(monkeypatch)
+    report = regularity_ratio_suite(derive_context(3, 2), [2, 4], 6, seed=3, tol=1e-10)
+    _assert_rows_match(report.rows, per_sample_reference)
+    # per level: 14 dictionary solves iterate, the 6 certifications start converged
+    basis = [c for c in calls if c[0] == linear_solver._BASIS_TOL]
+    certify = [c for c in calls if c[0] == 1e-10]
+    assert len(basis) == 2 * len(SMOOTH_FIELDS) and all(k > 0 for _, k, _ in basis)
+    assert len(certify) == 2 * 6 and all(k == 0 and res <= 1e-10 for _, k, res in certify)
+
+
+def test_regularity_suite_polishes_a_loose_basis(per_sample_reference, monkeypatch):
+    monkeypatch.setattr(linear_solver, "_BASIS_TOL", 1e-4)
+    calls = _counting_pcg(monkeypatch)
+    report = regularity_ratio_suite(derive_context(3, 2), [2, 4], 6, seed=3, tol=1e-10)
+    certify = [c for c in calls if c[0] == 1e-10]
+    assert len(certify) == 2 * 6
+    assert sum(k for _, k, _ in certify) >= 1
+    assert all(res <= 1e-10 for _, _, res in certify)
+    _assert_rows_match(report.rows, per_sample_reference)
 
 
 def test_regularity_suite_range_flag_out_of_range():
@@ -201,7 +278,8 @@ def test_vcycle_symmetric_positive(mesh8, rng):
 
 
 def test_cg_iterations_do_not_grow_with_level(rng):
-    fn = smooth_field_from_coefficients(rng.standard_normal(14))
+    c = rng.standard_normal(14)
+    fn = lambda p: smooth_fields(p) @ c
     counts = [
         solve_neumann(build_cube_mesh(n), lambda p, nrm: fn(p), 1e-10).iterations
         for n in (8, 16, 24)
@@ -212,7 +290,8 @@ def test_cg_iterations_do_not_grow_with_level(rng):
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_odd_level_matches_direct_solve(n, rng):
     mesh = build_cube_mesh(n)
-    fn = smooth_field_from_coefficients(rng.standard_normal(14))
+    c = rng.standard_normal(14)
+    fn = lambda p: smooth_fields(p) @ c
     h = lambda p, nrm: fn(p)
     result = solve_neumann(mesh, h, 1e-10)
     assert result.residual_norm <= 1e-10
