@@ -316,7 +316,7 @@ def _cmd_verify(config):
     ctx = derive_context(config.N, config.p_list[0], config.q_override)
     suite = config.suite
     if suite == "regularity":
-        report = regularity_ratio_suite(ctx, config.n_list, config.samples, config.seed)
+        report = regularity_ratio_suite(ctx, config.n_list, config.samples, config.seed, config.tol)
         print(f"regularity suite: per-n maxima {report.maxima}")
         _emit(config, report.rows)
         return 0

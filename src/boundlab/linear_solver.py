@@ -53,15 +53,15 @@ class LinearSolveResult:
 
 
 def _pcg(matrix, rhs, tol, precond, x0=None, maxiter=None):
-    """Preconditioned CG (scipy's ``cg``), stopping on relative residual <= tol.
+    """Preconditioned CG (scipy's ``cg``), stopping on CG's recurrence residual <= tol.
 
     ``precond`` is an SPD LinearOperator approximating the inverse of
     ``matrix``: the level's V-cycle from ``fem_space(mesh).vcycle()``.
     Returns ``(x, iterations, residual)``, where ``residual`` is the true
     relative residual ||rhs - matrix x|| / ||rhs|| of the returned x (0.0 for
-    a zero rhs), not the recurrence residual CG stops on.  Raises
-    :class:`NonconvergenceError` after ``maxiter`` iterations (scipy's
-    default: 10 * dimension).
+    a zero rhs), which rounding can leave above ``tol``: a caller that
+    certifies x checks it.  Raises :class:`NonconvergenceError` after
+    ``maxiter`` iterations (scipy's default: 10 * dimension).
     """
     steps = []
     x, info = cg(matrix, rhs, x0=x0, rtol=tol, maxiter=maxiter, M=precond, callback=steps.append)
@@ -280,7 +280,9 @@ def regularity_ratio_suite(ctx, n_list, sample_count, seed, tol=1e-10):
     The solution operator is linear, so per level the 14 dictionary fields
     are solved once (to ``_BASIS_TOL``) and each sample's solution is their
     combination v_s = V c_s.  CG started from it certifies every sample at
-    ``tol``, and one ``norm_table`` call takes all the sample norms.
+    ``tol``, by the true residual of the returned solution; a sample that
+    misses it raises :class:`NonconvergenceError`.  One ``norm_table`` call
+    takes all the sample norms.
     """
     if ctx.N != 3:
         raise ValueError("the regularity suite runs on the 3-D cube (N = 3)")
@@ -302,7 +304,10 @@ def regularity_ratio_suite(ctx, n_list, sample_count, seed, tol=1e-10):
         h_norms = np.empty(sample_count)
         for s, c in enumerate(coeffs):
             # a start that already meets tol returns after one matvec; else CG polishes it
-            values[:, s] = _pcg(matrix, c @ loads, tol, vcycle, x0=values[:, s])[0]
+            values[:, s], iterations, res = _pcg(matrix, c @ loads, tol, vcycle, x0=values[:, s])
+            if not res <= tol:
+                raise NonconvergenceError(f"regularity sample {s} at n={n}: true relative "
+                                          f"residual {res:.3e} exceeds tolerance {tol}", iterations, res)
             h_norms[s] = space.boundary_integral(np.abs(fields @ c) ** q) ** (1.0 / q)
         table = norm_table(mesh, values, w1m=(m,))
         ratio_w1m = table["w1m", m] / h_norms

@@ -224,9 +224,11 @@ def weak_residual(u, nl):
 
 @dataclass(eq=False)
 class SolveOutcome:
-    """Result of a nonlinear solve, with its own certificate."""
+    """Result of a nonlinear solve, with its own certificate: the weak
+    residual of ``solution`` for the flux ``nonlinearity``."""
 
     solution: FemFunction
+    nonlinearity: Nonlinearity
     multiplier: float
     weak_residual: float
     outer_iterations: int
@@ -234,6 +236,8 @@ class SolveOutcome:
     positive: bool
     tolerance: float
     residual_history: list = field(default_factory=list)
+    # norms of the solution, evaluated once by verify_chain.solution_row
+    norm_row: dict = field(default=None, init=False, repr=False)
 
 
 class StagnationError(RuntimeError):
@@ -249,10 +253,11 @@ class SolverDivergence(RuntimeError):
         self.history = history
 
 
-def _outcome(u, tol, history, newton_iterations=0):
+def _outcome(u, nl, tol, history, newton_iterations=0):
     """Outcome of u with the last residual of its history as certificate."""
     return SolveOutcome(
         solution=u,
+        nonlinearity=nl,
         multiplier=float("nan"),
         weak_residual=history[-1],
         outer_iterations=0,
@@ -265,7 +270,7 @@ def _outcome(u, tol, history, newton_iterations=0):
 
 def certify_solution(u, nl, tol):
     """Wrap an existing function as an outcome carrying its honest residual."""
-    return _outcome(u, tol, [weak_residual(u, nl)])
+    return _outcome(u, nl, tol, [weak_residual(u, nl)])
 
 
 def _jacobian(space, operator, values, nl):
@@ -338,7 +343,7 @@ def newton_refine(u0, nl, tol):
         values = trial
         r = r_trial
         history.append(_relative(operator, r, values))
-    return _outcome(FemFunction(u0.mesh, values), tol, history, it)
+    return _outcome(FemFunction(u0.mesh, values), nl, tol, history, it)
 
 
 def _normalized(space, values, p):

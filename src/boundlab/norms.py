@@ -158,19 +158,17 @@ def energy_J(u, nl):
     return half_h1 - space.boundary_integral(nl.F(space.bnd_pts, uq))
 
 
-def gn_ratios(mesh, values, ctx):
+def gn_ratios(table, ctx):
     """Interpolation ratio ||u||_inf / (||u||_{W^{1,m}}^sigma ||u||_{L^{2*}}^(1-sigma))
-    of every column of the nodal matrix ``values``.
+    of every column of a ``norm_table`` holding ("w1m", m) and ("volume", 2*).
 
     Scaling invariant (all norms are 1-homogeneous and the exponents sum
     to one); bounded ratios over a corpus are the finite-sample surrogate
     for the interpolation constant.
     """
     sigma = float(ctx.sigma)
-    m = float(ctx.m)
-    r_vol = float(ctx.two_star)
-    table = norm_table(mesh, values, volume=(r_vol,), w1m=(m,))
-    denominator = table["w1m", m] ** sigma * table["volume", r_vol] ** (1.0 - sigma)
+    w1m, volume = table["w1m", float(ctx.m)], table["volume", float(ctx.two_star)]
+    denominator = w1m**sigma * volume ** (1.0 - sigma)
     if np.any(denominator == 0.0):
         raise ValueError("interpolation ratio undefined for the zero function")
     return table["linf"] / denominator
@@ -178,7 +176,8 @@ def gn_ratios(mesh, values, ctx):
 
 def gn_ratio(u, ctx):
     """Interpolation ratio of one function; see gn_ratios."""
-    return float(gn_ratios(u.mesh, u.values, ctx)[0])
+    table = norm_table(u.mesh, u.values, volume=(ctx.two_star,), w1m=(ctx.m,))
+    return float(gn_ratios(table, ctx)[0])
 
 
 @dataclass(eq=False)
@@ -201,15 +200,17 @@ class NormReport:
 
 
 def norm_report(u, ctx):
-    """Evaluate all chain norms of u under the exponents of ctx."""
+    """Evaluate all chain norms of u under the exponents of ctx, in one table."""
+    r_vol, r_bnd, m = float(ctx.two_star), float(ctx.two_low_star), float(ctx.m)
+    table = norm_table(u.mesh, u.values, volume=(r_vol,), boundary=(r_bnd,), w1m=(m,))
     return NormReport(
         h1=norm_h1(u),
-        linf=norm_linf(u),
-        l_two_star_volume=norm_lp(u, float(ctx.two_star), "volume"),
-        l_two_low_star_boundary=norm_lp(u, float(ctx.two_low_star), "boundary"),
-        w1m=norm_w1m(u, float(ctx.m)),
-        m=float(ctx.m),
-        linf_boundary=norm_linf(u, "boundary"),
+        linf=float(table["linf"][0]),
+        l_two_star_volume=float(table["volume", r_vol][0]),
+        l_two_low_star_boundary=float(table["boundary", r_bnd][0]),
+        w1m=float(table["w1m", m][0]),
+        m=m,
+        linf_boundary=float(table["linf_boundary"][0]),
         n=u.mesh.n,
         p=float(ctx.p),
         q=float(ctx.q),

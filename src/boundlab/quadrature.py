@@ -5,10 +5,15 @@ degree 7 exactly, one above the degree-6 contract the assembly relies on.
 All weights are positive, which the discrete Holder arguments depend on.
 """
 
+import functools
+
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
 __all__ = ["triangle_rule", "tetrahedron_rule"]
+
+# Gauss points per direction of the conical products: degree 2k - 1 = 7
+_POINTS_PER_AXIS = 4
 
 
 def _jacobi01(k, alpha):
@@ -22,33 +27,22 @@ def _legendre01(k):
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def triangle_rule(points_per_axis=4):
+def _product(*rules):
+    """Nodes (one array per axis) and weights of the tensor grid of 1-D rules,
+    the last axis varying fastest."""
+    nodes = [x.ravel() for x in np.meshgrid(*(x for x, _ in rules), indexing="ij")]
+    return nodes, functools.reduce(np.multiply.outer, (w for _, w in rules)).ravel()
+
+
+def triangle_rule():
     """Rule on the triangle {x, y >= 0, x + y <= 1}; weights sum to 1/2."""
-    xj, wj = _jacobi01(points_per_axis, 1.0)
-    xl, wl = _legendre01(points_per_axis)
-    pts = np.empty((points_per_axis**2, 2))
-    wts = np.empty(points_per_axis**2)
-    idx = 0
-    for xi, wi in zip(xj, wj):
-        for t, wt in zip(xl, wl):
-            pts[idx] = (xi, t * (1.0 - xi))
-            wts[idx] = wi * wt
-            idx += 1
-    return pts, wts
+    (xi, t), wts = _product(_jacobi01(_POINTS_PER_AXIS, 1.0), _legendre01(_POINTS_PER_AXIS))
+    return np.column_stack([xi, t * (1.0 - xi)]), wts
 
 
-def tetrahedron_rule(points_per_axis=4):
+def tetrahedron_rule():
     """Rule on the tet {x, y, z >= 0, x + y + z <= 1}; weights sum to 1/6."""
-    x2, w2 = _jacobi01(points_per_axis, 2.0)
-    x1, w1 = _jacobi01(points_per_axis, 1.0)
-    xl, wl = _legendre01(points_per_axis)
-    pts = np.empty((points_per_axis**3, 3))
-    wts = np.empty(points_per_axis**3)
-    idx = 0
-    for xi, wi in zip(x2, w2):
-        for eta, we in zip(x1, w1):
-            for zeta, wz in zip(xl, wl):
-                pts[idx] = (xi, eta * (1.0 - xi), zeta * (1.0 - xi) * (1.0 - eta))
-                wts[idx] = wi * we * wz
-                idx += 1
-    return pts, wts
+    (xi, eta, zeta), wts = _product(
+        _jacobi01(_POINTS_PER_AXIS, 2.0), _jacobi01(_POINTS_PER_AXIS, 1.0), _legendre01(_POINTS_PER_AXIS)
+    )
+    return np.column_stack([xi, eta * (1.0 - xi), zeta * (1.0 - xi) * (1.0 - eta)]), wts

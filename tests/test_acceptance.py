@@ -32,7 +32,7 @@ from boundlab.verify_chain import (
     build_corpus,
     gn_ratio_suite,
     main_estimate_ratio,
-    run_universal_suite,
+    universal_suite,
 )
 
 
@@ -108,7 +108,7 @@ def test_criterion_4_universal_inequalities(ground_states):
                 solution = ground_states[(2.0, 8)][1].solution
             else:
                 solution = solve_ground_state(mesh, nl, 1e-8, seed=11).solution
-            report = run_universal_suite(mesh, ctx, 1.0, 100, seed=7, solutions=[solution])
+            report = universal_suite(build_corpus(mesh, 100, seed=7, solutions=[solution]), ctx)
             assert len(report.records) == 300
             assert not report.violations
             assert report.both_branches()

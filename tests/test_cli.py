@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boundlab import assembly, cli, verify_chain
-from boundlab.assembly import FemFunction
+from boundlab import assembly, cli, linear_solver, norms, verify_chain
 from boundlab.cli import main, parse_config, write_report
 from boundlab.linear_solver import MANUFACTURED_CASES
 
@@ -100,6 +99,25 @@ def test_verify_regularity_csv(tmp_path):
     assert lines[0].startswith("# ")
     assert lines[1] == "n,sample,q,m,ratio_w1m,ratio_linf"
     assert len(lines) == 2 + 4
+
+
+def test_verify_regularity_certifies_samples_at_tol(monkeypatch):
+    # the sample certifications are the _pcg calls started from the basis combination
+    pcg = linear_solver._pcg
+    tols = []
+
+    def recorded(matrix, rhs, tol, precond, x0=None, maxiter=None):
+        if x0 is not None:
+            tols.append(tol)
+        return pcg(matrix, rhs, tol, precond, x0=x0, maxiter=maxiter)
+
+    monkeypatch.setattr(linear_solver, "_pcg", recorded)
+    argv = ["verify", "--suite", "regularity", "--n", "2,4", "--samples", "3", "--seed", "5"]
+    assert main(argv + ["--tol", "1e-12"]) == 0
+    assert tols == [1e-12] * 6
+    tols.clear()
+    assert main(argv) == 0
+    assert tols == [1e-8] * 6
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -372,19 +390,25 @@ def _boundary_max_doubled(monkeypatch):
     monkeypatch.setattr(verify_chain, "norm_table", doubled)
 
 
+def _patch_solution_row(monkeypatch, **changes):
+    """Every solution-only step reads changes[key](row[key]) from its shared norm row."""
+    solution_row = verify_chain.solution_row
+
+    def changed(outcome, what):
+        row = solution_row(outcome, what)
+        return {**row, **{key: change(row[key]) for key, change in changes.items()}}
+
+    monkeypatch.setattr(verify_chain, "solution_row", changed)
+
+
 def _trace_bound_of_non_solution(monkeypatch):
-    h1_trace_bound = cli.h1_trace_bound
-
-    def of_double(outcome, nl, ctx):
-        u = outcome.solution
-        return h1_trace_bound(FemFunction(u.mesh, 2.0 * u.values), nl, ctx)
-
-    monkeypatch.setattr(cli, "h1_trace_bound", of_double)
+    # the weak form tested with u itself no longer balances
+    _patch_solution_row(monkeypatch, uf=lambda uf: 2.0 * uf)
 
 
 def _energy_lowered(monkeypatch):
-    energy_J = verify_chain.energy_J
-    monkeypatch.setattr(verify_chain, "energy_J", lambda u, nl: energy_J(u, nl) - 1.0)
+    # int_bnd F(u) one higher lowers J by one
+    _patch_solution_row(monkeypatch, F=lambda F: F + 1.0)
 
 
 @pytest.mark.parametrize(
@@ -411,7 +435,7 @@ def test_failing_step_is_status_1(break_step, step, monkeypatch, tmp_path, capsy
 
 def _main_estimate_nonfinite(monkeypatch):
     # a non-finite H1 norm makes the observed constant rho non-finite
-    monkeypatch.setattr(verify_chain, "norm_h1", lambda u: math.nan)
+    _patch_solution_row(monkeypatch, h1=lambda h1: math.nan)
 
 
 @pytest.mark.parametrize(
@@ -447,6 +471,23 @@ def test_each_level_builds_its_corpus_once(monkeypatch):
     monkeypatch.setattr(verify_chain, "build_corpus", counted)
     assert main(["verify", "--suite", "chain", "--n", "2,4", "--samples", "8", "--seed", "7"]) == 0
     assert levels == [2, 4]
+
+
+def test_norm_table_runs_once_per_corpus_and_per_solution(monkeypatch):
+    # fresh workspaces, so each level's ground state and its norm row are made in this run
+    monkeypatch.setattr(assembly, "_SPACE_CACHE", weakref.WeakKeyDictionary())
+    norm_table = norms.norm_table
+    columns = []
+
+    def counted(mesh, values, **exponents):
+        columns.append((mesh.n, np.shape(values)[-1] if np.ndim(values) == 2 else 1))
+        return norm_table(mesh, values, **exponents)
+
+    for module in (norms, verify_chain):
+        monkeypatch.setattr(module, "norm_table", counted)
+    assert main(["verify", "--suite", "chain", "--n", "2,4", "--samples", "8", "--seed", "7"]) == 0
+    # one table per corpus (8 columns) and one row per ground state
+    assert sorted(columns) == [(2, 1), (2, 8), (4, 1), (4, 8)]
 
 
 def test_gn_rows_name_the_branch_like_universal_rows(tmp_path):

@@ -237,6 +237,23 @@ def test_regularity_suite_polishes_a_loose_basis(per_sample_reference, monkeypat
     _assert_rows_match(report.rows, per_sample_reference)
 
 
+def test_regularity_suite_rejects_a_sample_above_tol(monkeypatch):
+    # CG stops on its recurrence residual; the true residual it returns can miss tol
+    certifications = []
+
+    def pcg(matrix, rhs, tol, precond, x0=None, maxiter=None):
+        x, iterations, res = _pcg(matrix, rhs, tol, precond, x0=x0, maxiter=maxiter)
+        if x0 is not None:
+            certifications.append(tol)
+            if len(certifications) == 5:   # n = 4, sample 1
+                res = 2.0 * tol
+        return x, iterations, res
+
+    monkeypatch.setattr(linear_solver, "_pcg", pcg)
+    with pytest.raises(NonconvergenceError, match=r"sample 1 at n=4: true relative residual 2\.000e-10"):
+        regularity_ratio_suite(derive_context(3, 2), [2, 4], 3, seed=3, tol=1e-10)
+
+
 def test_regularity_suite_range_flag_out_of_range():
     ctx = derive_context(3, 2)
     report = regularity_ratio_suite(ctx, [2], 1, seed=9)

@@ -244,7 +244,6 @@ def test_norm_table_matches_per_function_formulas(n, count, seed, block):
     for key, expected in oracle.items():
         np.testing.assert_allclose(table[key], expected, rtol=1e-12, atol=0, err_msg=str(key))
         assert table[key][zero] == 0.0
-    functions = [FemFunction(mesh, values[:, s]) for s in range(count)]
-    corpus = Corpus(CorpusDescriptor(seed=seed, size=count, n=n), functions, ["random"] * count)
+    corpus = Corpus(CorpusDescriptor(seed=seed, size=count, n=n), mesh, values, ["random"] * count)
     with pytest.raises(ValueError):
         gn_ratio_suite([corpus], derive_context(3, 2))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from boundlab.assembly import FemFunction, interpolate
+from boundlab.assembly import FemFunction, fem_space, interpolate
 from boundlab.exponents import derive_context
 from boundlab.mesh import build_cube_mesh
 from boundlab.nonlinear import certify_solution, make_power_nonlinearity, solve_ground_state
+from boundlab.norms import energy_J, norm_h1, norm_linf, norm_lp
 from boundlab.verify_chain import (
     CertificationError,
     ChainReport,
@@ -17,8 +18,7 @@ from boundlab.verify_chain import (
     infty_cont,
     main_estimate_ratio,
     norm_equivalence_report,
-    run_universal_suite,
-    sup_branch,
+    universal_suite,
 )
 
 
@@ -87,20 +87,20 @@ def test_infty_cont_exact(mesh4, rng):
 def test_corpus_composition(mesh4):
     sol = const(mesh4, 0.5)
     corpus = build_corpus(mesh4, 100, seed=3, solutions=[sol])
-    assert len(corpus.functions) == 100
+    assert corpus.values.shape == (mesh4.num_vertices, 100)
     assert corpus.kinds.count("random") == 50
     assert corpus.kinds.count("smooth") == 25
     assert corpus.kinds.count("solution") == 25
-    branches = {sup_branch(u) for u in corpus.functions}
-    assert branches == {"sup>1", "sup<=1"}
+    assert np.array_equal(corpus.values[:, 75], sol.values)
+    sup = np.abs(corpus.values).max(axis=0)
+    assert np.any(sup > 1.0) and np.any(sup <= 1.0)
     # deterministic rebuild
     again = build_corpus(mesh4, 100, seed=3, solutions=[sol])
-    for a, b in zip(corpus.functions, again.functions):
-        assert np.array_equal(a.values, b.values)
+    assert np.array_equal(corpus.values, again.values)
 
 
 def test_universal_suite_clean(mesh4, ctx):
-    report = run_universal_suite(mesh4, ctx, 1.0, 40, seed=7)
+    report = universal_suite(build_corpus(mesh4, 40, seed=7), ctx)
     assert len(report.records) == 120
     assert not report.violations
     assert report.both_branches()
@@ -115,7 +115,8 @@ def test_universal_suite_clean(mesh4, ctx):
 def test_gn_suite_constant_corpus(mesh4, ctx):
     from boundlab.verify_chain import Corpus, CorpusDescriptor
 
-    corpus = Corpus(CorpusDescriptor(seed=0, size=1, n=4), [const(mesh4, 1.0)], ["smooth"])
+    corpus = Corpus(CorpusDescriptor(seed=0, size=1, n=4), mesh4, np.ones((mesh4.num_vertices, 1)),
+                    ["smooth"])
     report = gn_ratio_suite([corpus], ctx)
     assert abs(report.rows[0]["max_ratio"] - 1.0) < 1e-12
     assert report.verdict == "saturating"
@@ -125,7 +126,7 @@ def test_gn_suite_coordinate(mesh4, ctx):
     from boundlab.verify_chain import Corpus, CorpusDescriptor
 
     x1 = interpolate(mesh4, lambda p: p[..., 0])
-    corpus = Corpus(CorpusDescriptor(seed=0, size=1, n=4), [x1], ["smooth"])
+    corpus = Corpus(CorpusDescriptor(seed=0, size=1, n=4), mesh4, x1.values[:, None], ["smooth"])
     expected = (13.0 / 11.0) ** (-2.0 / 15.0) * 7.0 ** (1.0 / 15.0)
     assert abs(gn_ratio_suite([corpus], ctx).rows[0]["max_ratio"] - expected) < 1e-10
 
@@ -185,6 +186,27 @@ def test_h1_trace_bound_detects_non_solution(mesh4, rng, ctx):
     assert rec.data["part_a"] == "fail"  # encodes solutionhood
     assert rec.data["part_b"] == "pass"  # Holder holds universally
     assert rec.verdict == "fail"
+
+
+def test_shared_row_records_equal_per_function_reference(ground_state_p2_n8, ctx):
+    # the per-function evaluations each step made before the steps shared one row
+    nl, outcome = ground_state_p2_n8
+    u = outcome.solution
+    space = fem_space(u.mesh)
+    h1_sq = float(u.values @ (space.h1_operator() @ u.values))
+    uq = space.boundary_values(u.values)
+    uf = space.boundary_integral(nl.f(space.bnd_pts, uq) * uq)
+    trace = norm_lp(u, float(ctx.two_low_star), "boundary")
+    vol = norm_lp(u, float(ctx.two_star), "volume")
+    rho = norm_linf(u) / (1.0 + norm_h1(u)) ** float(ctx.A)
+    rho_hat = norm_linf(u) / ((1.0 + trace ** float(ctx.A_hat1)) * (1.0 + vol ** float(ctx.A_hat2)))
+    energy_margin = energy_J(u, nl) - (0.5 - 1.0 / nl.theta) * h1_sq
+
+    estimate = main_estimate_ratio(outcome, ctx)
+    assert (estimate.data["rho"], estimate.data["rho_hat"]) == (rho, rho_hat)
+    assert h1_trace_bound(outcome, nl, ctx).row(ctx)["max_ratio_or_margin"] == uf - h1_sq
+    (energy,) = energy_bound_check([outcome], nl).records
+    assert energy.row(ctx)["max_ratio_or_margin"] == energy_margin
 
 
 def test_equivalence_trivial_family(mesh4, ctx):
