@@ -18,7 +18,7 @@ from .assembly import (
     assemble_boundary_jacobian,
 )
 from .linear_solver import LinearSolveResult, solve_neumann, manufactured_convergence, regularity_ratio_suite
-from .norms import norm_h1, norm_lp, norm_linf, norm_w1m, norm_table, energy_J, gn_ratio, norm_report, NormReport
+from .norms import norm_h1, norm_lp, norm_linf, norm_w1m, norm_table, energy_J, gn_ratio
 from .nonlinear import (
     Nonlinearity,
     SolveOutcome,

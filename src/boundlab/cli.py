@@ -10,6 +10,8 @@ not writable.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -26,7 +28,6 @@ from .linear_solver import (
 )
 from .mesh import boundary_vertex_set, build_cube_mesh, dump_mesh, mesh_integrity
 from .nonlinear import SolverDivergence, StagnationError, make_power_nonlinearity, solve_ground_state
-from .norms import norm_report
 from .verify_chain import (
     build_corpus,
     energy_bound_check,
@@ -35,6 +36,7 @@ from .verify_chain import (
     h1_trace_bound,
     main_estimate_ratio,
     norm_equivalence_report,
+    solution_norms,
     universal_suite,
 )
 
@@ -160,6 +162,8 @@ def _csv_cell(value):
         return _fmt_float(value)
     if value is None:
         return ""
+    if isinstance(value, (list, tuple)):
+        return _json_text(value)
     return str(value)
 
 
@@ -179,13 +183,14 @@ def write_report(records, fmt, path, header=None):
         doc = {"header": header or {}, "records": records}
         text = _json_text(doc) + "\n"
     elif fmt == "csv":
-        lines = []
+        # the csv module quotes a cell holding a comma or quote, such as a list's JSON text
+        buffer = io.StringIO()
         if header:
-            lines.append("# " + _json_text(header))
-        lines.append(",".join(fields))
-        for r in records:
-            lines.append(",".join(_csv_cell(r[k]) for k in fields))
-        text = "\n".join(lines) + "\n"
+            buffer.write("# " + _json_text(header) + "\n")
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(fields)
+        writer.writerows([_csv_cell(r[k]) for k in fields] for r in records)
+        text = buffer.getvalue()
     else:
         raise UsageError(f"unknown report format {fmt!r}")
     with open(path, "w", newline="") as out:
@@ -278,14 +283,18 @@ def _cmd_solve_nonlinear(config):
     nl = make_power_nonlinearity(float(p))
     outcome = solve_ground_state(mesh, nl, config.tol, config.seed)
     ctx = derive_context(config.N, p, config.q_override)
-    report = norm_report(outcome.solution, ctx)
+    m = float(ctx.m)
+    row = solution_norms(outcome, "solve-nonlinear", w1m=(m,))
     print(
         f"ground state p={p} n={n}: residual={outcome.weak_residual:.3e} "
         f"multiplier={outcome.multiplier:.6f} positive={outcome.positive}"
     )
-    print(f"  h1={report.h1!r}  linf={report.linf!r}")
+    print(f"  h1={row['h1']!r}  linf={row['linf']!r}")
     columns = {key: getattr(outcome, key) for key in _OUTCOME_COLUMNS}
-    rec = {"p": float(p), "n": n, **columns, **report.as_dict(),
+    rec = {"p": float(p), "n": n, **columns, "h1": row["h1"], "linf": row["linf"],
+           "l_two_star_volume": row["volume", float(ctx.two_star)],
+           "l_two_low_star_boundary": row["boundary", float(ctx.two_low_star)],
+           "w1m": row["w1m", m], "m": m, "linf_boundary": row["linf_boundary"], "q": float(ctx.q),
            "values": outcome.solution.values.tolist()}
     _emit(config, [rec])
     return 0
@@ -293,11 +302,7 @@ def _cmd_solve_nonlinear(config):
 
 def _solve_family(config, p, n_list):
     nl = make_power_nonlinearity(float(p))
-    outcomes = []
-    for n in n_list:
-        mesh = build_cube_mesh(n)
-        outcomes.append(solve_ground_state(mesh, nl, config.tol, config.seed))
-    return nl, outcomes
+    return [solve_ground_state(build_cube_mesh(n), nl, config.tol, config.seed) for n in n_list]
 
 
 def _print_failures(ctx, records):
@@ -322,9 +327,7 @@ def _cmd_verify(config):
         return 0
 
     # the randomized suites mix computed solutions into their corpora
-    nl, outcomes = None, []
-    if suite != "universal":
-        nl, outcomes = _solve_family(config, config.p_list[0], config.n_list)
+    outcomes = [] if suite == "universal" else _solve_family(config, config.p_list[0], config.n_list)
     solutions_by_n = {o.solution.mesh.n: [o.solution] for o in outcomes}
     records, asserted = [], []  # report rows; the step records a run can fail on
 
@@ -352,7 +355,7 @@ def _cmd_verify(config):
               f"{[(r['n'], r['max_ratio']) for r in gn.rows]}")
     if suite == "chain":
         for outcome in outcomes:
-            for rec in (main_estimate_ratio(outcome, ctx), h1_trace_bound(outcome, nl, ctx)):
+            for rec in (main_estimate_ratio(outcome, ctx), h1_trace_bound(outcome, ctx)):
                 records.append(rec.row(ctx))
                 asserted.append(rec)
     if suite in ("chain", "equivalence"):
@@ -360,7 +363,7 @@ def _cmd_verify(config):
         records += eq.summary_rows(ctx)
         print(f"equivalence: co_bounded={eq.co_bounded} co_vanishing={eq.co_vanishing}")
     if suite in ("chain", "energy"):
-        en = energy_bound_check(outcomes, nl)
+        en = energy_bound_check(outcomes)
         records += en.summary_rows(ctx)
         asserted += en.records
         print(f"energy: bounded_energy={en.bounded_energy} bounded_h1={en.bounded_h1}")
@@ -382,7 +385,7 @@ def _cmd_sweep(config):
             mesh = build_cube_mesh(n)
             outcome = solve_ground_state(mesh, nl, config.tol, config.seed)
             rec = main_estimate_ratio(outcome, ctx)
-            trace = h1_trace_bound(outcome, nl, ctx)
+            trace = h1_trace_bound(outcome, ctx)
             if _print_failures(ctx, [rec, trace]):
                 status = 1
             c0_running = max(c0_running, rec.data["rho"])

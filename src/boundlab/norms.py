@@ -10,7 +10,6 @@ through ``norm_table``, which evaluates many functions at once.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,8 +25,6 @@ __all__ = [
     "energy_J",
     "gn_ratio",
     "gn_ratios",
-    "NormReport",
-    "norm_report",
 ]
 
 
@@ -178,40 +175,3 @@ def gn_ratio(u, ctx):
     """Interpolation ratio of one function; see gn_ratios."""
     table = norm_table(u.mesh, u.values, volume=(ctx.two_star,), w1m=(ctx.m,))
     return float(gn_ratios(table, ctx)[0])
-
-
-@dataclass(eq=False)
-class NormReport:
-    """The six norms the estimate chain manipulates, for one function."""
-
-    h1: float
-    linf: float
-    l_two_star_volume: float
-    l_two_low_star_boundary: float
-    w1m: float
-    m: float
-    linf_boundary: float
-    n: int
-    p: float
-    q: float
-
-    def as_dict(self):
-        return asdict(self)
-
-
-def norm_report(u, ctx):
-    """Evaluate all chain norms of u under the exponents of ctx, in one table."""
-    r_vol, r_bnd, m = float(ctx.two_star), float(ctx.two_low_star), float(ctx.m)
-    table = norm_table(u.mesh, u.values, volume=(r_vol,), boundary=(r_bnd,), w1m=(m,))
-    return NormReport(
-        h1=norm_h1(u),
-        linf=float(table["linf"][0]),
-        l_two_star_volume=float(table["volume", r_vol][0]),
-        l_two_low_star_boundary=float(table["boundary", r_bnd][0]),
-        w1m=float(table["w1m", m][0]),
-        m=m,
-        linf_boundary=float(table["linf_boundary"][0]),
-        n=u.mesh.n,
-        p=float(ctx.p),
-        q=float(ctx.q),
-    )

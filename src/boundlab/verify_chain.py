@@ -19,7 +19,7 @@ import numpy as np
 from .assembly import fem_space
 from .exponents import critical_exponents
 from .linear_solver import SMOOTH_FIELDS, smooth_fields
-from .nonlinear import SolveOutcome, ar_check
+from .nonlinear import SolveOutcome, _check_grid, ar_check
 from .norms import gn_ratios, norm_table
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "universal_suite",
     "gn_ratio_suite",
     "GnSuiteReport",
+    "solution_norms",
     "solution_row",
     "main_estimate_ratio",
     "h1_trace_bound",
@@ -332,13 +333,29 @@ _IDENTITY_REL_TOL = 1e-6
 _TWO_STAR, _TWO_LOW_STAR = (float(e) for e in critical_exponents(3))
 
 
-def _solution_norms(u, nl):
-    """Norm row of u under the flux nl: its one norm-table row (linf,
-    linf_boundary, L^{2*} volume and L^{2_*} boundary norms) with the H1 form
-    "h1_sq" = u.Au and its root "h1", "uf" = int_bnd f(u) u, "F" = int_bnd F(u),
-    and the Holder terms int_bnd |f(u) u| and ||f(u)||_{L^{r'}(bnd)} at r = 2_*."""
+def _certified(outcome, what):
+    """The solution and nonlinearity of a certified outcome; anything else
+    raises CertificationError naming the step ``what``."""
+    if not isinstance(outcome, SolveOutcome):
+        raise CertificationError(f"{what} requires a SolveOutcome carrying its residual")
+    if not outcome.weak_residual <= outcome.tolerance:
+        raise CertificationError(
+            f"{what} rejects uncertified input: weak residual "
+            f"{outcome.weak_residual:.3e} exceeds tolerance {outcome.tolerance:.3e}"
+        )
+    return outcome.solution, outcome.nonlinearity
+
+
+def solution_norms(outcome, what, w1m=()):
+    """Norm row of a certified outcome under the flux f it certifies: its one
+    norm-table row (linf, linf_boundary, L^{2*} volume and L^{2_*} boundary
+    norms, and the W^{1,m} norms for ``w1m``) with the H1 form "h1_sq" = u.Au
+    and its root "h1", "uf" = int_bnd f(u) u, "F" = int_bnd F(u), and the
+    Holder terms int_bnd |f(u) u| and ||f(u)||_{L^{r'}(bnd)} at r = 2_*."""
+    u, nl = _certified(outcome, what)
     space = fem_space(u.mesh)
-    (row,) = _rows(norm_table(u.mesh, u.values, volume=(_TWO_STAR,), boundary=(_TWO_LOW_STAR,)))
+    (row,) = _rows(norm_table(u.mesh, u.values, volume=(_TWO_STAR,), boundary=(_TWO_LOW_STAR,),
+                              w1m=w1m))
     h1_sq = float(u.values @ (space.h1_operator() @ u.values))
     uq = space.boundary_values(u.values)
     fq = nl.f(space.bnd_pts, uq)
@@ -355,18 +372,11 @@ def _solution_norms(u, nl):
 
 
 def solution_row(outcome, what):
-    """Norm row of a certified outcome under the nonlinearity it certifies,
-    evaluated once and shared by every step; an uncertified outcome raises
-    CertificationError naming the step ``what``."""
-    if not isinstance(outcome, SolveOutcome):
-        raise CertificationError(f"{what} requires a SolveOutcome carrying its residual")
-    if not outcome.weak_residual <= outcome.tolerance:
-        raise CertificationError(
-            f"{what} rejects uncertified input: weak residual "
-            f"{outcome.weak_residual:.3e} exceeds tolerance {outcome.tolerance:.3e}"
-        )
+    """``solution_norms`` of a certified outcome, evaluated once and shared by
+    every step; the certificate is checked on every call."""
+    _certified(outcome, what)
     if outcome.norm_row is None:
-        outcome.norm_row = _solution_norms(outcome.solution, outcome.nonlinearity)
+        outcome.norm_row = solution_norms(outcome, what)
     return outcome.norm_row
 
 
@@ -397,8 +407,9 @@ def main_estimate_ratio(outcome, ctx):
     )
 
 
-def h1_trace_bound(u, nl, ctx):
-    """Two-part bound behind the trace estimate of the H1 norm.
+def h1_trace_bound(outcome, ctx):
+    """Two-part bound behind the trace estimate of the H1 norm, for one
+    certified solution under the flux f it certifies.
 
     (a) the weak form tested with the solution itself:
         ||u||_H1^2 equals int_bnd f(u) u within a relative 1e-6 (encodes
@@ -406,15 +417,8 @@ def h1_trace_bound(u, nl, ctx):
     (b) the Holder bound int_bnd f(u) u <= ||f(u)||_{r'} ||u||_{r} at the
         trace-critical exponent r = ctx.two_low_star, which holds for every
         function.
-
-    Accepts a certified SolveOutcome, read through its shared norm row under
-    the nonlinearity it certifies, or a bare FemFunction under nl (for which
-    (a) is expected to fail unless the function happens to solve the problem).
     """
-    if isinstance(u, SolveOutcome):
-        row, n = solution_row(u, "h1_trace_bound"), u.solution.mesh.n
-    else:
-        row, n = _solution_norms(u, nl), u.mesh.n
+    row = solution_row(outcome, "h1_trace_bound")
     h1_sq, uf = row["h1_sq"], row["uf"]
     part_a = abs(h1_sq - uf) <= _IDENTITY_REL_TOL * max(1.0, h1_sq)
     holder_right = row["f_norm"] * row["boundary", float(ctx.two_low_star)]
@@ -427,7 +431,7 @@ def h1_trace_bound(u, nl, ctx):
         constant=1.0,
         verdict="pass" if (part_a and part_b) else "fail",
         branch=_side(row["linf"]),
-        n=n,
+        n=outcome.solution.mesh.n,
         data={"part_a": "pass" if part_a else "fail", "part_b": "pass" if part_b else "fail"},
     )
 
@@ -505,34 +509,36 @@ class EnergyReport:
         return [r.row(ctx) for r in self.records]
 
 
-def energy_bound_check(outcomes, nl):
+def _c_s0(nl):
+    """C(s0) = |bnd| * sup (F(x, s) - s f(x, s) / theta)^+ over the boundary
+    points of ``ar_check`` and 2001 values |s| <= s0; zero when s0 = 0, as F
+    vanishes at s = 0."""
+    xs, ss = _check_grid(np.linspace(-nl.s0, nl.s0, 2001), None)
+    gap = nl.F(xs, ss) - ss * nl.f(xs, ss) / nl.theta
+    return 6.0 * float(np.max(np.maximum(gap, 0.0)))
+
+
+def energy_bound_check(outcomes):
     """Energy bound of the superlinear problem over a certified family.
 
     Per member: J[u], ||u||_H1^2, int_bnd u f(u) and theta int_bnd F(u), plus
     the lower bound J >= (1/2 - 1/theta) ||u||_H1^2 - C(s0) with the explicit
-    C(s0) (zero for the pure power, where s0 = 0).  The integrals come from
-    each member's norm row, under the nonlinearity it certifies.  The two
+    C(s0).  Each member is checked under the nonlinearity it certifies: its
+    superlinearity, theta, C(s0), the integrals of its norm row and, for the
+    pure power, the identity J = (1/2 - 1/theta) ||u||_H1^2.  The two
     boundedness flags realise both directions of the equivalence on the
     finite family.
     """
-    check = ar_check(nl)
-    if not check.ok:
-        raise ValueError(f"nonlinearity fails the superlinearity check: {check.message}")
-    norms = [solution_row(outcome, "energy_bound_check") for outcome in outcomes]
-
-    if nl.s0 == 0.0:
-        c_s0 = 0.0
-    else:
-        s_grid = np.linspace(-nl.s0, nl.s0, 2001)
-        x = np.zeros((s_grid.size, 3))
-        gap = nl.F(x, s_grid) - s_grid * nl.f(x, s_grid) / nl.theta
-        c_s0 = 6.0 * float(np.max(np.maximum(gap, 0.0)))
-
     rows = []
-    for idx, (outcome, norm) in enumerate(zip(outcomes, norms)):
+    for idx, outcome in enumerate(outcomes):
+        norm = solution_row(outcome, "energy_bound_check")
+        nl = outcome.nonlinearity
+        check = ar_check(nl)
+        if not check.ok:
+            raise ValueError(f"nonlinearity fails the superlinearity check: {check.message}")
         h1_sq = norm["h1_sq"]
         J = 0.5 * h1_sq - norm["F"]
-        bound = (0.5 - 1.0 / nl.theta) * h1_sq - c_s0
+        bound = (0.5 - 1.0 / nl.theta) * h1_sq - _c_s0(nl)
         ok = J >= bound - _IDENTITY_REL_TOL * max(1.0, h1_sq)
         row = {
             "member": idx,

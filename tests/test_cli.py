@@ -10,8 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boundlab import assembly, cli, linear_solver, norms, verify_chain
+from boundlab.assembly import FemFunction
 from boundlab.cli import main, parse_config, write_report
 from boundlab.linear_solver import MANUFACTURED_CASES
+from boundlab.mesh import build_cube_mesh
+from boundlab.norms import norm_h1, norm_linf, norm_lp, norm_w1m
 
 
 def test_exponents_command(tmp_path, capsys):
@@ -72,6 +75,49 @@ def test_solve_nonlinear(tmp_path, capsys):
     assert rec["positive"] is True
     assert rec["weak_residual"] <= 1e-8
     assert len(rec["values"]) == 125
+
+
+def test_solve_nonlinear_record_reads_the_certified_norm_row(tmp_path, monkeypatch):
+    # the record's norms are the single-function norms of the solution, all from one table
+    norm_table = verify_chain.norm_table
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return norm_table(*args, **kwargs)
+
+    monkeypatch.setattr(verify_chain, "norm_table", counted)
+    out = tmp_path / "gs.json"
+    assert main(["solve-nonlinear", "--p", "2", "--n", "8", "--seed", "11", "--output", str(out)]) == 0
+    assert len(calls) == 1
+    rec = json.loads(out.read_text())["records"][0]
+    assert list(rec) == [
+        "p", "n", "multiplier", "weak_residual", "outer_iterations", "newton_iterations",
+        "positive", "h1", "linf", "l_two_star_volume", "l_two_low_star_boundary", "w1m", "m",
+        "linf_boundary", "q", "values",
+    ]
+    u = FemFunction(build_cube_mesh(8), np.array(rec["values"]))
+    assert (rec["n"], rec["p"], rec["q"], rec["m"]) == (8, 2.0, 3.0, 4.5)
+    assert rec["h1"] == norm_h1(u)
+    assert rec["linf"] == norm_linf(u)
+    assert rec["l_two_star_volume"] == norm_lp(u, 6.0)
+    assert rec["l_two_low_star_boundary"] == norm_lp(u, 4.0, "boundary")
+    assert rec["w1m"] == norm_w1m(u, 4.5)
+    assert rec["linf_boundary"] == norm_linf(u, "boundary")
+
+
+def test_solve_nonlinear_csv_writes_values_as_one_field(tmp_path):
+    argv = ["solve-nonlinear", "--p", "2", "--n", "5", "--seed", "11", "--output"]
+    assert main(argv + [str(tmp_path / "gs.json")]) == 0
+    assert main(argv + [str(tmp_path / "gs.csv"), "--format", "csv"]) == 0
+    with open(tmp_path / "gs.csv", newline="") as fh:
+        lines = [line for line in fh if not line.startswith("#")]
+    reader = csv.DictReader(lines)
+    (row,) = list(reader)
+    assert None not in row and len(row) == len(reader.fieldnames) == 16
+    (rec,) = json.loads((tmp_path / "gs.json").read_text())["records"]
+    assert json.loads(row["values"]) == rec["values"]
+    assert len(rec["values"]) == 216
 
 
 def test_verify_requires_seed(capsys):
@@ -194,7 +240,7 @@ def test_sweep_level_record_does_not_depend_on_coarser_levels(tmp_path, monkeypa
 
 
 def test_write_report_round_trip(tmp_path):
-    records = [{"name": "a", "value": 1.0 / 3.0, "count": 2}]
+    records = [{"name": "face (1, 4, 13)", "value": 1.0 / 3.0, "count": 2}]
     jpath = tmp_path / "r.json"
     cpath = tmp_path / "r.csv"
     write_report(records, "json", str(jpath), header={"version": "x"})
@@ -204,6 +250,7 @@ def test_write_report_round_trip(tmp_path):
         crow = list(csv.DictReader(line for line in fh if not line.startswith("#")))[0]
     assert jdoc["records"][0]["value"] == float(crow["value"])
     assert jdoc["records"][0]["count"] == int(crow["count"])
+    assert jdoc["records"][0]["name"] == crow["name"]
     # 17 significant digits are enough to round-trip binary64 exactly
     assert float(crow["value"]) == 1.0 / 3.0
 

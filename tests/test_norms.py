@@ -1,4 +1,3 @@
-import json
 import math
 import warnings
 from unittest import mock
@@ -19,7 +18,6 @@ from boundlab.norms import (
     norm_linf,
     norm_lp,
     norm_lp_boundary_field,
-    norm_report,
     norm_table,
     norm_w1m,
 )
@@ -178,19 +176,6 @@ def test_boundary_holder_pairing(mesh4, rng):
 
 def test_boundary_field_norm(mesh4):
     assert abs(norm_lp_boundary_field(mesh4, lambda p, nrm: np.ones(p.shape[:-1]), 3) - 6.0 ** (1 / 3)) < 1e-12
-
-
-def test_norm_report_serializes(mesh4, ctx):
-    report = norm_report(coordinate(mesh4), ctx)
-    assert report.linf_boundary <= report.linf
-    payload = report.as_dict()
-    assert set(payload) == {
-        "h1", "linf", "l_two_star_volume", "l_two_low_star_boundary",
-        "w1m", "m", "linf_boundary", "n", "p", "q",
-    }
-    text = json.dumps(payload)
-    assert json.loads(text)["m"] == 4.5
-    assert payload["n"] == 4 and payload["p"] == 2.0 and payload["q"] == 3.0
 
 
 def _table_oracle(mesh, values, volume, boundary, w1m, holder_p):

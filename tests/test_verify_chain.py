@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -166,15 +168,15 @@ def test_main_estimate_stable_under_refinement(ctx):
 
 
 def test_h1_trace_bound_on_solution(ground_state_p2_n8, ctx):
-    nl, outcome = ground_state_p2_n8
-    rec = h1_trace_bound(outcome, nl, ctx)
+    _, outcome = ground_state_p2_n8
+    rec = h1_trace_bound(outcome, ctx)
     assert rec.verdict == "pass"
     assert rec.data["part_a"] == "pass" and rec.data["part_b"] == "pass"
 
 
 def test_h1_trace_bound_zero(mesh4, ctx):
     nl = make_power_nonlinearity(2.0)
-    rec = h1_trace_bound(const(mesh4, 0.0), nl, ctx)
+    rec = h1_trace_bound(certify_solution(const(mesh4, 0.0), nl, 1e-8), ctx)
     assert rec.verdict == "pass"
     assert rec.left == 0.0 and rec.right == 0.0
 
@@ -182,7 +184,8 @@ def test_h1_trace_bound_zero(mesh4, ctx):
 def test_h1_trace_bound_detects_non_solution(mesh4, rng, ctx):
     nl = make_power_nonlinearity(2.0)
     u = FemFunction(mesh4, 1.0 + rng.random(mesh4.num_vertices))
-    rec = h1_trace_bound(u, nl, ctx)
+    # certified at an infinite tolerance, so the step itself must notice
+    rec = h1_trace_bound(certify_solution(u, nl, math.inf), ctx)
     assert rec.data["part_a"] == "fail"  # encodes solutionhood
     assert rec.data["part_b"] == "pass"  # Holder holds universally
     assert rec.verdict == "fail"
@@ -204,8 +207,8 @@ def test_shared_row_records_equal_per_function_reference(ground_state_p2_n8, ctx
 
     estimate = main_estimate_ratio(outcome, ctx)
     assert (estimate.data["rho"], estimate.data["rho_hat"]) == (rho, rho_hat)
-    assert h1_trace_bound(outcome, nl, ctx).row(ctx)["max_ratio_or_margin"] == uf - h1_sq
-    (energy,) = energy_bound_check([outcome], nl).records
+    assert h1_trace_bound(outcome, ctx).row(ctx)["max_ratio_or_margin"] == uf - h1_sq
+    (energy,) = energy_bound_check([outcome]).records
     assert energy.row(ctx)["max_ratio_or_margin"] == energy_margin
 
 
@@ -243,8 +246,8 @@ def test_equivalence_refuses_non_solutions(mesh4, ground_state_p2_n8, ctx):
 
 
 def test_energy_bound_pure_power(ground_state_p2_n8):
-    nl, outcome = ground_state_p2_n8
-    report = energy_bound_check([outcome], nl)
+    _, outcome = ground_state_p2_n8
+    report = energy_bound_check([outcome])
     assert report.consistent
     row = report.rows[0]
     assert row["bound_verdict"] == "pass"
@@ -255,21 +258,24 @@ def test_energy_bound_pure_power(ground_state_p2_n8):
 
 def test_energy_bound_trivial(mesh4):
     nl = make_power_nonlinearity(2.0)
-    report = energy_bound_check([certify_solution(const(mesh4, 0.0), nl, 1e-8)], nl)
+    report = energy_bound_check([certify_solution(const(mesh4, 0.0), nl, 1e-8)])
     assert report.consistent
     assert report.rows[0]["J"] == 0.0
 
 
 def test_energy_bound_family_over_powers():
-    rows = []
-    for p in (1.5, 2.0, 2.5):
-        nl = make_power_nonlinearity(p)
-        outcome = solve_ground_state(build_cube_mesh(4), nl, 1e-8, seed=11)
-        report = energy_bound_check([outcome], nl)
-        assert report.consistent
-        assert nl.theta == p + 1.0
-        rows.extend(report.rows)
-    assert all(r["bound_verdict"] == "pass" for r in rows)
+    # one family mixing powers: theta, int F and the identity are each member's own
+    family = [
+        solve_ground_state(build_cube_mesh(4), make_power_nonlinearity(p), 1e-8, seed=11)
+        for p in (1.5, 2.0, 2.5)
+    ]
+    report = energy_bound_check(family)
+    assert report.consistent
+    for outcome, row in zip(family, report.rows):
+        assert outcome.nonlinearity.theta == outcome.nonlinearity.p + 1.0
+        assert row["bound_verdict"] == "pass"
+        assert abs(row["theta_F_integral"] - row["uf_integral"]) <= 1e-12 * (1 + row["uf_integral"])
+        assert row["identity_rel_error"] < 1e-6
 
 
 def test_energy_bound_rejects_bad_nonlinearity(mesh4):
@@ -282,10 +288,33 @@ def test_energy_bound_rejects_bad_nonlinearity(mesh4):
         f_s=lambda x, s: np.ones_like(np.asarray(s, dtype=float)),
         theta=3.0, s0=0.0,
     )
-    nl = make_power_nonlinearity(2.0)
-    outcome = certify_solution(const(mesh4, 0.0), nl, 1e-8)
+    outcome = certify_solution(const(mesh4, 0.0), lin, 1e-8)
     with pytest.raises(ValueError, match="superlinearity"):
-        energy_bound_check([outcome], lin)
+        energy_bound_check([outcome])
+
+
+def test_energy_bound_constant_is_sup_over_boundary_points(mesh4):
+    # a = 1 + x0 doubles the flux on the face x0 = 1; F - s f / theta = a (s^2/10 - |s|^3/15)
+    # peaks at |s| = 1 with a/30, so C(s0) = |bnd| * 2/30 = 0.4
+    from boundlab.nonlinear import Nonlinearity, ar_check, growth_check
+
+    def a(x):
+        return 1.0 + np.asarray(x)[..., 0]
+
+    def f(x, s):
+        s = np.asarray(s, dtype=float)
+        return a(x) * (np.abs(s) * s + s)
+
+    def F(x, s):
+        s = np.asarray(s, dtype=float)
+        return a(x) * (np.abs(s) ** 3 / 3.0 + s**2 / 2.0)
+
+    nl = Nonlinearity(p=2.0, B0=4.0, f=f, F=F, f_s=lambda x, s: a(x) * (2.0 * np.abs(s) + 1.0),
+                      theta=2.5, s0=1.5)
+    assert ar_check(nl).ok and growth_check(nl).ok
+    (row,) = energy_bound_check([certify_solution(const(mesh4, 0.0), nl, 1e-8)]).rows
+    assert abs(row["lower_bound"] + 0.4) <= 1e-5 * 0.4
+    assert row["bound_verdict"] == "pass"
 
 
 def test_chain_report_rejects_context_mixing(mesh4, ctx):
