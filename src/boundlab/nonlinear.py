@@ -12,6 +12,7 @@ multigrid-preconditioned MINRES solves with a matrix-free Jacobian.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -269,7 +270,10 @@ def _outcome(u, nl, tol, history, newton_iterations=0):
 
 
 def certify_solution(u, nl, tol):
-    """Wrap an existing function as an outcome carrying its honest residual."""
+    """Wrap an existing function as an outcome carrying its honest residual;
+    ``tol`` must be finite and positive, so no residual passes unchecked."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"certification tolerance must be finite and positive, got {tol!r}")
     return _outcome(u, nl, tol, [weak_residual(u, nl)])
 
 

@@ -1,10 +1,12 @@
 """Norms and functionals evaluated on piecewise-linear functions.
 
 The H1 norm and the max norms are exact for P1 functions (quadratic form,
-nodal maxima); the L^r and W^{1,m} integrands use the degree-7 quadrature,
-which is exact whenever r is an even integer <= 6 and approximates the
-fractional powers otherwise.  Every quadrature norm of a P1 function goes
-through ``norm_table``, which evaluates many functions at once.
+nodal maxima).  An L^r norm with r an even integer <= 6 (the critical
+exponents 2* = 6 and 2_* = 4 of the 3-D cube among them) is integrated in
+closed form on each simplex, exactly as the degree-7 quadrature would; the
+fractional L^r powers and the W^{1,m} integrands use that quadrature.  Every
+such norm of a P1 function goes through ``norm_table``, which evaluates many
+functions at once.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import numpy as np
 
 from .assembly import fem_space
+from .quadrature import _POINTS_PER_AXIS
 
 __all__ = [
     "norm_h1",
@@ -56,6 +59,44 @@ def _log_blocks(columns, cells, basis):
         yield rows, nodal, np.log(point_values, out=point_values).reshape(count, -1)
 
 
+def _closed_form(e):
+    """Whether |u|^e = u^e is a polynomial the quadrature integrates exactly."""
+    return e % 2 == 0 and e <= 2 * _POINTS_PER_AXIS - 1
+
+
+def _even_power_integrals(columns, cells, measure, powers):
+    """Integrals of u^e over the simplices ``cells`` (vertex index rows) for each
+    even e in ``powers``, as {e: length-S array}; ``measure`` is the simplices'
+    volume (a scalar or one per cell).
+
+    On a d-simplex T, int_T u^e = |T| e! d! / (e + d)! h_e(u_0, ..., u_d),
+    with h_e the complete homogeneous symmetric polynomial of the nodal
+    values, formed by the recurrence h_k += u_j h_{k-1} over the vertices j.
+    """
+    if not powers:
+        return {}
+    count = columns.shape[0]
+    top = int(max(powers))
+    d = cells.shape[1] - 1
+    measure = np.broadcast_to(measure, len(cells))
+    totals = {e: np.zeros(count) for e in powers}
+    # h_1 ... h_top and one product buffer: top + 1 arrays of count x step values
+    step = max(1, _BLOCK_VALUES // ((top + 1) * count))
+    for start in range(0, len(cells), step):
+        rows = slice(start, start + step)
+        nodal = columns[:, cells[rows].T]  # (S, d + 1, cells)
+        h = np.zeros((top,) + nodal[:, 0].shape)  # h[k - 1] is h_k
+        product = np.empty_like(h[0])
+        for j in range(d + 1):
+            h[0] += nodal[:, j]
+            for k in range(1, top):
+                h[k] += np.multiply(nodal[:, j], h[k - 1], out=product)
+        for e, total in totals.items():
+            total += h[int(e) - 1] @ measure[rows]
+    return {e: math.factorial(int(e)) * math.factorial(d) / math.factorial(int(e) + d) * total
+            for e, total in totals.items()}
+
+
 def norm_table(mesh, values, volume=(), boundary=(), w1m=(), holder_p=None):
     """Norms of every column of the nodal matrix ``values`` (nv x S), in one pass.
 
@@ -63,9 +104,12 @@ def norm_table(mesh, values, volume=(), boundary=(), w1m=(), holder_p=None):
     (nodal maxima), ("volume", r) and ("boundary", r) (L^r norms),
     ("w1m", m) (W^{1,m} norms) and, when ``holder_p`` is given, "holder":
     the boundary integral of |u_s|^p |u_{s+1}|, pairing each column with the
-    next one cyclically.  The quadrature is evaluated block by block of
-    cells; each block takes log|u| once and every power |u|^e is
-    exp(e log|u|), so a zero value contributes exactly zero.
+    next one cyclically.  An L^r integral with r an even integer <= 6 is
+    taken in closed form, simplex by simplex (``_even_power_integrals``).
+    The other integrals use the quadrature, block by block of cells; each
+    block takes log|u| once and every power |u|^e is exp(e log|u|), and that
+    pass runs only when such an integral is asked for.  A zero column's
+    norms are exactly zero either way.
     """
     volume = tuple(float(r) for r in volume)
     boundary = tuple(float(r) for r in boundary)
@@ -82,13 +126,16 @@ def norm_table(mesh, values, volume=(), boundary=(), w1m=(), holder_p=None):
         "linf": magnitudes.max(axis=1),
         "linf_boundary": magnitudes[:, space.boundary_vertex_index].max(axis=1),
     }
-    # integrals of |u|^e over the volume and the boundary, of |grad u|^m
-    vol = {e: np.zeros(count) for e in volume + w1m}
+    vol_even = [e for e in volume if _closed_form(e)]
+    bnd_even = [e for e in boundary if _closed_form(e)]
+    # integrals of |u|^e over the volume and the boundary, of |grad u|^m: by
+    # quadrature here, the even powers in closed form after the loops
+    vol = {e: np.zeros(count) for e in volume + w1m if e not in vol_even}
     grad = {m: np.zeros(count) for m in w1m}
-    bnd = {e: np.zeros(count) for e in boundary}
+    bnd = {e: np.zeros(count) for e in boundary if e not in bnd_even}
     holder = np.zeros(count)
     with np.errstate(divide="ignore"):
-        if vol:
+        if vol or grad:
             for rows, nodal, logs in _log_blocks(columns, mesh.tets, space.vol_basis):
                 weights = np.tile(space.tet_w, nodal.shape[1])
                 for e, total in vol.items():
@@ -107,6 +154,8 @@ def norm_table(mesh, values, volume=(), boundary=(), w1m=(), holder_p=None):
                     total += np.exp(e * logs) @ weights
                 if holder_p is not None:
                     holder += np.exp(holder_p * logs + np.roll(logs, -1, axis=0)) @ weights
+    vol.update(_even_power_integrals(columns, mesh.tets, space.tet_volume, vol_even))
+    bnd.update(_even_power_integrals(columns, mesh.boundary_faces, space.face_areas, bnd_even))
     table.update({("volume", r): vol[r] ** (1.0 / r) for r in volume})
     table.update({("w1m", m): (vol[m] + grad[m]) ** (1.0 / m) for m in w1m})
     table.update({("boundary", r): bnd[r] ** (1.0 / r) for r in boundary})

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -251,6 +252,14 @@ def test_certify_solution_carries_residual(mesh4):
     assert outcome.weak_residual == 0.0
     one = FemFunction(mesh4, np.ones(mesh4.num_vertices))
     assert certify_solution(one, nl, 1e-8).weak_residual > 1e-8
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-8])
+def test_certify_solution_rejects_unusable_tolerance(mesh4, tol):
+    # an infinite tolerance would certify a function that solves nothing
+    one = FemFunction(mesh4, np.ones(mesh4.num_vertices))
+    with pytest.raises(ValueError, match="finite and positive"):
+        certify_solution(one, make_power_nonlinearity(2.0), tol)
 
 
 def _normalized_energy(mesh, values, p):

@@ -232,3 +232,70 @@ def test_norm_table_matches_per_function_formulas(n, count, seed, block):
     corpus = Corpus(CorpusDescriptor(seed=seed, size=count, n=n), mesh, values, ["random"] * count)
     with pytest.raises(ValueError):
         gn_ratio_suite([corpus], derive_context(3, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    e=st.sampled_from([2, 4, 6]),
+    region=st.sampled_from(["volume", "boundary"]),
+    n=st.sampled_from([1, 2, 3]),
+    count=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+    block=st.sampled_from([1, 1000, norms._BLOCK_VALUES]),
+)
+def test_even_powers_in_closed_form_match_quadrature(e, region, n, count, seed, block):
+    # the closed form and the rule it replaces (64 points per tet, 16 per
+    # face) integrate the same polynomial exactly, so they agree to rounding
+    mesh = build_cube_mesh(n)
+    space = fem_space(mesh)
+    rng = np.random.default_rng(seed)
+    values = 10.0 ** rng.uniform(-3.0, 2.0, count) * rng.standard_normal((mesh.num_vertices, count))
+    zero = rng.integers(count)
+    values[:, zero] = 0.0
+    with mock.patch.object(norms, "_BLOCK_VALUES", block):
+        got = norm_table(mesh, values, **{region: (e,)})[region, float(e)]
+    points, weights = (
+        (space.volume_values, space.tet_w) if region == "volume" else (space.boundary_values, space.bnd_w)
+    )
+    expected = [np.sum(weights * points(values[:, s]) ** e) ** (1.0 / e) for s in range(count)]
+    np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0)
+    assert got[zero] == 0.0
+
+
+def test_fractional_entries_stay_log_exp_quadrature(mesh2, rng):
+    # one block (a _BLOCK_VALUES above the mesh's quadrature values), so the
+    # reference is the quadrature pass written out for the whole mesh at once
+    space = fem_space(mesh2)
+    values = rng.standard_normal((mesh2.num_vertices, 3))
+    values[:, 1] = 0.0
+    with mock.patch.object(norms, "_BLOCK_VALUES", 2**40):
+        table = norm_table(mesh2, values, volume=(4.5, 6.0), boundary=(8.0 / 3.0, 4.0), w1m=(4.5,),
+                           holder_p=2.0)
+    columns = values.T
+    with np.errstate(divide="ignore"):
+        nodal = columns[:, mesh2.tets]
+        logs = np.log(np.abs(nodal.reshape(-1, 4) @ space.vol_basis.T)).reshape(3, -1)
+        vol = np.exp(4.5 * logs) @ np.tile(space.tet_w, mesh2.num_tets)
+        g = space.grad_shapes[np.arange(mesh2.num_tets) % 6].transpose(0, 2, 1) @ nodal.transpose(1, 2, 0)
+        grad = space.tet_volume * np.exp(4.5 * 0.5 * np.log(np.einsum("tds,tds->ts", g, g))).sum(axis=0)
+        faces = columns[:, mesh2.boundary_faces]
+        blogs = np.log(np.abs(faces.reshape(-1, 3) @ space.bnd_basis.T)).reshape(3, -1)
+        bnd = np.exp(8.0 / 3.0 * blogs) @ space.bnd_w.ravel()
+        holder = np.exp(2.0 * blogs + np.roll(blogs, -1, axis=0)) @ space.bnd_w.ravel()
+    assert table["volume", 4.5].tobytes() == (vol ** (1.0 / 4.5)).tobytes()
+    assert table["w1m", 4.5].tobytes() == ((vol + grad) ** (1.0 / 4.5)).tobytes()
+    assert table["boundary", 8.0 / 3.0].tobytes() == (bnd ** (1.0 / (8.0 / 3.0))).tobytes()
+    assert table["holder"].tobytes() == holder.tobytes()
+
+
+def test_solution_norms_take_no_log_pass(ground_state_p2_n8, monkeypatch):
+    # a solution row reads only L^{2*} = L^6 and L^{2_*} = L^4, both closed forms
+    from boundlab.verify_chain import solution_norms
+
+    def forbidden(*args):
+        raise AssertionError("log/exp quadrature pass")
+
+    monkeypatch.setattr(norms, "_log_blocks", forbidden)
+    _, outcome = ground_state_p2_n8
+    row = solution_norms(outcome, "test")
+    assert row["volume", 6.0] > 0.0 and row["boundary", 4.0] > 0.0

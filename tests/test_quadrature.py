@@ -3,6 +3,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from boundlab import quadrature
 from boundlab.quadrature import tetrahedron_rule, triangle_rule
 
 
@@ -46,3 +47,23 @@ def test_tet_monomials_degree_six(a, b, c):
     pts, wts = tetrahedron_rule()
     got = np.sum(wts * pts[:, 0] ** a * pts[:, 1] ** b * pts[:, 2] ** c)
     assert abs(got - exact_tet_monomial(a, b, c)) < 1e-13
+
+
+def test_literal_rules_are_bitwise_scipy_rules():
+    # the tables stand in for scipy.special, which only this test imports
+    from scipy.special import roots_jacobi, roots_legendre
+
+    k = quadrature._POINTS_PER_AXIS
+    expected = {
+        "jacobi 2": roots_jacobi(k, 2.0, 0.0),
+        "jacobi 1": roots_jacobi(k, 1.0, 0.0),
+        "legendre": roots_legendre(k),
+    }
+    tables = {
+        "jacobi 2": quadrature._GAUSS_JACOBI[2.0],
+        "jacobi 1": quadrature._GAUSS_JACOBI[1.0],
+        "legendre": quadrature._GAUSS_LEGENDRE,
+    }
+    for name, (x, w) in expected.items():
+        nodes, weights = (np.array(t).tobytes() for t in tables[name])
+        assert (nodes, weights) == (x.tobytes(), w.tobytes()), name

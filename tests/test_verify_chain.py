@@ -1,12 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 
 from boundlab.assembly import FemFunction, fem_space, interpolate
 from boundlab.exponents import derive_context
 from boundlab.mesh import build_cube_mesh
-from boundlab.nonlinear import certify_solution, make_power_nonlinearity, solve_ground_state
+from boundlab.nonlinear import certify_solution, make_power_nonlinearity, solve_ground_state, weak_residual
 from boundlab.norms import energy_J, norm_h1, norm_linf, norm_lp
 from boundlab.verify_chain import (
     CertificationError,
@@ -184,8 +182,9 @@ def test_h1_trace_bound_zero(mesh4, ctx):
 def test_h1_trace_bound_detects_non_solution(mesh4, rng, ctx):
     nl = make_power_nonlinearity(2.0)
     u = FemFunction(mesh4, 1.0 + rng.random(mesh4.num_vertices))
-    # certified at an infinite tolerance, so the step itself must notice
-    rec = h1_trace_bound(certify_solution(u, nl, math.inf), ctx)
+    # certified at a tolerance above its residual, so the step itself must notice
+    tol = 2.0 * weak_residual(u, nl)
+    rec = h1_trace_bound(certify_solution(u, nl, tol), ctx)
     assert rec.data["part_a"] == "fail"  # encodes solutionhood
     assert rec.data["part_b"] == "pass"  # Holder holds universally
     assert rec.verdict == "fail"
