@@ -8,6 +8,10 @@ algebra, norm equivalences and energy bounds that support it.
 
 __version__ = "0.1.0"
 
+# Every module is imported here, so that bench/tracer.py, installed right after
+# ``import boundlab.cli``, finds and wraps them all.  None of them imports scipy
+# at module level: the solvers import it on their first call, so commands that
+# solve nothing (mesh-info, exponents) run on numpy alone.
 from .exponents import ExponentContext, critical_exponents, derive_context, check_identities
 from .mesh import Mesh, build_cube_mesh, mesh_integrity, boundary_vertex_set
 from .assembly import (
@@ -15,7 +19,6 @@ from .assembly import (
     interpolate,
     assemble_h1_operator,
     assemble_boundary_load,
-    assemble_boundary_jacobian,
 )
 from .linear_solver import LinearSolveResult, solve_neumann, manufactured_convergence, regularity_ratio_suite
 from .norms import norm_h1, norm_lp, norm_linf, norm_w1m, norm_table, energy_J, gn_ratio

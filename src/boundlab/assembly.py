@@ -6,7 +6,8 @@ the degree-7 quadrature rules from :mod:`boundlab.quadrature` (operators are
 plain scipy CSR matrices), and a multigrid V-cycle per level that
 preconditions solves with the H1 operator.
 Assembly is sequential with a fixed element order, so repeated runs are
-bit-identical.
+bit-identical.  scipy is imported by the functions that build operators, on
+their first call, so importing this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, splu
 
 from .mesh import _KUHN_CORNERS, _MESHES, build_cube_mesh, face_areas
 from .quadrature import tetrahedron_rule, triangle_rule
@@ -28,7 +27,6 @@ __all__ = [
     "assemble_h1_operator",
     "assemble_mass_operator",
     "assemble_boundary_load",
-    "assemble_boundary_jacobian",
 ]
 
 
@@ -61,6 +59,13 @@ _MASS_PATTERN = (np.ones((4, 4)) + np.eye(4)) / 20.0
 _JACOBI_OMEGA = 0.6
 
 
+def _splu(matrix):
+    """Sparse LU factorization (scipy's ``splu``) of a CSC matrix: its SuperLU object."""
+    from scipy.sparse.linalg import splu
+
+    return splu(matrix)
+
+
 def _prolongation(n):
     """P1 prolongation from level n to level 2n, as a sparse matrix.
 
@@ -68,6 +73,8 @@ def _prolongation(n):
     (I, J, K) lies on the coarse edge from floor((I, J, K) / 2) to
     ceil((I, J, K) / 2) and takes the mean of its two ends.
     """
+    from scipy import sparse
+
     s = n + 1
     fine = np.arange(2 * n + 1)
     ends = [s * s * c[:, None, None] + s * c[:, None] + c for c in (fine // 2, (fine + 1) // 2)]
@@ -138,6 +145,8 @@ class _FemSpace:
         order so columns come out sorted; every coupling a cell creates is
         stored once, zero or not.
         """
+        from scipy import sparse
+
         n, nv = self.mesh.n, self.nv
         s = n + 1
         corners = _KUHN_CORNERS @ np.array([1, s, s * s])                  # (6, 4)
@@ -205,10 +214,12 @@ class _FemSpace:
         solvers.
         """
         if self._vcycle is None:
+            from scipy.sparse.linalg import LinearOperator
+
             matrix = self.h1_operator()
             prolong = self.prolongation()
             if prolong is None:
-                solve = splu(matrix.tocsc()).solve
+                solve = _splu(matrix.tocsc()).solve
             else:
                 coarse = fem_space(build_cube_mesh(self.mesh.n // 2)).vcycle()
                 restrict = prolong.T.tocsr()
@@ -255,6 +266,8 @@ class _FemSpace:
         return load
 
     def boundary_operator_from_values(self, point_values):
+        from scipy import sparse
+
         entries = np.einsum(
             "fq,qij->fij", self.bnd_w * point_values, self.bnd_basis_pairs
         )
@@ -306,9 +319,3 @@ def assemble_boundary_load(mesh, g):
     """
     space = fem_space(mesh)
     return space.boundary_load_from_values(_boundary_field_values(space, g))
-
-
-def assemble_boundary_jacobian(mesh, w):
-    """Boundary-weighted mass operator with entries int_bnd w * basis_i * basis_j."""
-    space = fem_space(mesh)
-    return space.boundary_operator_from_values(_boundary_field_values(space, w))

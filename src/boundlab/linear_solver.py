@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import cg
 
 from .assembly import FemFunction, assemble_boundary_load, assemble_h1_operator, fem_space
 from .mesh import build_cube_mesh
@@ -63,6 +62,8 @@ def _pcg(matrix, rhs, tol, precond, x0=None, maxiter=None):
     certifies x checks it.  Raises :class:`NonconvergenceError` after
     ``maxiter`` iterations (scipy's default: 10 * dimension).
     """
+    from scipy.sparse.linalg import cg
+
     steps = []
     x, info = cg(matrix, rhs, x0=x0, rtol=tol, maxiter=maxiter, M=precond, callback=steps.append)
     rhs_norm = float(np.linalg.norm(rhs))

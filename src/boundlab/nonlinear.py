@@ -16,11 +16,12 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-# splu is not called here: the name stays bound so that bench/tracer.py's
-# nonlinear.splu wrapper also reaches the coarse-level factorization in assembly
-from scipy.sparse.linalg import LinearOperator, minres, splu  # noqa: F401
 
 from .assembly import FemFunction, fem_space
+# splu is not called here: binding assembly's _splu (which imports scipy's splu
+# on its first call) under this name lets bench/tracer.py's nonlinear.splu
+# wrapper reach the coarse-level factorization in assembly
+from .assembly import _splu as splu  # noqa: F401
 from .linear_solver import _pcg
 from .mesh import build_cube_mesh
 
@@ -284,6 +285,8 @@ def _jacobian(space, operator, values, nl):
     ``operator @ v - boundary @ v``, so no CSR of the H1 operator's size is
     formed per Newton step.
     """
+    from scipy.sparse.linalg import LinearOperator
+
     uq = space.boundary_values(values)
     boundary = space.boundary_operator_from_values(nl.f_s(space.bnd_pts, uq))
     return LinearOperator(operator.shape, matvec=lambda v: operator @ v - boundary @ v, dtype=float)
@@ -300,6 +303,8 @@ def newton_refine(u0, nl, tol):
     decreases.  Raises :class:`SolverDivergence` when MINRES stops short of
     its tolerance, damping stalls, or ``_MAX_NEWTON`` steps do not reach tol.
     """
+    from scipy.sparse.linalg import minres
+
     space = fem_space(u0.mesh)
     operator = space.h1_operator()
     values = u0.values.copy()

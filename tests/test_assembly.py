@@ -8,7 +8,6 @@ from boundlab import assembly
 from boundlab import mesh as mesh_module
 from boundlab.assembly import (
     FemFunction,
-    assemble_boundary_jacobian,
     assemble_boundary_load,
     assemble_h1_operator,
     assemble_mass_operator,
@@ -93,18 +92,23 @@ def test_boundary_load_rejects_non_finite(mesh4):
         assemble_boundary_load(mesh4, constant_field(np.inf))
 
 
+def boundary_operator(mesh, w):
+    space = fem_space(mesh)
+    return space.boundary_operator_from_values(w(space.bnd_pts, space.bnd_normals))
+
+
 def test_boundary_jacobian_totals(mesh4):
-    op = assemble_boundary_jacobian(mesh4, constant_field(1.0))
+    op = boundary_operator(mesh4, constant_field(1.0))
     assert abs(op.sum() - 6.0) < 1e-12
     one = np.ones(mesh4.num_vertices)
     assert abs(float(one @ (op @ one)) - 6.0) < 1e-12
-    zero = assemble_boundary_jacobian(mesh4, constant_field(0.0))
+    zero = boundary_operator(mesh4, constant_field(0.0))
     assert zero.nnz == 0 or np.all(zero.data == 0.0)
 
 
 def test_boundary_jacobian_symmetric(mesh4, rng):
     w = lambda pts, normals: 1.0 + pts[..., 0] * pts[..., 1]
-    op = assemble_boundary_jacobian(mesh4, w)
+    op = boundary_operator(mesh4, w)
     assert (op != op.T).nnz == 0
     # interior vertices carry no boundary entries
     interior = np.setdiff1d(
@@ -129,7 +133,7 @@ def test_load_pairing_matches_quadrature(mesh4, rng):
 def test_jacobian_consistent_with_load(mesh4):
     # quadratic form of the w-weighted operator at u=1 equals the load total
     w = lambda pts, normals: 1.0 + pts[..., 2]
-    op = assemble_boundary_jacobian(mesh4, w)
+    op = boundary_operator(mesh4, w)
     load = assemble_boundary_load(mesh4, w)
     one = np.ones(mesh4.num_vertices)
     assert abs(float(one @ (op @ one)) - load.sum()) < 1e-12

@@ -2,8 +2,12 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +49,34 @@ def test_mesh_info(tmp_path, capsys):
     assert dump.exists()
     first = dump.read_text().splitlines()[0]
     assert first.startswith("v ")
+
+
+# run in a fresh interpreter: prints the package layers loaded by the import,
+# the two commands' statuses, and the scipy modules loaded after them
+_NUMPY_ONLY_COMMANDS = """
+import json, sys
+import boundlab.cli as cli
+layers = sorted(name for name in sys.modules if name.startswith("boundlab."))
+statuses = [cli.main(["mesh-info", "--n", "2"]), cli.main(["exponents", "--p", "2"])]
+scipy_modules = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+print(json.dumps({"layers": layers, "statuses": statuses, "scipy": scipy_modules}))
+"""
+
+
+def test_numpy_only_commands_load_no_scipy(monkeypatch):
+    # the benchmark tracer wraps the boundlab modules loaded by `import boundlab.cli`,
+    # so all its layers load there; mesh-info and exponents then need no scipy
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "bench"))
+    from tracer import LAYERS
+
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _NUMPY_ONLY_COMMANDS], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    loaded = json.loads(run.stdout.splitlines()[-1])
+    assert {f"boundlab.{layer}" for layer in LAYERS} <= set(loaded["layers"])
+    assert loaded["statuses"] == [0, 0]
+    assert loaded["scipy"] == []
 
 
 def test_solve_linear_orders(tmp_path, capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.sparse.linalg import minres
 
 from boundlab import nonlinear
@@ -228,7 +229,7 @@ def test_newton_superlinear_tail(ground_state_p2_n8):
 def test_newton_raises_when_minres_falls_short(ground_state_p2_n8, monkeypatch):
     nl, outcome = ground_state_p2_n8
     capped = lambda *args, **kwargs: minres(*args, **{**kwargs, "maxiter": 1})
-    monkeypatch.setattr(nonlinear, "minres", capped)
+    monkeypatch.setattr(scipy.sparse.linalg, "minres", capped)
     perturbed = FemFunction(outcome.solution.mesh, 1.3 * outcome.solution.values)
     with pytest.raises(SolverDivergence, match=r"MINRES stopped after 1 iterations"):
         newton_refine(perturbed, nl, 1e-8)
