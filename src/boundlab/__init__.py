@@ -14,14 +14,9 @@ __version__ = "0.1.0"
 # solve nothing (mesh-info, exponents) run on numpy alone.
 from .exponents import ExponentContext, critical_exponents, derive_context, check_identities
 from .mesh import Mesh, build_cube_mesh, mesh_integrity, boundary_vertex_set
-from .assembly import (
-    FemFunction,
-    interpolate,
-    assemble_h1_operator,
-    assemble_boundary_load,
-)
+from .assembly import FemFunction, assemble_boundary_load
 from .linear_solver import LinearSolveResult, solve_neumann, manufactured_convergence, regularity_ratio_suite
-from .norms import norm_h1, norm_lp, norm_linf, norm_w1m, norm_table, energy_J, gn_ratio
+from .norms import norm_table
 from .nonlinear import (
     Nonlinearity,
     SolveOutcome,

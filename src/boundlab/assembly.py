@@ -1,10 +1,10 @@
 """P1 finite-element assembly on cube meshes.
 
 Provides the H1 operator (stiffness + mass, exact for piecewise linears),
-boundary load vectors and boundary-weighted mass operators, all built with
-the degree-7 quadrature rules from :mod:`boundlab.quadrature` (operators are
-plain scipy CSR matrices), and a multigrid V-cycle per level that
-preconditions solves with the H1 operator.
+boundary load vectors and boundary operators built from values at the
+quadrature points, all with the degree-7 quadrature rules from
+:mod:`boundlab.quadrature` (operators are plain scipy CSR matrices), and a
+multigrid V-cycle per level that preconditions solves with the H1 operator.
 Assembly is sequential with a fixed element order, so repeated runs are
 bit-identical.  scipy is imported by the functions that build operators, on
 their first call, so importing this module loads numpy alone.
@@ -22,10 +22,7 @@ from .quadrature import tetrahedron_rule, triangle_rule
 
 __all__ = [
     "FemFunction",
-    "interpolate",
     "fem_space",
-    "assemble_h1_operator",
-    "assemble_mass_operator",
     "assemble_boundary_load",
 ]
 
@@ -45,11 +42,6 @@ class FemFunction:
             )
         if not np.all(np.isfinite(self.values)):
             raise ValueError("nodal values must be finite")
-
-
-def interpolate(mesh, fn):
-    """FemFunction with nodal values fn(vertices); fn is vectorized over points."""
-    return FemFunction(mesh, np.asarray(fn(mesh.vertices), dtype=float))
 
 
 # integral of b_i b_j over a tet, per unit volume
@@ -126,7 +118,6 @@ class _FemSpace:
         self.boundary_vertex_index = np.unique(mesh.boundary_faces.ravel())
 
         self._h1 = None
-        self._mass = None
         self._prolong = None
         self._vcycle = None
         # polished ground states of this level, keyed by nonlinear.solve_ground_state
@@ -178,12 +169,8 @@ class _FemSpace:
             slot += here
         return sparse.csr_matrix((data, indices, indptr), shape=(nv, nv))
 
-    def mass_operator(self):
-        if self._mass is None:
-            self._mass = self._shape_operator(np.broadcast_to(self.tet_volume * _MASS_PATTERN, (6, 4, 4)))
-        return self._mass
-
     def h1_operator(self):
+        """Stiffness + mass operator of the H1 inner product, exact for P1."""
         if self._h1 is None:
             stiffness = np.einsum("kid,kjd->kij", self.grad_shapes, self.grad_shapes)
             self._h1 = self._shape_operator(self.tet_volume * (stiffness + _MASS_PATTERN))
@@ -289,16 +276,6 @@ def fem_space(mesh):
         space = _FemSpace(mesh)
         _SPACE_CACHE[mesh] = space
     return space
-
-
-def assemble_h1_operator(mesh):
-    """Stiffness + mass operator of the H1 inner product, exact for P1."""
-    return fem_space(mesh).h1_operator()
-
-
-def assemble_mass_operator(mesh):
-    """Volume mass operator alone (exact P1 formula)."""
-    return fem_space(mesh).mass_operator()
 
 
 def _boundary_field_values(space, g):

@@ -345,7 +345,7 @@ def _cmd_verify(config):
             records += report.summary_rows()
             asserted += report.records
             print(
-                f"universal n={corpus.descriptor.n}: {len(report.records)} records, "
+                f"universal n={corpus.mesh.n}: {len(report.records)} records, "
                 f"{len(report.violations)} violations, branches={report.branch_counts()}"
             )
     if suite in ("gn", "chain"):

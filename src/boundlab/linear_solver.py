@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import FemFunction, assemble_boundary_load, assemble_h1_operator, fem_space
+from .assembly import FemFunction, assemble_boundary_load, fem_space
 from .mesh import build_cube_mesh
 from .norms import norm_table
 
@@ -28,7 +28,6 @@ __all__ = [
     "MANUFACTURED_CASES",
     "manufactured_convergence",
     "ConvergenceTable",
-    "trace_range_flag",
     "regularity_ratio_suite",
     "RegularityReport",
     "SMOOTH_FIELDS",
@@ -78,20 +77,25 @@ def _pcg(matrix, rhs, tol, precond, x0=None, maxiter=None):
     return x, len(steps), res
 
 
+def _check_tol(tol):
+    """Reject a tolerance no residual can be checked against: non-finite or <= 0."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
+
+
 def solve_neumann(mesh, h, tol, maxiter=None):
     """Solve the discrete problem (H1 operator) v = boundary load of h.
 
     ``h(points, normals)`` is evaluated at the boundary quadrature points.
     The result's ``residual_norm`` is the true relative residual of the
-    returned solution.  Raises :class:`NonconvergenceError` when the
-    iteration cap (default 10 * dimension) is exceeded.
+    returned solution.  ``tol`` must be finite and positive.  Raises
+    :class:`NonconvergenceError` when the iteration cap (default 10 *
+    dimension) is exceeded.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    _check_tol(tol)
     load = assemble_boundary_load(mesh, h)
-    x, iterations, res = _pcg(
-        assemble_h1_operator(mesh), load, tol, fem_space(mesh).vcycle(), maxiter=maxiter
-    )
+    space = fem_space(mesh)
+    x, iterations, res = _pcg(space.h1_operator(), load, tol, space.vcycle(), maxiter=maxiter)
     return LinearSolveResult(
         solution=FemFunction(mesh, x),
         iterations=iterations,
@@ -208,28 +212,6 @@ def manufactured_convergence(case_id, n_list, tol=1e-10):
 
 
 # -- regularity ratio suite ---------------------------------------------------
-
-
-def trace_range_flag(N, q, r):
-    """Classify (q, r) against the mapping ranges of the boundary resolvent.
-
-    For q < N-1 the resolvent maps L^q boundary data into L^r of the boundary
-    only up to r = (N-1)q/(N-1-q); beyond that the pair is flagged as out of
-    range.  At q = N-1 every finite r is reachable, and for q > N-1 the
-    solution is uniformly continuous.
-    """
-    q = float(q)
-    r = float(r)
-    if q < 1 or r < 1:
-        return "invalid (q, r must be >= 1)"
-    if q < N - 1:
-        r_max = (N - 1) * q / (N - 1 - q)
-        if r > r_max:
-            return "outside trace range: r exceeds (N-1)q/(N-1-q)"
-        return "ok: continuous trace range (q < N-1)"
-    if q == N - 1:
-        return "ok: any finite r (q = N-1)"
-    return "ok: uniform regime (q > N-1)"
 
 
 #: low-order monomial / trigonometric dictionary used for random smooth data

@@ -12,7 +12,6 @@ multigrid-preconditioned MINRES solves with a matrix-free Jacobian.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,7 +21,7 @@ from .assembly import FemFunction, fem_space
 # on its first call) under this name lets bench/tracer.py's nonlinear.splu
 # wrapper reach the coarse-level factorization in assembly
 from .assembly import _splu as splu  # noqa: F401
-from .linear_solver import _pcg
+from .linear_solver import _check_tol, _pcg
 from .mesh import build_cube_mesh
 
 __all__ = [
@@ -96,6 +95,9 @@ def make_power_nonlinearity(p, lam_scale=1.0):
 
 
 # -- certification checks -----------------------------------------------------
+#
+# verify_chain.energy_bound_check runs the growth, superlinearity and
+# antiderivative checks on the flux of every family member.
 
 
 @dataclass(frozen=True)
@@ -218,7 +220,13 @@ def _relative(operator, r, values):
 
 
 def weak_residual(u, nl):
-    """Relative Euclidean norm of the discrete weak-form residual."""
+    """Relative Euclidean norm of the discrete weak-form residual.
+
+    With ``certify_solution`` it is the certification seam: the way a function
+    that no solver here returned (the tests' hand-built functions, a rescaled
+    solution) enters the solution-only steps.  The CLI's solves certify
+    through ``newton_refine`` instead.
+    """
     space = fem_space(u.mesh)
     operator = space.h1_operator()
     return _relative(operator, _residual_vector(space, operator, u.values, nl), u.values)
@@ -271,10 +279,10 @@ def _outcome(u, nl, tol, history, newton_iterations=0):
 
 
 def certify_solution(u, nl, tol):
-    """Wrap an existing function as an outcome carrying its honest residual;
-    ``tol`` must be finite and positive, so no residual passes unchecked."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"certification tolerance must be finite and positive, got {tol!r}")
+    """Wrap an existing function as an outcome carrying its honest residual
+    (``weak_residual``, the certification seam); ``tol`` must be finite and
+    positive, so no residual passes unchecked."""
+    _check_tol(tol)
     return _outcome(u, nl, tol, [weak_residual(u, nl)])
 
 
@@ -438,10 +446,10 @@ def solve_ground_state(mesh, nl, tol, seed):
     The outcome's ``multiplier`` is a(w, w) of the returned solution scaled
     onto int_bnd |w|^(p+1) = 1, ``outer_iterations`` counts the coarsest
     level's constraint iterations, and ``newton_iterations`` and
-    ``residual_history`` are those of mesh's own level.
+    ``residual_history`` are those of mesh's own level.  ``tol`` must be
+    finite and positive.
     """
     if nl.kind != "power":
         raise ValueError("ground-state solve requires a pure-power nonlinearity")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    _check_tol(tol)
     return _level_ground_state(fem_space(mesh), nl, tol, seed)

@@ -6,7 +6,8 @@ exponents 2* = 6 and 2_* = 4 of the 3-D cube among them) is integrated in
 closed form on each simplex, exactly as the degree-7 quadrature would; the
 fractional L^r powers and the W^{1,m} integrands use that quadrature.  Every
 such norm of a P1 function goes through ``norm_table``, which evaluates many
-functions at once.
+functions at once, and every norm a report holds comes from it.  The
+one-column functions at the end of the module are the tests' oracles for it.
 """
 
 from __future__ import annotations
@@ -29,17 +30,6 @@ __all__ = [
     "gn_ratio",
     "gn_ratios",
 ]
-
-
-def norm_h1(u):
-    """Square root of the H1 quadratic form (exact for P1)."""
-    space = fem_space(u.mesh)
-    return math.sqrt(float(u.values @ (space.h1_operator() @ u.values)))
-
-
-def _check_region(region):
-    if region not in ("volume", "boundary"):
-        raise ValueError(f"region must be 'volume' or 'boundary', got {region!r}")
 
 
 # quadrature values per block: 2**16 doubles (512 KiB), so a block's log|u|,
@@ -164,46 +154,6 @@ def norm_table(mesh, values, volume=(), boundary=(), w1m=(), holder_p=None):
     return table
 
 
-def norm_lp(u, r, region="volume"):
-    """L^r norm of u over the volume or the boundary."""
-    _check_region(region)
-    r = float(r)
-    return float(norm_table(u.mesh, u.values, **{region: (r,)})[region, r][0])
-
-
-def norm_linf(u, region="volume"):
-    """Max of |nodal values|, over all vertices or boundary vertices only."""
-    _check_region(region)
-    if region == "volume":
-        return float(np.max(np.abs(u.values)))
-    space = fem_space(u.mesh)
-    return float(np.max(np.abs(u.values[space.boundary_vertex_index])))
-
-
-def norm_w1m(u, m):
-    """(int |u|^m + int |grad u|^m)^(1/m); the gradient part is exact."""
-    m = float(m)
-    return float(norm_table(u.mesh, u.values, w1m=(m,))["w1m", m][0])
-
-
-def norm_lp_boundary_field(mesh, g, r):
-    """L^r boundary norm of a callable field g(points, normals)."""
-    r = float(r)
-    if r < 1:
-        raise ValueError(f"integrability index must be >= 1, got {r}")
-    space = fem_space(mesh)
-    vals = np.asarray(g(space.bnd_pts, space.bnd_normals), dtype=float)
-    return space.boundary_integral(np.abs(vals) ** r) ** (1.0 / r)
-
-
-def energy_J(u, nl):
-    """Energy 1/2 ||u||_H1^2 - int_bnd F(x, u) of the boundary-flux problem."""
-    space = fem_space(u.mesh)
-    half_h1 = 0.5 * float(u.values @ (space.h1_operator() @ u.values))
-    uq = space.boundary_values(u.values)
-    return half_h1 - space.boundary_integral(nl.F(space.bnd_pts, uq))
-
-
 def gn_ratios(table, ctx):
     """Interpolation ratio ||u||_inf / (||u||_{W^{1,m}}^sigma ||u||_{L^{2*}}^(1-sigma))
     of every column of a ``norm_table`` holding ("w1m", m) and ("volume", 2*).
@@ -220,7 +170,66 @@ def gn_ratios(table, ctx):
     return table["linf"] / denominator
 
 
+# -- one-column oracles ----------------------------------------------------------
+#
+# No CLI path calls these: a report's norms come from ``norm_table`` (one table
+# per corpus, one row per solution).  The tests check the table against them,
+# one function and one closed form at a time.
+
+
+def norm_h1(u):
+    """Square root of the H1 quadratic form (exact for P1); a test oracle."""
+    space = fem_space(u.mesh)
+    return math.sqrt(float(u.values @ (space.h1_operator() @ u.values)))
+
+
+def _check_region(region):
+    if region not in ("volume", "boundary"):
+        raise ValueError(f"region must be 'volume' or 'boundary', got {region!r}")
+
+
+def norm_lp(u, r, region="volume"):
+    """L^r norm of u over the volume or the boundary; a test oracle."""
+    _check_region(region)
+    r = float(r)
+    return float(norm_table(u.mesh, u.values, **{region: (r,)})[region, r][0])
+
+
+def norm_linf(u, region="volume"):
+    """Max of |nodal values|, over all vertices or boundary vertices only; a test oracle."""
+    _check_region(region)
+    if region == "volume":
+        return float(np.max(np.abs(u.values)))
+    space = fem_space(u.mesh)
+    return float(np.max(np.abs(u.values[space.boundary_vertex_index])))
+
+
+def norm_w1m(u, m):
+    """(int |u|^m + int |grad u|^m)^(1/m), the gradient part exact; a test oracle."""
+    m = float(m)
+    return float(norm_table(u.mesh, u.values, w1m=(m,))["w1m", m][0])
+
+
+def norm_lp_boundary_field(mesh, g, r):
+    """L^r boundary norm of a callable field g(points, normals); a test oracle."""
+    r = float(r)
+    if r < 1:
+        raise ValueError(f"integrability index must be >= 1, got {r}")
+    space = fem_space(mesh)
+    vals = np.asarray(g(space.bnd_pts, space.bnd_normals), dtype=float)
+    return space.boundary_integral(np.abs(vals) ** r) ** (1.0 / r)
+
+
+def energy_J(u, nl):
+    """Energy 1/2 ||u||_H1^2 - int_bnd F(x, u) of the boundary-flux problem; a
+    test oracle for the energy suite's J."""
+    space = fem_space(u.mesh)
+    half_h1 = 0.5 * float(u.values @ (space.h1_operator() @ u.values))
+    uq = space.boundary_values(u.values)
+    return half_h1 - space.boundary_integral(nl.F(space.bnd_pts, uq))
+
+
 def gn_ratio(u, ctx):
-    """Interpolation ratio of one function; see gn_ratios."""
+    """Interpolation ratio of one function (see gn_ratios); a test oracle."""
     table = norm_table(u.mesh, u.values, volume=(ctx.two_star,), w1m=(ctx.m,))
     return float(gn_ratios(table, ctx)[0])

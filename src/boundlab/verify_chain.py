@@ -19,12 +19,11 @@ import numpy as np
 from .assembly import fem_space
 from .exponents import critical_exponents
 from .linear_solver import SMOOTH_FIELDS, smooth_fields
-from .nonlinear import SolveOutcome, _check_grid, ar_check
+from .nonlinear import SolveOutcome, _check_grid, antiderivative_check, ar_check, growth_check
 from .norms import gn_ratios, norm_table
 
 __all__ = [
     "CertificationError",
-    "CorpusDescriptor",
     "Corpus",
     "build_corpus",
     "StepRecord",
@@ -32,9 +31,6 @@ __all__ = [
     "first_failures",
     "ChainReport",
     "branch_label",
-    "chain_boundary_growth",
-    "boundary_holder",
-    "infty_cont",
     "universal_suite",
     "gn_ratio_suite",
     "GnSuiteReport",
@@ -53,16 +49,8 @@ class CertificationError(ValueError):
     """Raised when a solution-only step receives an uncertified function."""
 
 
-@dataclass(frozen=True)
-class CorpusDescriptor:
-    seed: int
-    size: int
-    n: int
-
-
 @dataclass(eq=False)
 class Corpus:
-    descriptor: CorpusDescriptor
     mesh: object
     values: np.ndarray      # nodal matrix (nv x size), a column per function
     kinds: list
@@ -104,7 +92,7 @@ def build_corpus(mesh, size, seed, solutions=()):
         scale = 1.0 if i < len(solutions) else 10.0 ** rng.uniform(-1.0, 1.0)
         columns.append(scale * base.values)
     kinds = ["random"] * n_random + ["smooth"] * n_smooth + ["solution"] * n_solution
-    return Corpus(CorpusDescriptor(seed=seed, size=size, n=mesh.n), mesh, np.column_stack(columns), kinds)
+    return Corpus(mesh, np.column_stack(columns), kinds)
 
 
 @dataclass(eq=False)
@@ -183,13 +171,17 @@ def _rows(table):
     ]
 
 
-def _boundary_growth(row, ctx, B0, mesh):
+def _boundary_growth(row, ctx, B0, constant, mesh):
+    """Boundary growth step with its computable constant.
+
+    Checks ||f(u)||_{L^q(bnd)}^q <= C * (1 + max|u|^(pq - r) * int_bnd |u|^r)
+    with r the trace-critical exponent, f the B0-scaled pure power and
+    C = ``constant`` = B0^q * 2^(q-1) * max(|bnd|, 1).  This holds for every
+    function, not only solutions, so the verdict asserts it outright.
+    """
     p = float(ctx.p)
     q = float(ctx.q)
     r = float(ctx.two_low_star)
-    area = float(fem_space(mesh).face_areas.sum())
-    constant = B0**q * 2.0 ** (q - 1.0) * max(area, 1.0)
-
     flux_q = B0**q * row["boundary", p * q] ** (p * q)
     trace_mass = row["boundary", r] ** r
     right = constant * (1.0 + row["linf"] ** (p * q - r) * trace_mass)
@@ -207,6 +199,7 @@ def _boundary_growth(row, ctx, B0, mesh):
 
 
 def _boundary_holder(row, psi_row, ctx, B0, mesh):
+    """Duality bound int_bnd |f(u) psi| <= ||f(u)||_{conj} * ||psi||_{trace-critical}."""
     # row["holder"] is int_bnd |u|^p |psi|, and ||f(u)||_{r'} = B0 ||u||_{p r'}^p
     p = float(ctx.p)
     r = float(ctx.two_low_star)
@@ -227,6 +220,7 @@ def _boundary_holder(row, psi_row, ctx, B0, mesh):
 
 
 def _infty_cont(row, mesh):
+    """Discrete form of ||u||_{inf, bnd} <= ||u||_{inf, volume} (exact)."""
     left = row["linf_boundary"]
     right = row["linf"]
     return StepRecord(
@@ -240,39 +234,17 @@ def _infty_cont(row, mesh):
     )
 
 
-def chain_boundary_growth(u, ctx, B0=1.0):
-    """Boundary growth step with its computable constant.
-
-    Checks ||f(u)||_{L^q(bnd)}^q <= C * (1 + max|u|^(pq - r) * int_bnd |u|^r)
-    with r the trace-critical exponent, f the B0-scaled pure power and
-    C = B0^q * 2^(q-1) * max(|bnd|, 1).  This holds for every function, not
-    only solutions, so the verdict asserts it outright.
-    """
-    (row,) = _rows(_corpus_table(u.mesh, u.values, ctx))
-    return _boundary_growth(row, ctx, B0, u.mesh)
-
-
-def boundary_holder(u, psi, ctx, B0=1.0):
-    """Duality bound int_bnd |f(u) psi| <= ||f(u)||_{conj} * ||psi||_{trace-critical}."""
-    row, psi_row = _rows(_corpus_table(u.mesh, np.column_stack([u.values, psi.values]), ctx))
-    return _boundary_holder(row, psi_row, ctx, B0, u.mesh)
-
-
-def infty_cont(u):
-    """Discrete form of ||u||_{inf, bnd} <= ||u||_{inf, volume} (exact)."""
-    (row,) = _rows(norm_table(u.mesh, u.values))
-    return _infty_cont(row, u.mesh)
-
-
 def universal_suite(corpus, ctx, B0=1.0):
     """All explicit-constant steps over a corpus, read from its norm table;
     each function is paired with the next one for the Holder step.  Returns
     a ChainReport."""
     mesh = corpus.mesh
     rows = _rows(corpus.table(ctx))
+    q = float(ctx.q)
+    growth_constant = B0**q * 2.0 ** (q - 1.0) * max(float(fem_space(mesh).face_areas.sum()), 1.0)
     records = []
     for row, psi_row in zip(rows, rows[1:] + rows[:1]):
-        records.append(_boundary_growth(row, ctx, B0, mesh))
+        records.append(_boundary_growth(row, ctx, B0, growth_constant, mesh))
         records.append(_boundary_holder(row, psi_row, ctx, B0, mesh))
         records.append(_infty_cont(row, mesh))
     return ChainReport(context=ctx, records=records)
@@ -286,12 +258,6 @@ class GnSuiteReport:
     rows: list          # per n: n, size, max_ratio, branch label
     verdict: str        # "saturating" or "growing"
     factors: list       # max-ratio factors between consecutive levels
-
-    def max_ratio(self, n):
-        for row in self.rows:
-            if row["n"] == n:
-                return row["max_ratio"]
-        raise KeyError(n)
 
     def summary_rows(self, ctx):
         return [
@@ -307,11 +273,11 @@ def gn_ratio_suite(corpora, ctx):
     twice the max at the previous one.
     """
     rows = []
-    for corpus in sorted(corpora, key=lambda c: c.descriptor.n):
+    for corpus in sorted(corpora, key=lambda c: c.mesh.n):
         table = corpus.table(ctx)
         rows.append(
             {
-                "n": corpus.descriptor.n,
+                "n": corpus.mesh.n,
                 "size": corpus.values.shape[1],
                 "max_ratio": float(np.max(gn_ratios(table, ctx))),
                 "branch": branch_label(_side(linf) for linf in table["linf"]),
@@ -524,8 +490,10 @@ def energy_bound_check(outcomes):
     Per member: J[u], ||u||_H1^2, int_bnd u f(u) and theta int_bnd F(u), plus
     the lower bound J >= (1/2 - 1/theta) ||u||_H1^2 - C(s0) with the explicit
     C(s0).  Each member is checked under the nonlinearity it certifies: its
-    superlinearity, theta, C(s0), the integrals of its norm row and, for the
-    pure power, the identity J = (1/2 - 1/theta) ||u||_H1^2.  The two
+    growth bound, superlinearity and antiderivative (``growth_check``,
+    ``ar_check``, ``antiderivative_check``; a failure raises ValueError naming
+    the check), theta, C(s0), the integrals of its norm row and, for the pure
+    power, the identity J = (1/2 - 1/theta) ||u||_H1^2.  The two
     boundedness flags realise both directions of the equivalence on the
     finite family.
     """
@@ -533,9 +501,10 @@ def energy_bound_check(outcomes):
     for idx, outcome in enumerate(outcomes):
         norm = solution_row(outcome, "energy_bound_check")
         nl = outcome.nonlinearity
-        check = ar_check(nl)
-        if not check.ok:
-            raise ValueError(f"nonlinearity fails the superlinearity check: {check.message}")
+        for check in (growth_check, ar_check, antiderivative_check):
+            result = check(nl)
+            if not result.ok:
+                raise ValueError(f"member {idx}: nonlinearity fails {check.__name__}: {result.message}")
         h1_sq = norm["h1_sq"]
         J = 0.5 * h1_sq - norm["F"]
         bound = (0.5 - 1.0 / nl.theta) * h1_sq - _c_s0(nl)
@@ -589,10 +558,6 @@ class ChainReport:
             if r.branch in counts:
                 counts[r.branch] += 1
         return counts
-
-    def both_branches(self):
-        counts = self.branch_counts()
-        return counts["sup>1"] > 0 and counts["sup<=1"] > 0
 
     def summary_rows(self):
         """One row per (step, n): the smallest margin, "fail" if any record

@@ -111,7 +111,8 @@ def test_criterion_4_universal_inequalities(ground_states):
             report = universal_suite(build_corpus(mesh, 100, seed=7, solutions=[solution]), ctx)
             assert len(report.records) == 300
             assert not report.violations
-            assert report.both_branches()
+            counts = report.branch_counts()
+            assert counts["sup>1"] > 0 and counts["sup<=1"] > 0
         elapsed = time.perf_counter() - start
         assert elapsed < 120.0, f"universal suites took {elapsed:.1f}s"
 
@@ -125,7 +126,8 @@ def test_criterion_5_fitted_constant_saturation(ground_states):
             solution = ground_states[(2.0, n)][1].solution
             corpora.append(build_corpus(build_cube_mesh(n), 60, seed=7, solutions=[solution]))
         gn = gn_ratio_suite(corpora, ctx)
-        gn_factor = gn.max_ratio(16) / gn.max_ratio(8)
+        maxima = {row["n"]: row["max_ratio"] for row in gn.rows}
+        gn_factor = maxima[16] / maxima[8]
         assert 0.5 <= gn_factor <= 2.0, f"gn maxima factor {gn_factor}"
 
         reg = regularity_ratio_suite(ctx, [8, 16], 12, seed=5)

@@ -6,14 +6,7 @@ from scipy import sparse
 
 from boundlab import assembly
 from boundlab import mesh as mesh_module
-from boundlab.assembly import (
-    FemFunction,
-    assemble_boundary_load,
-    assemble_h1_operator,
-    assemble_mass_operator,
-    fem_space,
-    interpolate,
-)
+from boundlab.assembly import FemFunction, assemble_boundary_load, fem_space
 from boundlab.mesh import Mesh, build_cube_mesh, signed_volumes
 
 
@@ -23,7 +16,7 @@ def constant_field(value):
 
 def test_quadratic_form_of_constant(mesh2, mesh4):
     for mesh in (mesh2, mesh4):
-        operator = assemble_h1_operator(mesh)
+        operator = fem_space(mesh).h1_operator()
         one = np.ones(mesh.num_vertices)
         assert abs(float(one @ (operator @ one)) - 1.0) < 1e-12
 
@@ -32,25 +25,30 @@ def test_quadratic_form_of_constant(mesh2, mesh4):
 def test_quadratic_form_of_coordinate(n):
     # grad x1 has unit norm, int x1^2 = 1/3, both exact for P1 on any level
     mesh = build_cube_mesh(n)
-    u = interpolate(mesh, lambda p: p[..., 0])
-    q = float(u.values @ (assemble_h1_operator(mesh) @ u.values))
+    u = FemFunction(mesh, mesh.vertices[:, 0])
+    q = float(u.values @ (fem_space(mesh).h1_operator() @ u.values))
     assert abs(q - 4.0 / 3.0) < 1e-12
 
 
 def test_mass_entries_total_volume(mesh4):
-    mass = assemble_mass_operator(mesh4)
-    assert abs(mass.sum() - 1.0) < 1e-12
-    # row sums are the basis integrals, all positive
-    assert np.all(np.asarray(mass.sum(axis=1)).ravel() > 0)
+    # the stiffness part's row sums are 0 (grad 1 = 0), so the H1 row sums are
+    # the mass part's: the basis integrals, 1/4 of each adjacent tet's volume
+    space = fem_space(mesh4)
+    row_sums = space.h1_operator() @ np.ones(mesh4.num_vertices)
+    basis_integrals = np.zeros(mesh4.num_vertices)
+    np.add.at(basis_integrals, mesh4.tets, space.tet_volume / 4.0)
+    assert np.abs(row_sums - basis_integrals).max() <= 1e-15
+    assert np.all(row_sums > 0)
+    assert abs(row_sums.sum() - 1.0) < 1e-12
 
 
 def test_operator_exactly_symmetric(mesh4):
-    for op in (assemble_h1_operator(mesh4), assemble_mass_operator(mesh4)):
-        assert (op != op.T).nnz == 0
+    op = fem_space(mesh4).h1_operator()
+    assert (op != op.T).nnz == 0
 
 
 def test_operator_positive_definite(mesh4, rng):
-    operator = assemble_h1_operator(mesh4)
+    operator = fem_space(mesh4).h1_operator()
     for _ in range(10):
         v = rng.standard_normal(operator.shape[0])
         assert float(v @ (operator @ v)) > 0
@@ -68,7 +66,7 @@ def test_degenerate_tet_aborts(mesh2):
         n=mesh2.n,
     )
     with pytest.raises(ValueError, match="degenerate"):
-        assemble_h1_operator(broken)
+        fem_space(broken)
 
 
 def test_boundary_load_partition_of_unity(mesh4):
@@ -149,16 +147,16 @@ def test_fem_function_validation(mesh2):
 
 
 def test_assembly_deterministic(mesh4):
-    a = assemble_h1_operator(mesh4)
+    a = fem_space(mesh4).h1_operator()
     fresh = build_cube_mesh(4)
-    b = assemble_h1_operator(fresh)
+    b = fem_space(fresh).h1_operator()
     assert (a != b).nnz == 0
 
 
 def _per_tet_reference(mesh):
     """Per-tet geometry from the vertex coordinates: basis gradients from
-    inv of each tet's edge matrix, volumes from det, and the H1 and mass
-    operators assembled tet by tet from them."""
+    inv of each tet's edge matrix, volumes from det, and the H1 operator
+    (stiffness + mass) assembled tet by tet from them."""
     vtx = mesh.vertices[mesh.tets]
     edges = vtx[:, 1:, :] - vtx[:, :1, :]
     vols = np.linalg.det(edges) / 6.0
@@ -166,20 +164,18 @@ def _per_tet_reference(mesh):
     grads[:, 1:, :] = np.transpose(np.linalg.inv(edges), (0, 2, 1))
     grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
     pattern = (np.ones((4, 4)) + np.eye(4)) / 20.0
-    mass = vols[:, None, None] * pattern
-    h1 = vols[:, None, None] * np.einsum("tid,tjd->tij", grads, grads) + mass
-    rows = np.broadcast_to(mesh.tets[:, :, None], mass.shape).ravel()
-    cols = np.broadcast_to(mesh.tets[:, None, :], mass.shape).ravel()
+    h1 = vols[:, None, None] * (np.einsum("tid,tjd->tij", grads, grads) + pattern)
+    rows = np.broadcast_to(mesh.tets[:, :, None], h1.shape).ravel()
+    cols = np.broadcast_to(mesh.tets[:, None, :], h1.shape).ravel()
     shape = (mesh.num_vertices, mesh.num_vertices)
-    operators = [sparse.coo_matrix((m.ravel(), (rows, cols)), shape=shape).tocsr() for m in (h1, mass)]
-    return grads, vols, operators
+    return grads, vols, sparse.coo_matrix((h1.ravel(), (rows, cols)), shape=shape).tocsr()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
 def test_closed_form_geometry_matches_per_tet_reference(n, rng):
     mesh = build_cube_mesh(n)
     space = fem_space(mesh)
-    grads, vols, (h1, mass) = _per_tet_reference(mesh)
+    grads, vols, reference = _per_tet_reference(mesh)
     # every tet's gradients, read through its nodal values
     values = rng.standard_normal(mesh.num_vertices)
     expected = np.einsum("tid,ti->td", grads, values[mesh.tets])
@@ -188,10 +184,10 @@ def test_closed_form_geometry_matches_per_tet_reference(n, rng):
     assert np.abs(shapes - grads).max() <= 1e-12 * np.abs(grads).max()
     assert np.abs(signed_volumes(mesh.vertices, mesh.tets) - space.tet_volume).max() <= 1e-12 * space.tet_volume
     assert np.abs(vols - space.tet_volume).max() <= 1e-12 * space.tet_volume
-    for matrix, reference in ((assemble_h1_operator(mesh), h1), (assemble_mass_operator(mesh), mass)):
-        assert np.array_equal(matrix.indptr, reference.indptr)
-        assert np.array_equal(matrix.indices, reference.indices)
-        assert np.all(np.abs(matrix.data - reference.data) <= 1e-13 * np.abs(reference.data))
+    matrix = space.h1_operator()
+    assert np.array_equal(matrix.indptr, reference.indptr)
+    assert np.array_equal(matrix.indices, reference.indices)
+    assert np.all(np.abs(matrix.data - reference.data) <= 1e-13 * np.abs(reference.data))
 
 
 def test_reordered_tets_abort(mesh2):
@@ -209,7 +205,7 @@ def test_reordered_tets_abort(mesh2):
         n=mesh2.n,
     )
     with pytest.raises(ValueError, match="build_cube_mesh"):
-        assemble_h1_operator(reordered)
+        fem_space(reordered)
 
 
 def test_workspace_holds_no_per_tet_array():

@@ -5,14 +5,13 @@ import pytest
 from scipy.sparse.linalg import spsolve
 
 from boundlab import linear_solver
-from boundlab.assembly import _prolongation, assemble_boundary_load, assemble_h1_operator, fem_space
+from boundlab.assembly import _prolongation, assemble_boundary_load, fem_space
 from boundlab.exponents import derive_context
 from boundlab.linear_solver import (
     MANUFACTURED_CASES,
     SMOOTH_FIELDS,
     NonconvergenceError,
     _pcg,
-    trace_range_flag,
     manufactured_convergence,
     regularity_ratio_suite,
     solve_neumann,
@@ -46,7 +45,8 @@ def test_nonconvergence_raises(mesh4):
 
 def _pcg_system(mesh):
     h = lambda p, nrm: 1.0 + p[..., 0] * p[..., 2]
-    return assemble_h1_operator(mesh), assemble_boundary_load(mesh, h), fem_space(mesh).vcycle()
+    space = fem_space(mesh)
+    return space.h1_operator(), assemble_boundary_load(mesh, h), space.vcycle()
 
 
 def test_pcg_reports_true_residual(mesh8):
@@ -142,15 +142,6 @@ def test_positivity_smoke(mesh4):
               lambda p, nrm: p[..., 0] + p[..., 1]):
         result = solve_neumann(mesh4, h, 1e-10)
         assert result.solution.values.min() >= -1e-8
-
-
-def test_trace_range_flags():
-    # q below N-1 with r beyond (N-1)q/(N-1-q) is out of range
-    assert trace_range_flag(3, 1.5, 7.0).startswith("outside trace range")
-    assert trace_range_flag(3, 1.5, 5.0).startswith("ok")
-    assert trace_range_flag(3, 2, 100.0).startswith("ok")
-    assert trace_range_flag(3, 3, 100.0).startswith("ok")
-    assert trace_range_flag(3, 1.0, 3.0).startswith("outside trace range")
 
 
 def test_regularity_suite_shape_and_saturation():
@@ -257,11 +248,11 @@ def test_regularity_suite_rejects_a_sample_above_tol(monkeypatch):
 def test_regularity_suite_range_flag_out_of_range():
     ctx = derive_context(3, 2)
     report = regularity_ratio_suite(ctx, [2], 1, seed=9)
-    # the report carries no range flag; the flag is computed from (q, r) alone
+    # the report carries no range flag: every admissible q exceeds N - 1 = 2,
+    # where boundary data in L^q give a uniformly continuous solution
     assert not hasattr(report, "range_flag")
     assert all("range_flag" not in row for row in report.rows)
-    assert trace_range_flag(3, report.q, 3.0).startswith("ok")
-    assert trace_range_flag(3, 1.0, 3.0).startswith("outside trace range")
+    assert report.q > 2
 
 
 def test_regularity_suite_requires_three_dimensions():
@@ -279,8 +270,8 @@ def test_regularity_suite_requires_three_dimensions():
 def test_prolongation_gives_coarse_operator(n):
     # nested P1 spaces: the Galerkin product of level 2n is level n's operator
     prolong = _prolongation(n)
-    fine = assemble_h1_operator(build_cube_mesh(2 * n))
-    coarse = assemble_h1_operator(build_cube_mesh(n)).toarray()
+    fine = fem_space(build_cube_mesh(2 * n)).h1_operator()
+    coarse = fem_space(build_cube_mesh(n)).h1_operator().toarray()
     galerkin = (prolong.T @ fine @ prolong).toarray()
     assert np.abs(galerkin - coarse).max() <= 1e-13 * np.abs(coarse).max()
 
@@ -312,5 +303,5 @@ def test_odd_level_matches_direct_solve(n, rng):
     h = lambda p, nrm: fn(p)
     result = solve_neumann(mesh, h, 1e-10)
     assert result.residual_norm <= 1e-10
-    direct = spsolve(assemble_h1_operator(mesh).tocsc(), assemble_boundary_load(mesh, h))
+    direct = spsolve(fem_space(mesh).h1_operator().tocsc(), assemble_boundary_load(mesh, h))
     assert np.linalg.norm(result.solution.values - direct) <= 1e-8 * np.linalg.norm(direct)

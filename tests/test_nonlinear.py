@@ -7,7 +7,7 @@ import scipy.sparse.linalg
 from scipy.sparse.linalg import minres
 
 from boundlab import nonlinear
-from boundlab.assembly import FemFunction, fem_space, interpolate
+from boundlab.assembly import FemFunction, fem_space
 from boundlab.exponents import derive_context
 from boundlab.linear_solver import solve_neumann
 from boundlab.mesh import build_cube_mesh
@@ -261,6 +261,16 @@ def test_certify_solution_rejects_unusable_tolerance(mesh4, tol):
     one = FemFunction(mesh4, np.ones(mesh4.num_vertices))
     with pytest.raises(ValueError, match="finite and positive"):
         certify_solution(one, make_power_nonlinearity(2.0), tol)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_solvers_reject_unusable_tolerance(mesh4, tol):
+    # a nan tol skipped the Newton polish, and an infinite one let solve_neumann
+    # return x = 0 at relative residual 1 as a success
+    with pytest.raises(ValueError, match="finite and positive"):
+        solve_ground_state(mesh4, make_power_nonlinearity(2.0), tol, seed=11)
+    with pytest.raises(ValueError, match="finite and positive"):
+        solve_neumann(mesh4, lambda pts, normals: np.ones(pts.shape[:-1]), tol)
 
 
 def _normalized_energy(mesh, values, p):

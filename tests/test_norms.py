@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boundlab import norms
-from boundlab.assembly import FemFunction, fem_space, interpolate
+from boundlab.assembly import FemFunction, fem_space
 from boundlab.exponents import derive_context
 from boundlab.mesh import build_cube_mesh
 from boundlab.nonlinear import make_power_nonlinearity
@@ -21,7 +21,7 @@ from boundlab.norms import (
     norm_table,
     norm_w1m,
 )
-from boundlab.verify_chain import Corpus, CorpusDescriptor, gn_ratio_suite
+from boundlab.verify_chain import Corpus, gn_ratio_suite
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +34,7 @@ def const(mesh, value):
 
 
 def coordinate(mesh):
-    return interpolate(mesh, lambda p: p[..., 0])
+    return FemFunction(mesh, mesh.vertices[:, 0])
 
 
 def test_h1_norm_values(mesh4):
@@ -229,7 +229,7 @@ def test_norm_table_matches_per_function_formulas(n, count, seed, block):
     for key, expected in oracle.items():
         np.testing.assert_allclose(table[key], expected, rtol=1e-12, atol=0, err_msg=str(key))
         assert table[key][zero] == 0.0
-    corpus = Corpus(CorpusDescriptor(seed=seed, size=count, n=n), mesh, values, ["random"] * count)
+    corpus = Corpus(mesh, values, ["random"] * count)
     with pytest.raises(ValueError):
         gn_ratio_suite([corpus], derive_context(3, 2))
 

@@ -1,21 +1,28 @@
 import numpy as np
 import pytest
 
-from boundlab.assembly import FemFunction, fem_space, interpolate
+from boundlab.assembly import FemFunction, fem_space
 from boundlab.exponents import derive_context
 from boundlab.mesh import build_cube_mesh
-from boundlab.nonlinear import certify_solution, make_power_nonlinearity, solve_ground_state, weak_residual
+from boundlab.nonlinear import (
+    Nonlinearity,
+    antiderivative_check,
+    ar_check,
+    certify_solution,
+    growth_check,
+    make_power_nonlinearity,
+    solve_ground_state,
+    weak_residual,
+)
 from boundlab.norms import energy_J, norm_h1, norm_linf, norm_lp
 from boundlab.verify_chain import (
     CertificationError,
     ChainReport,
+    Corpus,
     build_corpus,
-    chain_boundary_growth,
-    boundary_holder,
     energy_bound_check,
     gn_ratio_suite,
     h1_trace_bound,
-    infty_cont,
     main_estimate_ratio,
     norm_equivalence_report,
     universal_suite,
@@ -31,15 +38,23 @@ def const(mesh, value):
     return FemFunction(mesh, np.full(mesh.num_vertices, float(value)))
 
 
+def step_records(ctx, step, *functions):
+    """The ``step`` records of ``universal_suite`` over a corpus of these
+    functions, in order; the Holder step pairs each with the next, cyclically."""
+    corpus = Corpus(functions[0].mesh, np.column_stack([u.values for u in functions]),
+                    ["random"] * len(functions))
+    return [r for r in universal_suite(corpus, ctx).records if r.step == step]
+
+
 def test_boundary_growth_zero_function(mesh4, ctx):
-    rec = chain_boundary_growth(const(mesh4, 0.0), ctx)
+    (rec,) = step_records(ctx, "boundary_growth", const(mesh4, 0.0))
     assert rec.verdict == "pass"
     assert rec.left == 0.0
     assert rec.constant == 24.0  # B0^q * 2^(q-1) * max(|bnd|, 1) = 4 * 6
 
 
 def test_boundary_growth_constant_one(mesh4, ctx):
-    rec = chain_boundary_growth(const(mesh4, 1.0), ctx)
+    (rec,) = step_records(ctx, "boundary_growth", const(mesh4, 1.0))
     # left = int_bnd 1 = 6; right = 24 * (1 + 1 * 6) = 168
     assert abs(rec.left - 6.0) < 1e-10
     assert abs(rec.right - 168.0) < 1e-8
@@ -48,9 +63,13 @@ def test_boundary_growth_constant_one(mesh4, ctx):
 
 
 def test_boundary_growth_no_violations_on_random_corpus(mesh8, ctx, rng):
-    for _ in range(100):
-        u = FemFunction(mesh8, 10.0 ** rng.uniform(-2, 2) * rng.standard_normal(mesh8.num_vertices))
-        assert chain_boundary_growth(u, ctx).verdict == "pass"
+    functions = [
+        FemFunction(mesh8, 10.0 ** rng.uniform(-2, 2) * rng.standard_normal(mesh8.num_vertices))
+        for _ in range(100)
+    ]
+    records = step_records(ctx, "boundary_growth", *functions)
+    assert len(records) == 100
+    assert all(rec.verdict == "pass" for rec in records)
 
 
 def test_boundary_growth_requires_admissible_exponents(mesh4):
@@ -60,27 +79,28 @@ def test_boundary_growth_requires_admissible_exponents(mesh4):
 
     ctx_bad = dataclasses.replace(derive_context(3, 2), q=derive_context(3, 2).q / 10)
     with pytest.raises(ValueError):
-        chain_boundary_growth(const(mesh4, 1.0), ctx_bad)
+        step_records(ctx_bad, "boundary_growth", const(mesh4, 1.0))
 
 
 def test_boundary_holder_records(mesh4, ctx, rng):
-    for _ in range(20):
-        u = FemFunction(mesh4, rng.standard_normal(mesh4.num_vertices))
-        psi = FemFunction(mesh4, rng.standard_normal(mesh4.num_vertices))
-        rec = boundary_holder(u, psi, ctx)
+    # 40 functions, so 40 (u, psi) pairs
+    functions = [FemFunction(mesh4, rng.standard_normal(mesh4.num_vertices)) for _ in range(40)]
+    records = step_records(ctx, "boundary_holder", *functions)
+    assert len(records) == 40
+    for rec in records:
         assert rec.verdict == "pass"
         assert rec.left <= rec.right * (1 + 1e-10) + 1e-300
 
 
-def test_infty_cont_exact(mesh4, rng):
-    for _ in range(20):
-        u = FemFunction(mesh4, rng.standard_normal(mesh4.num_vertices))
-        rec = infty_cont(u)
-        assert rec.verdict == "pass"
+def test_infty_cont_exact(mesh4, ctx, rng):
+    functions = [FemFunction(mesh4, rng.standard_normal(mesh4.num_vertices)) for _ in range(20)]
+    records = step_records(ctx, "boundary_max_vs_volume_max", *functions)
+    assert len(records) == 20
+    assert all(rec.verdict == "pass" for rec in records)
     spike = np.zeros(mesh4.num_vertices)
     center = np.argmin(np.linalg.norm(mesh4.vertices - 0.5, axis=1))
     spike[center] = 5.0
-    rec = infty_cont(FemFunction(mesh4, spike))
+    (rec,) = step_records(ctx, "boundary_max_vs_volume_max", FemFunction(mesh4, spike))
     assert rec.left == 0.0 and rec.right == 5.0
 
 
@@ -103,7 +123,8 @@ def test_universal_suite_clean(mesh4, ctx):
     report = universal_suite(build_corpus(mesh4, 40, seed=7), ctx)
     assert len(report.records) == 120
     assert not report.violations
-    assert report.both_branches()
+    counts = report.branch_counts()
+    assert counts["sup>1"] > 0 and counts["sup<=1"] > 0
     rows = report.summary_rows()
     steps = {r["step"] for r in rows}
     assert steps == {"boundary_growth", "boundary_holder", "boundary_max_vs_volume_max"}
@@ -113,20 +134,14 @@ def test_universal_suite_clean(mesh4, ctx):
 
 
 def test_gn_suite_constant_corpus(mesh4, ctx):
-    from boundlab.verify_chain import Corpus, CorpusDescriptor
-
-    corpus = Corpus(CorpusDescriptor(seed=0, size=1, n=4), mesh4, np.ones((mesh4.num_vertices, 1)),
-                    ["smooth"])
+    corpus = Corpus(mesh4, np.ones((mesh4.num_vertices, 1)), ["smooth"])
     report = gn_ratio_suite([corpus], ctx)
     assert abs(report.rows[0]["max_ratio"] - 1.0) < 1e-12
     assert report.verdict == "saturating"
 
 
 def test_gn_suite_coordinate(mesh4, ctx):
-    from boundlab.verify_chain import Corpus, CorpusDescriptor
-
-    x1 = interpolate(mesh4, lambda p: p[..., 0])
-    corpus = Corpus(CorpusDescriptor(seed=0, size=1, n=4), mesh4, x1.values[:, None], ["smooth"])
+    corpus = Corpus(mesh4, mesh4.vertices[:, :1], ["smooth"])
     expected = (13.0 / 11.0) ** (-2.0 / 15.0) * 7.0 ** (1.0 / 15.0)
     assert abs(gn_ratio_suite([corpus], ctx).rows[0]["max_ratio"] - expected) < 1e-10
 
@@ -278,8 +293,6 @@ def test_energy_bound_family_over_powers():
 
 
 def test_energy_bound_rejects_bad_nonlinearity(mesh4):
-    from boundlab.nonlinear import Nonlinearity
-
     lin = Nonlinearity(
         p=1.5, B0=1.0,
         f=lambda x, s: np.asarray(s, dtype=float),
@@ -292,11 +305,31 @@ def test_energy_bound_rejects_bad_nonlinearity(mesh4):
         energy_bound_check([outcome])
 
 
+def test_flux_checks_pass_on_power_fluxes():
+    # energy_bound_check runs all three on every member's flux
+    for p in np.arange(11, 30) / 10.0:
+        for lam in (0.5, 1.0, 3.0):
+            nl = make_power_nonlinearity(p, lam)
+            assert growth_check(nl).ok and ar_check(nl).ok and antiderivative_check(nl).ok, (p, lam)
+
+
+def test_energy_bound_names_the_failed_flux_check(mesh4):
+    # both fluxes vanish at s = 0, so the zero function is a certified solution
+    power = make_power_nonlinearity(2.0)
+    steep = Nonlinearity(p=2.0, B0=1.0, f=lambda x, s: 2.0 * power.f(x, s),
+                         F=lambda x, s: 2.0 * power.F(x, s), f_s=lambda x, s: 2.0 * power.f_s(x, s),
+                         theta=3.0, s0=0.0)
+    halved = Nonlinearity(p=2.0, B0=1.0, f=power.f, F=lambda x, s: 0.5 * power.F(x, s),
+                          f_s=power.f_s, theta=3.0, s0=0.0)
+    for nl, check in ((steep, "growth_check"), (halved, "antiderivative_check")):
+        outcome = certify_solution(const(mesh4, 0.0), nl, 1e-8)
+        with pytest.raises(ValueError, match=f"member 0: nonlinearity fails {check}"):
+            energy_bound_check([outcome])
+
+
 def test_energy_bound_constant_is_sup_over_boundary_points(mesh4):
     # a = 1 + x0 doubles the flux on the face x0 = 1; F - s f / theta = a (s^2/10 - |s|^3/15)
     # peaks at |s| = 1 with a/30, so C(s0) = |bnd| * 2/30 = 0.4
-    from boundlab.nonlinear import Nonlinearity, ar_check, growth_check
-
     def a(x):
         return 1.0 + np.asarray(x)[..., 0]
 
@@ -318,7 +351,7 @@ def test_energy_bound_constant_is_sup_over_boundary_points(mesh4):
 
 def test_chain_report_rejects_context_mixing(mesh4, ctx):
     other = derive_context(3, 2, q_override=4)
-    rec_a = chain_boundary_growth(const(mesh4, 1.0), ctx)
-    rec_b = chain_boundary_growth(const(mesh4, 1.0), other)
+    (rec_a,) = step_records(ctx, "boundary_growth", const(mesh4, 1.0))
+    (rec_b,) = step_records(other, "boundary_growth", const(mesh4, 1.0))
     with pytest.raises(ValueError, match="mix"):
         ChainReport(context=ctx, records=[rec_a, rec_b])
