@@ -1,10 +1,10 @@
 """Batch entry point: experiment configuration, orchestration, reports.
 
 Reports are produced with a fixed field order and floats at 17 significant
-digits, so one (config, seed) pair maps to one byte sequence; nothing
-time- or machine-dependent is embedded.  Exit codes: 0 all asserted checks
-pass, 1 a check or solve failed or a numerical fault, 2 usage error, 3 output
-not writable.
+digits, so for a fixed BLAS thread count one (config, seed) pair maps to one
+byte sequence; nothing time- or machine-dependent is embedded.  Exit codes:
+0 all asserted checks pass, 1 a check or solve failed or a numerical fault,
+2 usage error, 3 output not writable.
 """
 
 from __future__ import annotations
@@ -395,10 +395,10 @@ def _cmd_sweep(config):
                             "linf": rec.left, "weak_residual": outcome.weak_residual,
                             "trace_bound": trace.verdict, "fitted_C0": c0_running})
             print(
-                f"p={p} n={n}: rho={rec.data['rho']:.6f} "
-                f"rho_hat={rec.data['rho_hat']:.6f} fitted_C0={c0_running:.6f}"
+                f"p={p} n={n}: rho={rec.data['rho']:.6g} "
+                f"rho_hat={rec.data['rho_hat']:.6g} fitted_C0={c0_running:.6g}"
             )
-    print(f"sweep fitted C0 over all cells: {overall_c0:.6f}")
+    print(f"sweep fitted C0 over all cells: {overall_c0:.6g}")
     _emit(config, records)
     return status
 

@@ -89,10 +89,11 @@ _FACE_PLANES = np.concatenate(
 
 
 def signed_volumes(vertices, tets):
-    """Signed volume of every tet (positive for correct orientation)."""
+    """Signed volume of every tet (positive for correct orientation): the
+    scalar triple product e0 . (e1 x e2) / 6 of its edges from vertex 0."""
     vtx = vertices[tets]
-    edges = vtx[:, 1:, :] - vtx[:, :1, :]
-    return np.linalg.det(edges) / 6.0
+    e0, e1, e2 = (vtx[:, k] - vtx[:, 0] for k in (1, 2, 3))
+    return np.einsum("ij,ij->i", e0, np.cross(e1, e2)) / 6.0
 
 
 _MESHES = {}

@@ -37,16 +37,28 @@ __all__ = [
 _BLOCK_VALUES = 2**16
 
 
-def _log_blocks(columns, cells, basis):
-    """Blocks of cells: (cell slice, nodal values (S, cells, k), log|u| at the
-    quadrature points (S, cells * nq)).  ``columns`` is the (S, nv) matrix."""
-    count = columns.shape[0]
-    step = max(1, _BLOCK_VALUES // (count * basis.shape[0]))
+def _block_step(count, values_per_cell):
+    """Cells per block when each of ``count`` columns holds ``values_per_cell``
+    values per cell."""
+    return max(1, _BLOCK_VALUES // (count * values_per_cell))
+
+
+def _log_blocks(columns, cells, basis, step):
+    """Blocks of ``step`` cells: (cell slice, nodal values (S, cells, k), log|u| at
+    the quadrature points (S, cells * nq), scratch of the same shape).  ``columns``
+    is the (S, nv) matrix.  log|u| and the scratch are views of two buffers that
+    every block reuses, so a block allocates only its nodal gather."""
+    count, nq = columns.shape[0], basis.shape[0]
+    size = count * min(step, len(cells)) * nq
+    log_buffer, scratch_buffer = np.empty(size), np.empty(size)
     for start in range(0, len(cells), step):
         rows = slice(start, start + step)
         nodal = columns[:, cells[rows]]
-        point_values = np.abs(nodal.reshape(-1, basis.shape[1]) @ basis.T)
-        yield rows, nodal, np.log(point_values, out=point_values).reshape(count, -1)
+        used = nodal.shape[0] * nodal.shape[1] * nq
+        logs = log_buffer[:used].reshape(count, -1)
+        point_values = np.matmul(nodal.reshape(-1, basis.shape[1]), basis.T, out=logs.reshape(-1, nq))
+        np.log(np.abs(point_values, out=point_values), out=point_values)
+        yield rows, nodal, logs, scratch_buffer[:used].reshape(count, -1)
 
 
 def _closed_form(e):
@@ -54,10 +66,11 @@ def _closed_form(e):
     return e % 2 == 0 and e <= 2 * _POINTS_PER_AXIS - 1
 
 
-def _even_power_integrals(columns, cells, measure, powers):
+def _even_power_integrals(columns, cells, measure, powers, step_count=None):
     """Integrals of u^e over the simplices ``cells`` (vertex index rows) for each
     even e in ``powers``, as {e: length-S array}; ``measure`` is the simplices'
-    volume (a scalar or one per cell).
+    volume (a scalar or one per cell).  Blocks are sized for ``step_count``
+    columns (default: the S of ``columns``).
 
     On a d-simplex T, int_T u^e = |T| e! d! / (e + d)! h_e(u_0, ..., u_d),
     with h_e the complete homogeneous symmetric polynomial of the nodal
@@ -70,13 +83,18 @@ def _even_power_integrals(columns, cells, measure, powers):
     d = cells.shape[1] - 1
     measure = np.broadcast_to(measure, len(cells))
     totals = {e: np.zeros(count) for e in powers}
-    # h_1 ... h_top and one product buffer: top + 1 arrays of count x step values
-    step = max(1, _BLOCK_VALUES // ((top + 1) * count))
+    # h_1 ... h_top and one product buffer: top + 1 arrays of count x step values,
+    # reused by every block
+    step = _block_step(step_count or count, top + 1)
+    size = count * min(step, len(cells))
+    h_buffer, product_buffer = np.empty(top * size), np.empty(size)
     for start in range(0, len(cells), step):
         rows = slice(start, start + step)
         nodal = columns[:, cells[rows].T]  # (S, d + 1, cells)
-        h = np.zeros((top,) + nodal[:, 0].shape)  # h[k - 1] is h_k
-        product = np.empty_like(h[0])
+        used = nodal[:, 0].size
+        h = h_buffer[:top * used].reshape((top,) + nodal[:, 0].shape)  # h[k - 1] is h_k
+        h.fill(0.0)
+        product = product_buffer[:used].reshape(h[0].shape)
         for j in range(d + 1):
             h[0] += nodal[:, j]
             for k in range(1, top):
@@ -87,7 +105,13 @@ def _even_power_integrals(columns, cells, measure, powers):
             for e, total in totals.items()}
 
 
-def norm_table(mesh, values, volume=(), boundary=(), w1m=(), holder_p=None):
+def _max_abs(rows):
+    """max |x| along each row without forming |x|; the abs only clears the sign
+    of a zero maximum."""
+    return np.abs(np.maximum(rows.max(axis=1), -rows.min(axis=1)))
+
+
+def norm_table(mesh, values, volume=(), boundary=(), w1m=(), holder_p=None, copies=None):
     """Norms of every column of the nodal matrix ``values`` (nv x S), in one pass.
 
     Returns a dict of length-S arrays keyed by "linf" and "linf_boundary"
@@ -100,6 +124,12 @@ def norm_table(mesh, values, volume=(), boundary=(), w1m=(), holder_p=None):
     block takes log|u| once and every power |u|^e is exp(e log|u|), and that
     pass runs only when such an integral is asked for.  A zero column's
     norms are exactly zero either way.
+
+    ``copies`` maps a column s to (b, c) when column s is c times column b,
+    with c > 0 and b no copy itself.  The volume and W^{1,m} norms, all
+    1-homogeneous, are then integrated for the other columns only, and
+    column s reads c times column b's; every other entry is computed on
+    every column.
     """
     volume = tuple(float(r) for r in volume)
     boundary = tuple(float(r) for r in boundary)
@@ -111,25 +141,47 @@ def norm_table(mesh, values, volume=(), boundary=(), w1m=(), holder_p=None):
     space = fem_space(mesh)
     columns = np.asarray(values, dtype=float).reshape(mesh.num_vertices, -1).T
     count = columns.shape[0]
-    magnitudes = np.abs(columns)
+    copies = dict(copies or {})
+    for s, (b, c) in copies.items():
+        if not (0 <= s < count and 0 <= b < count and b not in copies and c > 0):
+            raise ValueError(f"column {s} cannot be a copy of column {b} scaled by {c}")
+    distinct = [s for s in range(count) if s not in copies]
+    # the volume passes see the distinct columns only, in blocks sized for all
+    # of them, so each distinct column's sums are those of a table without copies;
+    # when the copies come last, as ``build_corpus`` places them, that is a view
+    trailing = distinct == list(range(len(distinct)))
+    vol_columns = columns[:len(distinct)] if trailing else columns[distinct]
+
+    def spread(norms):
+        """The distinct columns' norms, extended to their copies."""
+        if not copies:
+            return norms
+        full = np.empty(count)
+        full[distinct] = norms
+        for s, (b, c) in copies.items():
+            full[s] = c * full[b]
+        return full
+
     table = {
-        "linf": magnitudes.max(axis=1),
-        "linf_boundary": magnitudes[:, space.boundary_vertex_index].max(axis=1),
+        "linf": _max_abs(columns),
+        "linf_boundary": _max_abs(columns[:, space.boundary_vertex_index]),
     }
     vol_even = [e for e in volume if _closed_form(e)]
     bnd_even = [e for e in boundary if _closed_form(e)]
     # integrals of |u|^e over the volume and the boundary, of |grad u|^m: by
     # quadrature here, the even powers in closed form after the loops
-    vol = {e: np.zeros(count) for e in volume + w1m if e not in vol_even}
-    grad = {m: np.zeros(count) for m in w1m}
+    vol = {e: np.zeros(len(distinct)) for e in volume + w1m if e not in vol_even}
+    grad = {m: np.zeros(len(distinct)) for m in w1m}
     bnd = {e: np.zeros(count) for e in boundary if e not in bnd_even}
     holder = np.zeros(count)
     with np.errstate(divide="ignore"):
         if vol or grad:
-            for rows, nodal, logs in _log_blocks(columns, mesh.tets, space.vol_basis):
-                weights = np.tile(space.tet_w, nodal.shape[1])
+            step = _block_step(count, len(space.tet_w))
+            weights = np.tile(space.tet_w, min(step, mesh.num_tets))
+            for rows, nodal, logs, scratch in _log_blocks(vol_columns, mesh.tets, space.vol_basis, step):
+                block_weights = weights[:logs.shape[1]]
                 for e, total in vol.items():
-                    total += np.exp(e * logs) @ weights
+                    total += np.exp(np.multiply(logs, e, out=scratch), out=scratch) @ block_weights
                 if grad:
                     # gradients (cells, 3, S), constant on each cell
                     shapes = space.grad_shapes[np.arange(*rows.indices(mesh.num_tets)) % 6]
@@ -138,16 +190,21 @@ def norm_table(mesh, values, volume=(), boundary=(), w1m=(), holder_p=None):
                     for m, total in grad.items():
                         total += space.tet_volume * np.exp(m * half_logs).sum(axis=0)
         if bnd or holder_p is not None:
-            for rows, _, logs in _log_blocks(columns, mesh.boundary_faces, space.bnd_basis):
+            step = _block_step(count, len(space.bnd_basis))
+            for rows, _, logs, scratch in _log_blocks(columns, mesh.boundary_faces, space.bnd_basis, step):
                 weights = space.bnd_w[rows].ravel()
                 for e, total in bnd.items():
-                    total += np.exp(e * logs) @ weights
+                    total += np.exp(np.multiply(logs, e, out=scratch), out=scratch) @ weights
                 if holder_p is not None:
-                    holder += np.exp(holder_p * logs + np.roll(logs, -1, axis=0)) @ weights
-    vol.update(_even_power_integrals(columns, mesh.tets, space.tet_volume, vol_even))
+                    # holder_p log|u_s| + log|u_{s+1}|, the next column taken cyclically
+                    np.multiply(logs, holder_p, out=scratch)
+                    scratch[:-1] += logs[1:]
+                    scratch[-1] += logs[0]
+                    holder += np.exp(scratch, out=scratch) @ weights
+    vol.update(_even_power_integrals(vol_columns, mesh.tets, space.tet_volume, vol_even, count))
     bnd.update(_even_power_integrals(columns, mesh.boundary_faces, space.face_areas, bnd_even))
-    table.update({("volume", r): vol[r] ** (1.0 / r) for r in volume})
-    table.update({("w1m", m): (vol[m] + grad[m]) ** (1.0 / m) for m in w1m})
+    table.update({("volume", r): spread(vol[r] ** (1.0 / r)) for r in volume})
+    table.update({("w1m", m): spread((vol[m] + grad[m]) ** (1.0 / m)) for m in w1m})
     table.update({("boundary", r): bnd[r] ** (1.0 / r) for r in boundary})
     if holder_p is not None:
         table["holder"] = holder

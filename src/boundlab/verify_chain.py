@@ -54,20 +54,23 @@ class Corpus:
     mesh: object
     values: np.ndarray      # nodal matrix (nv x size), a column per function
     kinds: list
+    copies: dict = field(default_factory=dict)  # column -> (base column, scale > 0)
     _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def table(self, ctx):
         """The norm table under ctx (``_corpus_table``), computed once and
         read by both the universal and the gn suite."""
         if ctx.key() not in self._tables:
-            self._tables[ctx.key()] = _corpus_table(self.mesh, self.values, ctx)
+            self._tables[ctx.key()] = _corpus_table(self.mesh, self.values, ctx, self.copies)
         return self._tables[ctx.key()]
 
 
 def build_corpus(mesh, size, seed, solutions=()):
     """Seeded test corpus: half random nodal noise, a quarter smooth fields,
     a quarter computed solutions (cycled with seeded positive scalings when
-    fewer distinct solutions than slots are available).
+    fewer distinct solutions than slots are available).  Each rescaled slot is
+    recorded in ``copies`` as (its solution's first slot, scale), so the norm
+    table integrates its volume norms once.
 
     Amplitudes are drawn log-uniformly so both branches of the sup-norm
     dichotomy (max above / below one) are exercised.
@@ -79,6 +82,7 @@ def build_corpus(mesh, size, seed, solutions=()):
     n_solution = size - n_random - n_smooth if solutions else 0
 
     columns = []
+    copies = {}
     for _ in range(n_random):
         amp = 10.0 ** rng.uniform(-2.0, 1.0)
         columns.append(amp * rng.standard_normal(nv))
@@ -87,12 +91,16 @@ def build_corpus(mesh, size, seed, solutions=()):
         coeffs = rng.standard_normal(len(SMOOTH_FIELDS))
         amp = 10.0 ** rng.uniform(-2.0, 1.0)
         columns.append(amp * (dictionary @ coeffs))
+    first = len(columns)
     for i in range(n_solution):
         base = solutions[i % len(solutions)]
-        scale = 1.0 if i < len(solutions) else 10.0 ** rng.uniform(-1.0, 1.0)
+        scale = 1.0
+        if i >= len(solutions):
+            scale = 10.0 ** rng.uniform(-1.0, 1.0)
+            copies[len(columns)] = (first + i % len(solutions), scale)
         columns.append(scale * base.values)
     kinds = ["random"] * n_random + ["smooth"] * n_smooth + ["solution"] * n_solution
-    return Corpus(mesh, np.column_stack(columns), kinds)
+    return Corpus(mesh, np.column_stack(columns), kinds, copies)
 
 
 @dataclass(eq=False)
@@ -149,18 +157,19 @@ def branch_label(branches):
 # table per corpus holds every norm the three steps and the gn suite read.
 
 
-def _corpus_table(mesh, values, ctx):
+def _corpus_table(mesh, values, ctx, copies):
     """Norm table of the columns of ``values`` with every norm a corpus step
     reads: the L^{2*} volume and W^{1,m} norms of the interpolation ratio, the
     boundary norms L^{pq}, L^r and L^{p r'} at the trace-critical r, and the
-    Holder pairing of each column with the next."""
+    Holder pairing of each column with the next.  ``copies`` is the corpus's
+    map of rescaled columns (see ``norm_table``)."""
     p = float(ctx.p)
     q = float(ctx.q)
     r = float(ctx.two_low_star)
     if p * q < r:
         raise ValueError("boundary growth step requires p*q >= trace-critical exponent")
     return norm_table(mesh, values, volume=(ctx.two_star,), boundary=(p * q, r, p * r / (r - 1.0)),
-                      w1m=(ctx.m,), holder_p=p)
+                      w1m=(ctx.m,), holder_p=p, copies=copies)
 
 
 def _rows(table):

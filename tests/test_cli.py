@@ -256,6 +256,21 @@ def test_sweep_deterministic_and_reports_c0(tmp_path, capsys):
     assert rec["trace_bound"] == "pass"
 
 
+def test_sweep_summary_prints_small_constants_to_six_digits(tmp_path, capsys):
+    # at p = 11/10 rho is about 1e-8, which six decimals would print as zero
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--p", "1.1", "--n", "4,8", "--seed", "3", "--output", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    records = json.loads(out.read_text())["records"]
+    assert len(lines) == len(records) + 1
+    for line, rec in zip(lines, records):
+        printed = dict(field.split("=") for field in line.split(": ")[1].split())
+        for key in ("rho", "rho_hat", "fitted_C0"):
+            assert 0 < rec[key] < 1e-6
+            assert float(printed[key]) == pytest.approx(rec[key], rel=5e-6)
+    assert float(lines[-1].split(": ")[1]) == pytest.approx(records[-1]["fitted_C0"], rel=5e-6)
+
+
 def test_sweep_level_record_does_not_depend_on_coarser_levels(tmp_path, monkeypatch):
     # at p = 5/2 rho rises with n, so even fitted_C0 is level 16's own in both runs
     records = {}

@@ -288,6 +288,128 @@ def test_fractional_entries_stay_log_exp_quadrature(mesh2, rng):
     assert table["holder"].tobytes() == holder.tobytes()
 
 
+def _allocating_table(mesh, values, volume, boundary, w1m, holder_p):
+    """``norm_table`` without copies, written as the per-block loop that takes
+    fresh arrays in every block: the point values, e log|u| and its exp, the
+    tiled weights, the rolled logs, and h and its product in the closed form."""
+    space = fem_space(mesh)
+    columns = values.T
+    count = columns.shape[0]
+
+    def log_blocks(cells, basis):
+        step = max(1, norms._BLOCK_VALUES // (count * basis.shape[0]))
+        for start in range(0, len(cells), step):
+            rows = slice(start, start + step)
+            nodal = columns[:, cells[rows]]
+            point_values = np.abs(nodal.reshape(-1, basis.shape[1]) @ basis.T)
+            yield rows, nodal, np.log(point_values).reshape(count, -1)
+
+    def even_power(cells, measure, e):
+        d = cells.shape[1] - 1
+        measure = np.broadcast_to(measure, len(cells))
+        total = np.zeros(count)
+        step = max(1, norms._BLOCK_VALUES // ((e + 1) * count))
+        for start in range(0, len(cells), step):
+            rows = slice(start, start + step)
+            nodal = columns[:, cells[rows].T]
+            h = np.zeros((e,) + nodal[:, 0].shape)
+            product = np.empty_like(h[0])
+            for j in range(d + 1):
+                h[0] += nodal[:, j]
+                for k in range(1, e):
+                    h[k] += np.multiply(nodal[:, j], h[k - 1], out=product)
+            total += h[e - 1] @ measure[rows]
+        return math.factorial(e) * math.factorial(d) / math.factorial(e + d) * total
+
+    (r_even, r_frac), (b_frac, b_even), (m,) = volume, boundary, w1m
+    vol, grad, bnd, holder = np.zeros(count), np.zeros(count), np.zeros(count), np.zeros(count)
+    vol_m = np.zeros(count)
+    with np.errstate(divide="ignore"):
+        for rows, nodal, logs in log_blocks(mesh.tets, space.vol_basis):
+            weights = np.tile(space.tet_w, nodal.shape[1])
+            vol += np.exp(r_frac * logs) @ weights
+            vol_m += np.exp(m * logs) @ weights
+            shapes = space.grad_shapes[np.arange(*rows.indices(mesh.num_tets)) % 6]
+            g = shapes.transpose(0, 2, 1) @ nodal.transpose(1, 2, 0)
+            half_logs = 0.5 * np.log(np.einsum("tds,tds->ts", g, g))
+            grad += space.tet_volume * np.exp(m * half_logs).sum(axis=0)
+        for rows, _, logs in log_blocks(mesh.boundary_faces, space.bnd_basis):
+            weights = space.bnd_w[rows].ravel()
+            bnd += np.exp(b_frac * logs) @ weights
+            holder += np.exp(holder_p * logs + np.roll(logs, -1, axis=0)) @ weights
+    magnitudes = np.abs(columns)
+    return {
+        "linf": magnitudes.max(axis=1),
+        "linf_boundary": magnitudes[:, space.boundary_vertex_index].max(axis=1),
+        ("volume", r_even): even_power(mesh.tets, space.tet_volume, int(r_even)) ** (1.0 / r_even),
+        ("volume", r_frac): vol ** (1.0 / r_frac),
+        ("w1m", m): (vol_m + grad) ** (1.0 / m),
+        ("boundary", b_frac): bnd ** (1.0 / b_frac),
+        ("boundary", b_even): even_power(mesh.boundary_faces, space.face_areas, int(b_even)) ** (1.0 / b_even),
+        "holder": holder,
+    }
+
+
+@pytest.mark.parametrize("block", [1, 1000, norms._BLOCK_VALUES])
+def test_buffered_passes_equal_the_allocating_loop(block, rng):
+    # the reused buffers change where each block's values live, not how they are
+    # computed: every entry is bitwise that of the allocating loop
+    mesh = build_cube_mesh(3)
+    values = 10.0 ** rng.uniform(-3.0, 2.0, 5) * rng.standard_normal((mesh.num_vertices, 5))
+    values[:, 2] = 0.0
+    values[:, 3] = -values[:, 3] ** 2  # a column of one sign: its max norm is -min
+    exponents = dict(volume=(6.0, 2.5), boundary=(8.0 / 3.0, 4.0), w1m=(4.5,), holder_p=2.0)
+    with mock.patch.object(norms, "_BLOCK_VALUES", block):
+        table = norm_table(mesh, values, **exponents)
+        expected = _allocating_table(mesh, values, **exponents)
+    assert set(table) == set(expected)
+    for key, column in expected.items():
+        assert table[key].tobytes() == column.tobytes(), key
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    count=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    block=st.sampled_from([1, 1000, norms._BLOCK_VALUES]),
+)
+def test_copies_share_the_volume_norms_of_their_base(n, count, seed, block):
+    # copies anywhere in the matrix, not only after the distinct columns; a
+    # distinct column's volume sums may round differently with fewer rows in
+    # the BLAS products, so those entries agree to rounding, the rest bitwise
+    mesh = build_cube_mesh(n)
+    rng = np.random.default_rng(seed)
+    values = 10.0 ** rng.uniform(-3.0, 2.0, count) * rng.standard_normal((mesh.num_vertices, count))
+    targets = rng.choice(np.arange(1, count), size=rng.integers(1, count), replace=False)
+    bases = [s for s in range(count) if s not in targets]
+    copies = {}
+    for s in targets:
+        base, scale = bases[rng.integers(len(bases))], 10.0 ** rng.uniform(-1.0, 1.0)
+        values[:, s] = scale * values[:, base]
+        copies[int(s)] = (base, scale)
+    exponents = dict(volume=(6.0, 2.5), boundary=(6.0, 4.0, 8.0 / 3.0), w1m=(4.5,), holder_p=2.0)
+    with mock.patch.object(norms, "_BLOCK_VALUES", block):
+        shared = norm_table(mesh, values, copies=copies, **exponents)
+        plain = norm_table(mesh, values, **exponents)
+        empty = norm_table(mesh, values, copies={}, **exponents)
+    assert set(shared) == set(plain) == set(empty)
+    for key, column in plain.items():
+        assert empty[key].tobytes() == column.tobytes(), key
+        if key[0] in ("volume", "w1m"):
+            np.testing.assert_allclose(shared[key], column, rtol=1e-14, atol=0, err_msg=str(key))
+        else:
+            assert shared[key].tobytes() == column.tobytes(), key
+
+
+@pytest.mark.parametrize("copies", [{1: (0, 0.0)}, {1: (0, -2.0)}, {1: (2, 1.0), 2: (0, 1.0)},
+                                    {3: (0, 1.0)}, {1: (-1, 1.0)}])
+def test_copy_map_must_name_positive_copies_of_distinct_columns(mesh2, copies):
+    values = np.ones((mesh2.num_vertices, 3))
+    with pytest.raises(ValueError, match="cannot be a copy"):
+        norm_table(mesh2, values, volume=(2.5,), copies=copies)
+
+
 def test_solution_norms_take_no_log_pass(ground_state_p2_n8, monkeypatch):
     # a solution row reads only L^{2*} = L^6 and L^{2_*} = L^4, both closed forms
     from boundlab.verify_chain import solution_norms

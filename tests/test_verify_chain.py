@@ -119,6 +119,19 @@ def test_corpus_composition(mesh4):
     assert np.array_equal(corpus.values, again.values)
 
 
+def test_corpus_copies_are_positive_rescalings_of_their_base(mesh4):
+    # two solutions over 25 slots: slots 75 and 76 hold them, the other 23 are copies
+    solutions = [const(mesh4, 0.5), FemFunction(mesh4, mesh4.vertices[:, 0])]
+    corpus = build_corpus(mesh4, 100, seed=3, solutions=solutions)
+    assert sorted(corpus.copies) == list(range(77, 100))
+    for s, (base, scale) in corpus.copies.items():
+        assert base == 75 + (s - 75) % 2 and base not in corpus.copies
+        assert scale > 0
+        assert corpus.values[:, s].tobytes() == (scale * corpus.values[:, base]).tobytes()
+    assert build_corpus(mesh4, 100, seed=3).copies == {}
+    assert Corpus(mesh4, corpus.values, corpus.kinds).copies == {}
+
+
 def test_universal_suite_clean(mesh4, ctx):
     report = universal_suite(build_corpus(mesh4, 40, seed=7), ctx)
     assert len(report.records) == 120
