@@ -3,11 +3,13 @@
 Provides the H1 operator (stiffness + mass, exact for piecewise linears),
 boundary load vectors and boundary operators built from values at the
 quadrature points, all with the degree-7 quadrature rules from
-:mod:`boundlab.quadrature` (operators are plain scipy CSR matrices), and a
-multigrid V-cycle per level that preconditions solves with the H1 operator.
-Assembly is sequential with a fixed element order, so repeated runs are
-bit-identical.  scipy is imported by the functions that build operators, on
-their first call, so importing this module loads numpy alone.
+:mod:`boundlab.quadrature`, and a multigrid V-cycle per level that
+preconditions solves with the H1 operator.  The H1 operator is a scipy DIA
+matrix holding its 15 Kuhn-stencil diagonals; boundary operators are scipy
+CSR matrices.  Assembly is sequential with a fixed element order, so
+repeated runs are bit-identical.  scipy is imported by the functions that
+build operators, on their first call, so importing this module loads numpy
+alone.
 """
 
 from __future__ import annotations
@@ -130,11 +132,11 @@ class _FemSpace:
 
         Entry (k, i, j) couples row v = cell + corner i with column
         v + corner j - corner i, an offset that is the same in every cell.  So
-        the operator is a sum of 15 offset diagonals, and each entry adds one
-        constant to the n^3 block of its diagonal where corner i of a cell
-        lies.  The CSR is filled one diagonal at a time, in increasing offset
-        order so columns come out sorted; every coupling a cell creates is
-        stored once, zero or not.
+        the operator is a sum of 15 offset diagonals, stored as scipy DIA in
+        increasing offset order: each entry adds one constant to the n^3 block
+        of its diagonal where corner j of a cell lies (DIA indexes a diagonal
+        by column).  Slots no cell couples hold 0.0, so products are bitwise
+        those of the CSR holding the same couplings.
         """
         from scipy import sparse
 
@@ -142,32 +144,11 @@ class _FemSpace:
         s = n + 1
         corners = _KUHN_CORNERS @ np.array([1, s, s * s])                  # (6, 4)
         offsets, diagonal = np.unique(corners[:, None, :] - corners[:, :, None], return_inverse=True)
-        diagonal = diagonal.reshape(6, 4, 4)
-
-        def block(k, i):
-            x, y, z = _KUHN_CORNERS[k, i]
-            return slice(z, z + n), slice(y, y + n), slice(x, x + n)
-
-        coupled = np.zeros((offsets.size, s, s, s), dtype=bool)
-        for (k, i, _), d in np.ndenumerate(diagonal):
-            coupled[d][block(k, i)] = True
-        index = np.int32 if coupled.size < 2**31 else np.int64
-        indptr = np.zeros(nv + 1, dtype=index)
-        np.cumsum(coupled.sum(axis=0).ravel(), out=indptr[1:])
-        indices = np.empty(indptr[-1], dtype=index)
-        data = np.empty(indptr[-1])
-        slot = indptr[:-1].copy()                     # next free entry of each row
-        rows = np.arange(nv, dtype=index)
-        for d, offset in enumerate(offsets.astype(index)):
-            values = np.zeros((s, s, s))
-            for k, i, j in np.argwhere(diagonal == d):
-                values[block(k, i)] += shape_matrices[k, i, j]
-            here = coupled[d].ravel()
-            at = slot[here]
-            indices[at] = rows[here] + offset
-            data[at] = values.ravel()[here]
-            slot += here
-        return sparse.csr_matrix((data, indices, indptr), shape=(nv, nv))
+        data = np.zeros((offsets.size, s, s, s))
+        for (k, i, j), d in np.ndenumerate(diagonal.reshape(6, 4, 4)):
+            x, y, z = _KUHN_CORNERS[k, j]
+            data[d, z:z + n, y:y + n, x:x + n] += shape_matrices[k, i, j]
+        return sparse.dia_matrix((data.reshape(offsets.size, nv), offsets), shape=(nv, nv))
 
     def h1_operator(self):
         """Stiffness + mass operator of the H1 inner product, exact for P1."""
@@ -248,9 +229,7 @@ class _FemSpace:
 
     def boundary_load_from_values(self, point_values):
         contrib = np.einsum("fq,qi->fi", self.bnd_w * point_values, self.bnd_basis)
-        load = np.zeros(self.nv)
-        np.add.at(load, self.mesh.boundary_faces, contrib)
-        return load
+        return np.bincount(self.mesh.boundary_faces.ravel(), weights=contrib.ravel(), minlength=self.nv)
 
     def boundary_operator_from_values(self, point_values):
         from scipy import sparse

@@ -110,7 +110,7 @@ class CheckResult:
 _DEFAULT_S_GRID = np.linspace(-100.0, 100.0, 1001)
 
 # cube corners and face centers, a representative boundary sample
-_DEFAULT_X_POINTS = np.array(
+_X_POINTS = np.array(
     [
         [0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
         [1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1],
@@ -121,12 +121,11 @@ _DEFAULT_X_POINTS = np.array(
 )
 
 
-def _check_grid(s_values, x_points):
+def _check_grid(s_values):
     s = _DEFAULT_S_GRID if s_values is None else np.asarray(s_values, dtype=float)
-    x = _DEFAULT_X_POINTS if x_points is None else np.asarray(x_points, dtype=float)
     # broadcast to the full (x, s) product grid
-    xs = np.broadcast_to(x[:, None, :], (x.shape[0], s.size, 3))
-    ss = np.broadcast_to(s[None, :], (x.shape[0], s.size))
+    xs = np.broadcast_to(_X_POINTS[:, None, :], (len(_X_POINTS), s.size, 3))
+    ss = np.broadcast_to(s[None, :], (len(_X_POINTS), s.size))
     return xs, ss
 
 
@@ -140,9 +139,9 @@ def _first_violation(mask, xs, ss, lhs, rhs):
     }
 
 
-def growth_check(nl, s_values=None, x_points=None):
+def growth_check(nl, s_values=None):
     """Pointwise check of |f(x, s)| <= B0 (1 + |s|^p) on the sample grid."""
-    xs, ss = _check_grid(s_values, x_points)
+    xs, ss = _check_grid(s_values)
     lhs = np.abs(nl.f(xs, ss))
     rhs = nl.B0 * (1.0 + np.abs(ss) ** nl.p)
     bad = lhs > rhs
@@ -163,9 +162,9 @@ def ar_defect(nl, x, s):
     return nl.theta * (nl.F(x, s) - s * nl.f(x, s) / nl.theta)
 
 
-def ar_check(nl, s_values=None, x_points=None):
+def ar_check(nl, s_values=None):
     """Check theta*F(x, s) <= s*f(x, s) for |s| > s0 on the sample grid."""
-    xs, ss = _check_grid(s_values, x_points)
+    xs, ss = _check_grid(s_values)
     defect = ar_defect(nl, xs, ss)
     relevant = np.abs(ss) > nl.s0
     bad = relevant & (defect > 0.0)
@@ -177,9 +176,9 @@ def ar_check(nl, s_values=None, x_points=None):
     return CheckResult(True)
 
 
-def antiderivative_check(nl, s_values=None, x_points=None, tol=1e-6):
+def antiderivative_check(nl, s_values=None, tol=1e-6):
     """Finite-difference consistency of F with f: dF/ds = f within tol."""
-    xs, ss = _check_grid(s_values, x_points)
+    xs, ss = _check_grid(s_values)
     h = 1e-4 * np.maximum(1.0, np.abs(ss))
     fd = (nl.F(xs, ss + h) - nl.F(xs, ss - h)) / (2.0 * h)
     fv = nl.f(xs, ss)

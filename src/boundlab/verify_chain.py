@@ -488,7 +488,7 @@ def _c_s0(nl):
     """C(s0) = |bnd| * sup (F(x, s) - s f(x, s) / theta)^+ over the boundary
     points of ``ar_check`` and 2001 values |s| <= s0; zero when s0 = 0, as F
     vanishes at s = 0."""
-    xs, ss = _check_grid(np.linspace(-nl.s0, nl.s0, 2001), None)
+    xs, ss = _check_grid(np.linspace(-nl.s0, nl.s0, 2001))
     gap = nl.F(xs, ss) - ss * nl.f(xs, ss) / nl.theta
     return 6.0 * float(np.max(np.maximum(gap, 0.0)))
 
