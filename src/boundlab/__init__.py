@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 # at module level: the solvers import it on their first call, so commands that
 # solve nothing (mesh-info, exponents) run on numpy alone.
 from .exponents import ExponentContext, critical_exponents, derive_context, check_identities
-from .mesh import Mesh, build_cube_mesh, mesh_integrity, boundary_vertex_set
+from .mesh import Mesh, build_cube_mesh, mesh_integrity, boundary_vertices
 from .assembly import FemFunction, assemble_boundary_load
 from .linear_solver import LinearSolveResult, solve_neumann, manufactured_convergence, regularity_ratio_suite
 from .norms import norm_table

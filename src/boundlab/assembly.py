@@ -117,7 +117,6 @@ class _FemSpace:
         self.bnd_normals = np.broadcast_to(
             mesh.boundary_normals[:, None, :], self.bnd_pts.shape
         )
-        self.boundary_vertex_index = np.unique(mesh.boundary_faces.ravel())
 
         self._h1 = None
         self._prolong = None

@@ -1,8 +1,10 @@
 """Batch entry point: experiment configuration, orchestration, reports.
 
-Reports are produced with a fixed field order and floats at 17 significant
-digits, so for a fixed BLAS thread count one (config, seed) pair maps to one
-byte sequence; nothing time- or machine-dependent is embedded.  Exit codes:
+Reports hold scalars only, in a fixed field order, written by the standard
+library's JSON and CSV encoders: a float is its shortest repr, which reads back
+exactly, and a non-finite one is NaN or Infinity.  So for a fixed BLAS thread
+count one (config, seed) pair maps to one byte sequence; nothing time- or
+machine-dependent is embedded.  Exit codes:
 0 all asserted checks pass, 1 a check or solve failed or a numerical fault,
 2 usage error, 3 output not writable.
 """
@@ -18,6 +20,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
 from .exponents import check_identities, derive_context
 from .linear_solver import (
@@ -26,7 +30,7 @@ from .linear_solver import (
     manufactured_convergence,
     regularity_ratio_suite,
 )
-from .mesh import boundary_vertex_set, build_cube_mesh, dump_mesh, mesh_integrity
+from .mesh import boundary_vertices, build_cube_mesh, dump_mesh, mesh_integrity
 from .nonlinear import SolverDivergence, StagnationError, make_power_nonlinearity, solve_ground_state
 from .verify_chain import (
     build_corpus,
@@ -129,49 +133,15 @@ class ExperimentConfig:
         return {name: getattr(self, name) for name in _HEADER_FIELDS}
 
 
-# -- deterministic serialization -------------------------------------------------
-
-
-def _fmt_float(x):
-    return format(x, ".17g")
-
-
-def _json_text(obj):
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, Fraction):
-        return json.dumps(str(obj))
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {_json_text(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_text(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _csv_cell(value):
-    if isinstance(value, float):
-        return _fmt_float(value)
-    if value is None:
-        return ""
-    if isinstance(value, (list, tuple)):
-        return _json_text(value)
-    return str(value)
+# -- reports ----------------------------------------------------------------------
 
 
 def write_report(records, fmt, path, header=None):
-    """Write records as JSON or CSV with a stable field order.
+    """Write scalar records as JSON or CSV with a stable field order.
 
     Records must be non-empty dicts sharing one key set; the config/version
     header is embedded (as a document field in JSON, as a comment line in CSV).
+    A Fraction is written as its text, such as "3/2".
     """
     if not records:
         raise ValueError("refusing to write an empty report")
@@ -180,16 +150,14 @@ def write_report(records, fmt, path, header=None):
         if list(r.keys()) != fields:
             raise ValueError("records do not share one field set")
     if fmt == "json":
-        doc = {"header": header or {}, "records": records}
-        text = _json_text(doc) + "\n"
+        text = json.dumps({"header": header or {}, "records": records}, default=str) + "\n"
     elif fmt == "csv":
-        # the csv module quotes a cell holding a comma or quote, such as a list's JSON text
         buffer = io.StringIO()
         if header:
-            buffer.write("# " + _json_text(header) + "\n")
+            buffer.write("# " + json.dumps(header, default=str) + "\n")
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(fields)
-        writer.writerows([_csv_cell(r[k]) for k in fields] for r in records)
+        writer.writerows([r[k] for k in fields] for r in records)
         text = buffer.getvalue()
     else:
         raise UsageError(f"unknown report format {fmt!r}")
@@ -238,7 +206,7 @@ def _cmd_mesh_info(config):
     print(f"n={n}: {mesh.num_vertices} vertices, {mesh.num_tets} tets, "
           f"{mesh.num_boundary_faces} boundary faces")
     print(f"  volume={report.volume!r}  boundary area={report.area!r}")
-    print(f"  boundary vertices: {len(boundary_vertex_set(mesh))}")
+    print(f"  boundary vertices: {len(boundary_vertices(mesh))}")
     print(f"  integrity: {report.detail}")
     if config.dump:
         dump_mesh(mesh, config.dump)
@@ -294,8 +262,12 @@ def _cmd_solve_nonlinear(config):
     rec = {"p": float(p), "n": n, **columns, "h1": row["h1"], "linf": row["linf"],
            "l_two_star_volume": row["volume", float(ctx.two_star)],
            "l_two_low_star_boundary": row["boundary", float(ctx.two_low_star)],
-           "w1m": row["w1m", m], "m": m, "linf_boundary": row["linf_boundary"], "q": float(ctx.q),
-           "values": outcome.solution.values.tolist()}
+           "w1m": row["w1m", m], "m": m, "linf_boundary": row["linf_boundary"], "q": float(ctx.q)}
+    if config.dump:
+        # through a file handle, so np.save writes to the path as given, adding no .npy suffix
+        with open(config.dump, "wb") as out:
+            np.save(out, outcome.solution.values)
+        print(f"  nodal values written to {config.dump}")
     _emit(config, [rec])
     return 0
 
@@ -451,6 +423,7 @@ _COMMAND_FLAGS = {
     "solve-linear": (("--case", "case", {"choices": sorted(MANUFACTURED_CASES)}),),
     "verify": (("--suite", "suite", {"choices": _SUITES}),),
     "mesh-info": (("--dump", "dump", {"help": "write plain-text mesh dump here"}),),
+    "solve-nonlinear": (("--dump", "dump", {"help": "write the nodal vector here as .npy"}),),
 }
 
 

@@ -19,7 +19,7 @@ __all__ = [
     "IntegrityReport",
     "build_cube_mesh",
     "mesh_integrity",
-    "boundary_vertex_set",
+    "boundary_vertices",
     "dump_mesh",
 ]
 
@@ -259,9 +259,9 @@ def mesh_integrity(mesh):
     return IntegrityReport(True, "pass", volume, area)
 
 
-def boundary_vertex_set(mesh):
-    """Vertex indices on the boundary (union over boundary faces)."""
-    return set(int(v) for v in mesh.boundary_faces.ravel())
+def boundary_vertices(mesh):
+    """Sorted indices of the boundary vertices (union over boundary faces)."""
+    return np.unique(mesh.boundary_faces)
 
 
 def dump_mesh(mesh, path):

@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 from .assembly import fem_space
+from .mesh import boundary_vertices
 from .quadrature import _POINTS_PER_AXIS
 
 __all__ = [
@@ -164,7 +165,7 @@ def norm_table(mesh, values, volume=(), boundary=(), w1m=(), holder_p=None, copi
 
     table = {
         "linf": _max_abs(columns),
-        "linf_boundary": _max_abs(columns[:, space.boundary_vertex_index]),
+        "linf_boundary": _max_abs(columns[:, boundary_vertices(mesh)]),
     }
     vol_even = [e for e in volume if _closed_form(e)]
     bnd_even = [e for e in boundary if _closed_form(e)]
@@ -257,8 +258,7 @@ def norm_linf(u, region="volume"):
     _check_region(region)
     if region == "volume":
         return float(np.max(np.abs(u.values)))
-    space = fem_space(u.mesh)
-    return float(np.max(np.abs(u.values[space.boundary_vertex_index])))
+    return float(np.max(np.abs(u.values[boundary_vertices(u.mesh)])))
 
 
 def norm_w1m(u, m):

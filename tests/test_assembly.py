@@ -7,7 +7,7 @@ from scipy import sparse
 from boundlab import assembly
 from boundlab import mesh as mesh_module
 from boundlab.assembly import FemFunction, assemble_boundary_load, fem_space
-from boundlab.mesh import Mesh, build_cube_mesh, signed_volumes
+from boundlab.mesh import Mesh, boundary_vertices, build_cube_mesh, signed_volumes
 
 
 def constant_field(value):
@@ -110,7 +110,7 @@ def test_boundary_jacobian_symmetric(mesh4, rng):
     assert (op != op.T).nnz == 0
     # interior vertices carry no boundary entries
     interior = np.setdiff1d(
-        np.arange(mesh4.num_vertices), fem_space(mesh4).boundary_vertex_index
+        np.arange(mesh4.num_vertices), boundary_vertices(mesh4)
     )
     dense_rows = np.abs(op[interior]).sum()
     assert dense_rows == 0.0

@@ -18,6 +18,7 @@ from boundlab.assembly import FemFunction
 from boundlab.cli import main, parse_config, write_report
 from boundlab.linear_solver import MANUFACTURED_CASES
 from boundlab.mesh import build_cube_mesh
+from boundlab.nonlinear import certify_solution, make_power_nonlinearity, solve_ground_state
 from boundlab.norms import norm_h1, norm_linf, norm_lp, norm_w1m
 
 
@@ -97,16 +98,17 @@ def test_solve_linear_orders(tmp_path, capsys):
 
 def test_solve_nonlinear(tmp_path, capsys):
     out = tmp_path / "gs.json"
+    dump = tmp_path / "u.npy"
     status = main([
         "solve-nonlinear", "--p", "2", "--n", "4", "--tol", "1e-8",
-        "--seed", "11", "--output", str(out),
+        "--seed", "11", "--output", str(out), "--dump", str(dump),
     ])
     assert status == 0
     doc = json.loads(out.read_text())
     rec = doc["records"][0]
     assert rec["positive"] is True
     assert rec["weak_residual"] <= 1e-8
-    assert len(rec["values"]) == 125
+    assert np.load(dump).shape == (125,)
 
 
 def test_solve_nonlinear_record_reads_the_certified_norm_row(tmp_path, monkeypatch):
@@ -119,16 +121,29 @@ def test_solve_nonlinear_record_reads_the_certified_norm_row(tmp_path, monkeypat
         return norm_table(*args, **kwargs)
 
     monkeypatch.setattr(verify_chain, "norm_table", counted)
-    out = tmp_path / "gs.json"
-    assert main(["solve-nonlinear", "--p", "2", "--n", "8", "--seed", "11", "--output", str(out)]) == 0
+    # the solved vector, to compare the dump with bit for bit
+    solved = []
+
+    def kept(*args):
+        solved.append(solve_ground_state(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(cli, "solve_ground_state", kept)
+    out, dump = tmp_path / "gs.json", tmp_path / "u.npy"
+    assert main(["solve-nonlinear", "--p", "2", "--n", "8", "--seed", "11", "--output", str(out),
+                 "--dump", str(dump)]) == 0
     assert len(calls) == 1
     rec = json.loads(out.read_text())["records"][0]
     assert list(rec) == [
         "p", "n", "multiplier", "weak_residual", "outer_iterations", "newton_iterations",
         "positive", "h1", "linf", "l_two_star_volume", "l_two_low_star_boundary", "w1m", "m",
-        "linf_boundary", "q", "values",
+        "linf_boundary", "q",
     ]
-    u = FemFunction(build_cube_mesh(8), np.array(rec["values"]))
+    values = np.load(dump)
+    assert values.dtype == solved[0].solution.values.dtype
+    assert values.tobytes() == solved[0].solution.values.tobytes()
+    u = FemFunction(build_cube_mesh(8), values)
+    assert certify_solution(u, make_power_nonlinearity(2.0), 1e-8).weak_residual <= 1e-8
     assert (rec["n"], rec["p"], rec["q"], rec["m"]) == (8, 2.0, 3.0, 4.5)
     assert rec["h1"] == norm_h1(u)
     assert rec["linf"] == norm_linf(u)
@@ -138,7 +153,7 @@ def test_solve_nonlinear_record_reads_the_certified_norm_row(tmp_path, monkeypat
     assert rec["linf_boundary"] == norm_linf(u, "boundary")
 
 
-def test_solve_nonlinear_csv_writes_values_as_one_field(tmp_path):
+def test_solve_nonlinear_csv_row_equals_the_json_record(tmp_path):
     argv = ["solve-nonlinear", "--p", "2", "--n", "5", "--seed", "11", "--output"]
     assert main(argv + [str(tmp_path / "gs.json")]) == 0
     assert main(argv + [str(tmp_path / "gs.csv"), "--format", "csv"]) == 0
@@ -146,10 +161,31 @@ def test_solve_nonlinear_csv_writes_values_as_one_field(tmp_path):
         lines = [line for line in fh if not line.startswith("#")]
     reader = csv.DictReader(lines)
     (row,) = list(reader)
-    assert None not in row and len(row) == len(reader.fieldnames) == 16
+    assert None not in row and len(row) == len(reader.fieldnames) == 15
     (rec,) = json.loads((tmp_path / "gs.json").read_text())["records"]
-    assert json.loads(row["values"]) == rec["values"]
-    assert len(rec["values"]) == 216
+    assert list(row) == list(rec)
+    for key, value in rec.items():
+        if isinstance(value, bool):
+            assert row[key] == str(value), key
+        else:
+            assert float(row[key]) == value, key
+
+
+def test_solve_nonlinear_dump_is_reproducible(tmp_path):
+    argv = ["solve-nonlinear", "--p", "2", "--n", "5", "--seed", "11", "--dump"]
+    assert main(argv + [str(tmp_path / "a.npy")]) == 0
+    assert main(argv + [str(tmp_path / "b.npy")]) == 0
+    assert (tmp_path / "a.npy").read_bytes() == (tmp_path / "b.npy").read_bytes()
+    assert np.load(tmp_path / "a.npy").shape == (216,)
+
+
+def test_solve_nonlinear_unwritable_dump_is_status_3(tmp_path, capsys):
+    out = tmp_path / "gs.json"
+    status = main(["solve-nonlinear", "--p", "2", "--n", "2", "--seed", "11",
+                   "--dump", "/nonexistent-dir/u.npy", "--output", str(out)])
+    assert status == 3
+    assert "i/o error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_requires_seed(capsys):
@@ -282,8 +318,8 @@ def test_sweep_level_record_does_not_depend_on_coarser_levels(tmp_path, monkeypa
                      "--output", str(out)]) == 0
         records[n_list] = json.loads(out.read_text())["records"][-1]
     assert records["8,16"]["n"] == 16
-    # 17-digit floats read back exactly, so equal records print as equal bytes
-    assert cli._json_text(records["8,16"]) == cli._json_text(records["16"])
+    # report floats read back exactly, so equal parsed records were written as equal values
+    assert records["8,16"] == records["16"]
 
 
 def test_write_report_round_trip(tmp_path):
@@ -298,8 +334,23 @@ def test_write_report_round_trip(tmp_path):
     assert jdoc["records"][0]["value"] == float(crow["value"])
     assert jdoc["records"][0]["count"] == int(crow["count"])
     assert jdoc["records"][0]["name"] == crow["name"]
-    # 17 significant digits are enough to round-trip binary64 exactly
+    # the shortest repr round-trips binary64 exactly
     assert float(crow["value"]) == 1.0 / 3.0
+
+
+def test_write_report_round_trips_non_finite_floats(tmp_path):
+    records = [{"nan": math.nan, "inf": math.inf, "minus_inf": -math.inf}]
+    jpath = tmp_path / "r.json"
+    cpath = tmp_path / "r.csv"
+    write_report(records, "json", str(jpath), header={"version": "x"})
+    write_report(records, "csv", str(cpath), header={"version": "x"})
+    (jrec,) = json.loads(jpath.read_text())["records"]
+    with open(cpath, newline="") as fh:
+        (crow,) = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    for rec in (jrec, {key: float(text) for key, text in crow.items()}):
+        assert math.isnan(rec["nan"])
+        assert rec["inf"] == math.inf
+        assert rec["minus_inf"] == -math.inf
 
 
 def test_write_report_rejects_empty(tmp_path):
@@ -386,7 +437,7 @@ def test_csv_header_line_is_pinned(tmp_path):
     assert out.read_text().splitlines()[0] == (
         '# {"version": "0.1.0", "config": {"command": "exponents", "N": 4, "p_list": ["3/2"], '
         '"q_override": "7/2", "n_list": [2, 4], "samples": 5, "seed": 11, '
-        '"tol": 1.0000000000000001e-09, "suite": "chain", "case": "exp-x1", "b0": 2}}'
+        '"tol": 1e-09, "suite": "chain", "case": "exp-x1", "b0": 2.0}}'
     )
 
 

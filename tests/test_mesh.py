@@ -7,7 +7,7 @@ import pytest
 from boundlab import mesh as mesh_module
 from boundlab.mesh import (
     Mesh,
-    boundary_vertex_set,
+    boundary_vertices,
     build_cube_mesh,
     dump_mesh,
     face_areas,
@@ -178,11 +178,11 @@ def test_integrity_detects_flipped_normal(mesh2):
 
 
 def test_boundary_vertices_level_one():
-    assert boundary_vertex_set(build_cube_mesh(1)) == set(range(8))
+    assert set(boundary_vertices(build_cube_mesh(1)).tolist()) == set(range(8))
 
 
 def test_boundary_vertices_level_two(mesh2):
-    verts = boundary_vertex_set(mesh2)
+    verts = set(boundary_vertices(mesh2).tolist())
     assert len(verts) == 26
     interior = set(range(27)) - verts
     (center,) = interior
@@ -190,7 +190,7 @@ def test_boundary_vertices_level_two(mesh2):
 
 
 def test_boundary_set_matches_coordinate_rule(mesh4):
-    verts = boundary_vertex_set(mesh4)
+    verts = set(boundary_vertices(mesh4).tolist())
     coords = mesh4.vertices
     on_boundary = np.any((coords == 0.0) | (coords == 1.0), axis=1)
     assert verts == set(np.nonzero(on_boundary)[0])

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from boundlab import norms
 from boundlab.assembly import FemFunction, fem_space
 from boundlab.exponents import derive_context
-from boundlab.mesh import build_cube_mesh
+from boundlab.mesh import boundary_vertices, build_cube_mesh
 from boundlab.nonlinear import make_power_nonlinearity
 from boundlab.norms import (
     energy_J,
@@ -188,7 +188,7 @@ def _table_oracle(mesh, values, volume, boundary, w1m, holder_p):
     grad = [np.linalg.norm(space.gradients(c), axis=1) for c in columns]
     oracle = {
         "linf": [np.max(np.abs(c)) for c in columns],
-        "linf_boundary": [np.max(np.abs(c[space.boundary_vertex_index])) for c in columns],
+        "linf_boundary": [np.max(np.abs(c[boundary_vertices(mesh)])) for c in columns],
         "holder": [np.sum(space.bnd_w * np.power(b, holder_p) * b_next)
                    for b, b_next in zip(bnd, bnd[1:] + bnd[:1])],
     }
@@ -340,7 +340,7 @@ def _allocating_table(mesh, values, volume, boundary, w1m, holder_p):
     magnitudes = np.abs(columns)
     return {
         "linf": magnitudes.max(axis=1),
-        "linf_boundary": magnitudes[:, space.boundary_vertex_index].max(axis=1),
+        "linf_boundary": magnitudes[:, boundary_vertices(mesh)].max(axis=1),
         ("volume", r_even): even_power(mesh.tets, space.tet_volume, int(r_even)) ** (1.0 / r_even),
         ("volume", r_frac): vol ** (1.0 / r_frac),
         ("w1m", m): (vol_m + grad) ** (1.0 / m),
