@@ -173,40 +173,66 @@ class IntegrityReport:
     area: float
 
 
-# tets per slab of the signed-volume pass, which bounds its temporaries
-_VOLUME_SLAB = 1 << 15
+# tets per slab of the signed-volume and face-key passes, which bounds their temporaries
+_SLAB = 1 << 12
+
+# packed face keys stay below this bound, so they fit in int64
+_KEY_LIMIT = 2**63
 
 
-def _sorted_face_rows(mesh, stored):
-    """Stable lexicographic order of all face rows, and where each distinct row starts in it.
+def _key_span(nv):
+    """Width of the ranges [a0, a0 + span) of least vertex id, one face-key pass each.
 
-    Row 4 t + o is the face of tet t opposite local vertex o, rows 4 nt + f
-    the stored boundary faces; every row lists its vertices in increasing
-    order.  The three vertex columns are compared, never combined into one
-    integer key, so nothing can overflow.
+    A face (a, b, c) with a in such a range packs to ((a - a0) nv + b) nv + c,
+    which stays below span nv^2 <= _KEY_LIMIT; one range covers every level
+    with nv^3 <= 2^63 (n <= 127).
     """
-    nt = mesh.num_tets
-    index = np.int32 if mesh.num_vertices < 2**31 else np.int64
-    cols = np.empty((3, 4 * nt + len(stored)), dtype=index)
-    tet_cols = cols[:, : 4 * nt].reshape(3, nt, 4)
-    for o, face in enumerate(_FACE_VERTICES):
-        tet_cols[:, :, o] = np.sort(mesh.tets[:, face], axis=1).T
-    cols[:, 4 * nt:] = stored.T
-    order = np.lexsort(cols[::-1])
-    starts = np.zeros(order.size, dtype=bool)
-    starts[:1] = True
-    for col in cols:
-        ranked = col[order]
-        starts[1:] |= ranked[1:] != ranked[:-1]
-    return order, np.flatnonzero(starts)
+    return _KEY_LIMIT // (nv * nv)
+
+
+def _pack(a, b, c, a0, nv):
+    """Key ((a - a0) nv + b) nv + c of faces a <= b <= c with ids in [0, nv):
+    exact and order-preserving for a in [a0, a0 + _key_span(nv))."""
+    return ((a.astype(np.int64, copy=False) - a0) * nv + b) * nv + c
+
+
+def _face_keys(tets, a0, a1, nv):
+    """Packed keys of the faces of tets, [t, o] for the face opposite local
+    vertex o, and whether each face's least vertex lies in [a0, a1)."""
+    x, y, z = np.moveaxis(tets[:, _FACE_VERTICES], 2, 0)
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    mid, c = np.minimum(hi, z), np.maximum(hi, z)
+    a, b = np.minimum(lo, mid), np.maximum(lo, mid)
+    return _pack(a, b, c, a0, nv), (a >= a0) & (a < a1)
+
+
+def _out_of_range(mesh):
+    """Detail of the first vertex or parent id outside its range, or None."""
+    nv, nt = mesh.num_vertices, mesh.num_tets
+    for name, ids, bound, what in (
+        ("tet", mesh.tets, nv, "references vertex"),
+        ("boundary face", mesh.boundary_faces, nv, "references vertex"),
+        ("boundary face", mesh.boundary_parents[:, None], nt, "has parent tet"),
+    ):
+        if ids.size and (ids.min() < 0 or ids.max() >= bound):
+            row, col = divmod(int(np.argmax(((ids < 0) | (ids >= bound)).ravel())), ids.shape[1])
+            return f"{name} {row} {what} {ids[row, col]} outside [0, {bound})"
+    return None
 
 
 def mesh_integrity(mesh):
-    """Check every structural invariant; report the first violation."""
+    """Check every structural invariant; report the first violation.
+
+    Vertex and parent ids are checked first: outside their ranges the volume
+    and area cannot be summed, and the report carries nan for both.
+    """
+    bad_id = _out_of_range(mesh)
+    if bad_id is not None:
+        return IntegrityReport(False, bad_id, float("nan"), float("nan"))
     nt = mesh.num_tets
     vols = np.empty(nt)
-    for start in range(0, nt, _VOLUME_SLAB):
-        vols[start:start + _VOLUME_SLAB] = signed_volumes(mesh.vertices, mesh.tets[start:start + _VOLUME_SLAB])
+    for start in range(0, nt, _SLAB):
+        vols[start:start + _SLAB] = signed_volumes(mesh.vertices, mesh.tets[start:start + _SLAB])
     volume = float(vols.sum())
     area = float(face_areas(mesh).sum())
 
@@ -221,33 +247,25 @@ def mesh_integrity(mesh):
     if abs(area - 6.0) > _AREA_TOL:
         return fail(f"boundary area sum {area!r} differs from 6")
 
-    # group equal rows among the tet faces and the stored faces: a group's
-    # owners are its tet rows, its first row the earliest (the sort is stable)
     stored = np.sort(mesh.boundary_faces, axis=1)
-    order, groups = _sorted_face_rows(mesh, stored)
-    first = order[groups]
-    at = np.flatnonzero(order >= 4 * nt)
-    stored_key = np.empty(len(stored), dtype=np.intp)
-    stored_key[order[at] - 4 * nt] = np.searchsorted(groups, at, side="right") - 1
-    owners = np.diff(groups, append=order.size)
-    np.subtract.at(owners, stored_key, 1)
-    shared = np.flatnonzero(owners > 2)
-    if shared.size:
-        k = shared[np.argmin(first[shared])]
-        face = np.sort(mesh.tets[first[k] // 4, _FACE_VERTICES[first[k] % 4]])
-        return fail(f"face {tuple(face.tolist())} shared by {owners[k]} tets")
-    found = int(np.count_nonzero(owners == 1))
+    shared, found, is_boundary = _match_faces(mesh, stored)
+    if shared is not None:
+        row, owners = shared
+        face = np.sort(mesh.tets[row // 4, _FACE_VERTICES[row % 4]])
+        return fail(f"face {tuple(face.tolist())} shared by {owners} tets")
     if found != mesh.num_boundary_faces:
         return fail(f"{mesh.num_boundary_faces} stored boundary faces, {found} found")
 
-    is_boundary = owners[stored_key] == 1
-    parents = np.where(is_boundary, first[stored_key] // 4, 0)
+    # a boundary face has one owner, so its parent is right iff that tet has it
+    parents = mesh.boundary_parents
+    parent_faces = np.sort(mesh.tets[parents][:, _FACE_VERTICES], axis=2)
+    has_face = (parent_faces == stored[:, None, :]).all(axis=2).any(axis=1)
     normals = mesh.boundary_normals
     centroids = mesh.vertices[mesh.boundary_faces].mean(axis=1)
     tet_centroids = mesh.vertices[mesh.tets[parents]].mean(axis=1)
     checks = (
         (~is_boundary, "stored face {} is not a boundary face"),
-        (parents != mesh.boundary_parents, "face {} has wrong parent tet"),
+        (~has_face, "face {} has wrong parent tet"),
         (np.abs(np.linalg.norm(normals, axis=1) - 1.0) > 1e-12, "face {} normal is not unit length"),
         (np.einsum("fd,fd->f", normals, centroids - tet_centroids) <= 0, "inward normal on face {}"),
     )
@@ -257,6 +275,60 @@ def mesh_integrity(mesh):
         detail = next(text for mask, text in checks if mask[f])
         return fail(detail.format(tuple(stored[f].tolist())))
     return IntegrityReport(True, "pass", volume, area)
+
+
+def _match_faces(mesh, stored):
+    """Owners of every face, from the packed keys of the tet face rows.
+
+    A face's owners are the tet rows 4 t + o holding its key.  Per range of
+    least vertex id, the keys are written into one buffer and sorted in place,
+    so equal keys are neighbours.  Returns (earliest tet row, owners) of a
+    face with more than two owners or None, the number of one-owner faces,
+    and which stored faces (rows in increasing order) are one-owner faces.
+    """
+    nt, nv = mesh.num_tets, mesh.num_vertices
+    is_boundary = np.zeros(len(stored), dtype=bool)
+    found = 0
+    shared = None
+    keys = np.empty(4 * nt, dtype=np.int64)
+    span = _key_span(nv)
+    for a0 in range(0, nv, span):
+        a1 = a0 + span
+        size = 0
+        for start in range(0, nt, _SLAB):
+            key, inside = _face_keys(mesh.tets[start:start + _SLAB], a0, a1, nv)
+            block = key[inside]
+            keys[size:size + block.size] = block
+            size += block.size
+        run = keys[:size]
+        run.sort()
+        triples = run[2:][run[2:] == run[:-2]]
+        differs = run[1:] != run[:-1]
+        single = np.ones(size, dtype=bool)      # a one-owner key differs from both neighbours
+        single[1:] &= differs
+        single[:-1] &= differs
+        found += int(np.count_nonzero(single))
+        here = np.flatnonzero((stored[:, 0] >= a0) & (stored[:, 0] < a1))
+        if size and here.size:
+            stored_keys = _pack(*stored[here].T, a0, nv)
+            at = np.minimum(np.searchsorted(run, stored_keys), size - 1)
+            is_boundary[here] = (run[at] == stored_keys) & single[at]
+        if triples.size:
+            row, k = _earliest_row(mesh.tets, triples, a0, a1, nv)
+            if shared is None or row < shared[0]:
+                shared = (row, int(np.searchsorted(run, k, "right") - np.searchsorted(run, k)))
+    return shared, found, is_boundary
+
+
+def _earliest_row(tets, triples, a0, a1, nv):
+    """Earliest tet row 4 t + o whose face key, in range [a0, a1), is in
+    triples, and that key."""
+    for start in range(0, len(tets), _SLAB):
+        key, inside = _face_keys(tets[start:start + _SLAB], a0, a1, nv)
+        hit = (inside & np.isin(key, triples)).ravel()
+        if hit.any():
+            i = int(np.argmax(hit))
+            return 4 * start + i, key.ravel()[i]
 
 
 def boundary_vertices(mesh):

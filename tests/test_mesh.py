@@ -1,11 +1,15 @@
 import dataclasses
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boundlab import mesh as mesh_module
 from boundlab.mesh import (
+    _FACE_VERTICES,
+    IntegrityReport,
     Mesh,
     boundary_vertices,
     build_cube_mesh,
@@ -249,7 +253,9 @@ def test_integrity_peak_memory_is_bounded(monkeypatch, traced_peak):
     mesh = build_cube_mesh(32)
     report, peak = traced_peak(lambda: mesh_integrity(mesh))
     assert report.ok
-    assert peak <= 5 * _kept_bytes(mesh)
+    # the face match sorts one int64 key per tet face in place; a whole-mesh
+    # lexicographic permutation of the face rows measured 3.2x
+    assert peak <= 1.6 * _kept_bytes(mesh)
 
 
 def test_integrity_report_carries_the_sums():
@@ -314,6 +320,33 @@ def _duplicated_face(m):
     return dataclasses.replace(m, boundary_faces=np.vstack([m.boundary_faces, m.boundary_faces[:1]]))
 
 
+def _set_tet_vertex(t, k, v):
+    def corrupt(m):
+        tets = m.tets.copy()
+        tets[t, k] = v
+        return dataclasses.replace(m, tets=tets)
+
+    return corrupt
+
+
+def _set_face_vertex(f, k, v):
+    def corrupt(m):
+        faces = m.boundary_faces.copy()
+        faces[f, k] = v
+        return dataclasses.replace(m, boundary_faces=faces)
+
+    return corrupt
+
+
+def _set_parent(f, t):
+    def corrupt(m):
+        parents = m.boundary_parents.copy()
+        parents[f] = t
+        return dataclasses.replace(m, boundary_parents=parents)
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt, detail",
     [
@@ -326,9 +359,194 @@ def _duplicated_face(m):
         pytest.param(_long_normal, "face (0, 9, 12) normal is not unit length", id="unit-normal"),
         pytest.param(_stretched, "volume sum 1.030301 differs from 1", id="volume-sum"),
         pytest.param(_duplicated_face, "boundary area sum 6.125 differs from 6", id="area-sum"),
+        pytest.param(
+            _set_tet_vertex(0, 0, 27), "tet 0 references vertex 27 outside [0, 27)", id="vertex-past-end"
+        ),
+        # a negative id would alias id + nv in numpy indexing
+        pytest.param(
+            _set_tet_vertex(5, 2, -27), "tet 5 references vertex -27 outside [0, 27)", id="vertex-negative"
+        ),
+        pytest.param(
+            _set_face_vertex(7, 1, 27),
+            "boundary face 7 references vertex 27 outside [0, 27)",
+            id="face-vertex-past-end",
+        ),
+        pytest.param(
+            _set_parent(2, 48), "boundary face 2 has parent tet 48 outside [0, 48)", id="parent-past-end"
+        ),
+        pytest.param(
+            _set_parent(9, -1), "boundary face 9 has parent tet -1 outside [0, 48)", id="parent-negative"
+        ),
     ],
 )
 def test_integrity_reports_first_violation(mesh2, corrupt, detail):
     report = mesh_integrity(corrupt(mesh2))
     assert not report.ok
     assert report.detail == detail
+
+
+def _sorted_face_rows(mesh, stored):
+    """Stable lexicographic order of all face rows, and where each distinct row starts in it.
+
+    Row 4 t + o is the face of tet t opposite local vertex o, rows 4 nt + f
+    the stored boundary faces; every row lists its vertices in increasing
+    order.  The three vertex columns are compared, never combined into one
+    integer key, so nothing can overflow.
+    """
+    nt = mesh.num_tets
+    cols = np.empty((3, 4 * nt + len(stored)), dtype=np.int64)
+    tet_cols = cols[:, : 4 * nt].reshape(3, nt, 4)
+    for o, face in enumerate(_FACE_VERTICES):
+        tet_cols[:, :, o] = np.sort(mesh.tets[:, face], axis=1).T
+    cols[:, 4 * nt:] = stored.T
+    order = np.lexsort(cols[::-1])
+    starts = np.zeros(order.size, dtype=bool)
+    starts[:1] = True
+    for col in cols:
+        ranked = col[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
+    return order, np.flatnonzero(starts)
+
+
+def _lexsort_integrity(mesh):
+    """Reference mesh_integrity for meshes with ids in range: equal face rows
+    are grouped by a stable lexicographic sort of their vertex columns."""
+    nt = mesh.num_tets
+    vols = signed_volumes(mesh.vertices, mesh.tets)
+    volume = float(vols.sum())
+    area = float(face_areas(mesh).sum())
+
+    def fail(detail):
+        return IntegrityReport(False, detail, volume, area)
+
+    if np.any(vols <= 0):
+        t = int(np.argmax(vols <= 0))
+        return fail(f"negative volume: tet {t} has signed volume {vols[t]:.3e}")
+    if abs(volume - 1.0) > 1e-12:
+        return fail(f"volume sum {volume!r} differs from 1")
+    if abs(area - 6.0) > 1e-12:
+        return fail(f"boundary area sum {area!r} differs from 6")
+
+    # group equal rows among the tet faces and the stored faces: a group's
+    # owners are its tet rows, its first row the earliest (the sort is stable)
+    stored = np.sort(mesh.boundary_faces, axis=1)
+    order, groups = _sorted_face_rows(mesh, stored)
+    first = order[groups]
+    at = np.flatnonzero(order >= 4 * nt)
+    stored_key = np.empty(len(stored), dtype=np.intp)
+    stored_key[order[at] - 4 * nt] = np.searchsorted(groups, at, side="right") - 1
+    owners = np.diff(groups, append=order.size)
+    np.subtract.at(owners, stored_key, 1)
+    shared = np.flatnonzero(owners > 2)
+    if shared.size:
+        k = shared[np.argmin(first[shared])]
+        face = np.sort(mesh.tets[first[k] // 4, _FACE_VERTICES[first[k] % 4]])
+        return fail(f"face {tuple(face.tolist())} shared by {owners[k]} tets")
+    found = int(np.count_nonzero(owners == 1))
+    if found != mesh.num_boundary_faces:
+        return fail(f"{mesh.num_boundary_faces} stored boundary faces, {found} found")
+
+    is_boundary = owners[stored_key] == 1
+    parents = np.where(is_boundary, first[stored_key] // 4, 0)
+    normals = mesh.boundary_normals
+    centroids = mesh.vertices[mesh.boundary_faces].mean(axis=1)
+    tet_centroids = mesh.vertices[mesh.tets[parents]].mean(axis=1)
+    checks = (
+        (~is_boundary, "stored face {} is not a boundary face"),
+        (parents != mesh.boundary_parents, "face {} has wrong parent tet"),
+        (np.abs(np.linalg.norm(normals, axis=1) - 1.0) > 1e-12, "face {} normal is not unit length"),
+        (np.einsum("fd,fd->f", normals, centroids - tet_centroids) <= 0, "inward normal on face {}"),
+    )
+    failed = np.logical_or.reduce([mask for mask, _ in checks])
+    if failed.any():
+        f = int(np.argmax(failed))
+        detail = next(text for mask, text in checks if mask[f])
+        return fail(detail.format(tuple(stored[f].tolist())))
+    return IntegrityReport(True, "pass", volume, area)
+
+
+@st.composite
+def _corrupted_meshes(draw):
+    """A built level with one to three of: duplicated, swapped or reoriented
+    tets, duplicated, shifted, rediagonalized or extra zero-area stored faces,
+    wrong parents, flipped or scaled normals.  Every id stays in range."""
+    m = build_cube_mesh(draw(st.integers(1, 4)))
+    tets, faces = m.tets.copy(), m.boundary_faces.copy()
+    normals, parents = m.boundary_normals.copy(), m.boundary_parents.copy()
+    tet = st.integers(0, m.num_tets - 1)
+    face = st.integers(0, m.num_boundary_faces - 1)
+    s = m.n + 1
+    kinds = (
+        "tet-copy", "tet-swap", "vertex-swap", "face-copy", "face-shift", "face-diagonal",
+        "face-extra", "parent", "flip", "scale",
+    )
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)):
+        if kind == "tet-copy":
+            tets[draw(tet)] = tets[draw(tet)]
+        elif kind == "tet-swap":
+            i, j = draw(tet), draw(tet)
+            tets[[i, j]] = tets[[j, i]]
+        elif kind == "vertex-swap":
+            i, k, l = draw(tet), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+            tets[i, [k, l]] = tets[i, [l, k]]
+        elif kind == "face-copy":
+            i, j = draw(face), draw(face)
+            faces[j], normals[j], parents[j] = faces[i], normals[i], parents[i]
+        elif kind == "face-shift":
+            i, shift = draw(face), draw(st.sampled_from((-s * s, -s, -1, 1, s, s * s)))
+            if 0 <= faces[i].min() + shift and faces[i].max() + shift < m.num_vertices:
+                faces[i] += shift
+        elif kind == "face-diagonal":
+            # the triangle across the square's other diagonal: same plane and
+            # area, and no face of the mesh
+            i = draw(face)
+            p = m.vertices[faces[i]]
+            r = min(range(3), key=lambda k: np.dot(p[k - 1] - p[k], p[k - 2] - p[k]))
+            right, h1, h2 = faces[i][r], faces[i][r - 1], faces[i][r - 2]
+            faces[i] = [right, h1 + h2 - right, h1]
+        elif kind == "face-extra":
+            faces = np.vstack([faces, np.full(3, draw(st.integers(0, m.num_vertices - 1)))])
+            normals = np.vstack([normals, [1.0, 0.0, 0.0]])
+            parents = np.append(parents, draw(tet))
+        elif kind == "parent":
+            parents[draw(face)] = draw(tet)
+        elif kind == "flip":
+            normals[draw(face)] *= -1.0
+        else:
+            normals[draw(face)] *= draw(st.sampled_from((0.5, 1.0 + 1e-9, 2.0)))
+    return Mesh(m.vertices, tets, faces, normals, parents, m.n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mesh=_corrupted_meshes(), span=st.sampled_from((1, 2, 5, None)))
+def test_integrity_matches_the_lexsort_reference(mesh, span):
+    # a small key limit splits the face match into one pass per span of least vertex ids
+    nv = mesh.num_vertices
+    limit = mesh_module._KEY_LIMIT if span is None else span * nv * nv
+    with mock.patch.object(mesh_module, "_KEY_LIMIT", limit):
+        assert mesh_integrity(mesh) == _lexsort_integrity(mesh)
+
+
+def test_face_keys_pack_exactly_and_in_order(rng):
+    # ids near the int32 limit: two least ids per key range
+    nv = 2**31 - 1
+    span = mesh_module._key_span(nv)
+    assert span == 2
+    a0 = 2**30
+    least = rng.integers(a0, a0 + span, 500)
+    rest = np.sort(rng.integers(nv - 1000, nv, (500, 2)), axis=1)
+    triples = np.vstack([np.column_stack([least, rest]), [[a0, a0, a0], [a0 + 1, nv - 1, nv - 1]]])
+    keys = mesh_module._pack(*triples.T, a0, nv)
+    assert keys.dtype == np.int64
+    exact = [((a - a0) * nv + b) * nv + c for a, b, c in triples.tolist()]
+    assert keys.tolist() == exact
+    assert max(exact) == span * nv * nv - 1 < 2**63
+    assert np.array_equal(np.argsort(keys, kind="stable"), np.lexsort(triples.T[::-1]))
+
+
+@pytest.mark.parametrize("n, passes", [(1, 1), (32, 1), (127, 1), (128, 2)])
+def test_key_ranges_split_past_level_127(n, passes):
+    nv = (n + 1) ** 3
+    span = mesh_module._key_span(nv)
+    assert len(range(0, nv, span)) == passes
+    assert span * nv * nv <= 2**63
