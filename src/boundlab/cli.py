@@ -46,16 +46,25 @@ from .verify_chain import (
 
 __all__ = ["ExperimentConfig", "UsageError", "run", "write_report", "main"]
 
-_COMMANDS = ("exponents", "mesh-info", "solve-linear", "solve-nonlinear", "verify", "sweep")
-# commands that derive an exponent context from (N, p, q)
-_EXPONENT_COMMANDS = ("exponents", "solve-nonlinear", "verify", "sweep")
+# the verify suites by what they do, which is what they read: drawing seeded functions reads
+# --samples, solving --tol, the universal steps their flux bound --B0; _cmd_verify branches on these
+_SAMPLING_SUITES = ("regularity", "universal", "gn", "chain")
+_SOLVING_SUITES = ("regularity", "gn", "chain", "energy", "equivalence")
+_UNIVERSAL_SUITES = ("universal", "chain")
 _SUITES = ("universal", "gn", "regularity", "chain", "energy", "equivalence")
-# list options of which a command reads only the first value
-_SINGLE_VALUED = {
-    "mesh-info": ("n_list",),
-    "solve-nonlinear": ("p_list", "n_list"),
-    "verify": ("p_list",),
+# the config fields each command reads besides output and fmt, then the list fields of
+# which it reads one value; a field given to a command that does not read it exits 2
+_READS = {
+    "exponents": (("N", "p_list", "q_override"), ()),
+    "mesh-info": (("dump",), ("n_list",)),
+    "solve-linear": (("n_list", "tol", "case"), ()),
+    "solve-nonlinear": (("q_override", "seed", "tol", "dump"), ("p_list", "n_list")),
+    "verify": (("q_override", "n_list", "seed", "suite", "samples", "tol", "b0"), ("p_list",)),
+    "sweep": (("p_list", "q_override", "n_list", "seed", "tol"), ()),
 }
+_COMMANDS = tuple(_READS)
+_SUITE_READS = {"samples": _SAMPLING_SUITES, "tol": _SOLVING_SUITES, "b0": _UNIVERSAL_SUITES}
+_CHOICES = {"fmt": ("json", "csv"), "case": tuple(sorted(MANUFACTURED_CASES)), "suite": _SUITES}
 # report-header fields of a config, in header order
 _HEADER_FIELDS = ("command", "N", "p_list", "q_override", "n_list", "samples", "seed", "tol",
                   "suite", "case", "b0")
@@ -88,20 +97,28 @@ class ExperimentConfig:
     b0: float = 1.0
     dump: str = None
 
-    def validate(self):
+    def validate(self, given):
+        """Check the values, and that the command reads each field the caller set (``given``)."""
         if self.command not in _COMMANDS:
             raise UsageError(f"unknown command {self.command!r}")
-        if self.command == "verify" and self.suite not in _SUITES:
-            raise UsageError(f"unknown suite {self.suite!r}")
+        for key, choices in _CHOICES.items():
+            if getattr(self, key) not in choices:
+                raise UsageError(f"unknown {_OPTIONS[key][0]} value {getattr(self, key)!r}; "
+                                 f"available: {', '.join(choices)}")
+        reads = _reads(self.command, self.suite)
+        for key in given:
+            if key not in reads:
+                who = f"verify --suite {self.suite}" if self.command == "verify" else self.command
+                raise UsageError(f"{who} does not read {_OPTIONS[key][0]} (config entry {key!r})")
         if not self.p_list or not self.n_list:
             raise UsageError("--p and --n need at least one value")
         if any(n < 1 for n in self.n_list):
             raise UsageError("mesh levels must be >= 1")
         if len(set(self.n_list)) < len(self.n_list) or len(set(self.p_list)) < len(self.p_list):
             raise UsageError("--p and --n must not repeat a value")
-        for key in _SINGLE_VALUED.get(self.command, ()):
+        for key in _READS[self.command][1]:
             if len(getattr(self, key)) > 1:
-                raise UsageError(f"{self.command} takes one --{key[0]} value")
+                raise UsageError(f"{self.command} takes one {_OPTIONS[key][0]} value")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise UsageError("tolerance must be finite and positive")
         if not (math.isfinite(self.b0) and self.b0 > 0):
@@ -110,19 +127,9 @@ class ExperimentConfig:
             raise UsageError("seed must be >= 0")
         if self.samples < 1:
             raise UsageError("sample count must be >= 1")
-        randomized = self.command in ("verify", "sweep", "solve-nonlinear")
-        if randomized and self.seed is None:
+        if "seed" in reads and self.seed is None:
             raise UsageError(f"--seed is mandatory for {self.command}")
-        if self.fmt not in ("json", "csv"):
-            raise UsageError(f"unknown report format {self.fmt!r}")
-        if self.command == "solve-linear" and self.case not in MANUFACTURED_CASES:
-            raise UsageError(
-                f"unknown case {self.case!r}; available: {sorted(MANUFACTURED_CASES)}"
-            )
-        # every mesh is the 3-D unit cube; only the exponent algebra takes other N
-        if self.command != "exponents" and self.N != 3:
-            raise UsageError(f"{self.command} runs on the 3-D cube and needs N = 3, got {self.N}")
-        if self.command in _EXPONENT_COMMANDS:
+        if "p_list" in reads:
             for p in self.p_list:
                 try:
                     derive_context(self.N, p, self.q_override)
@@ -298,20 +305,20 @@ def _cmd_verify(config):
         _emit(config, report.rows)
         return 0
 
-    # the randomized suites mix computed solutions into their corpora
-    outcomes = [] if suite == "universal" else _solve_family(config, config.p_list[0], config.n_list)
+    # the solving suites mix computed solutions into their corpora
+    outcomes = _solve_family(config, config.p_list[0], config.n_list) if suite in _SOLVING_SUITES else []
     solutions_by_n = {o.solution.mesh.n: [o.solution] for o in outcomes}
     records, asserted = [], []  # report rows; the step records a run can fail on
 
     corpora = []
-    if suite in ("universal", "gn", "chain"):
+    if suite in _SAMPLING_SUITES:
         # each level's corpus is built once and shared by the universal and gn suites
         corpora = [
             build_corpus(build_cube_mesh(n), config.samples, config.seed,
                          solutions=solutions_by_n.get(n, ()))
             for n in config.n_list
         ]
-    if suite in ("universal", "chain"):
+    if suite in _UNIVERSAL_SUITES:
         for corpus in corpora:
             report = universal_suite(corpus, ctx, config.b0)
             records += report.summary_rows()
@@ -385,46 +392,34 @@ def _fraction(text):
         raise argparse.ArgumentTypeError(f"bad rational {text!r}: {exc}")
 
 
-def _fraction_list(text):
-    try:
-        return tuple(Fraction(part) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"bad rational list {text!r}: {exc}")
+def _list_of(convert, what):
+    def parse(text):
+        try:
+            return tuple(convert(part) for part in text.split(","))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(f"bad {what} list {text!r}: {exc}")
+    return parse
 
 
-def _int_list(text):
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}: {exc}")
-
-
-# the converter of each option's text, shared by its flag and its config-file entry
-_FIELD_TYPES = {
-    "N": int, "p_list": _fraction_list, "q_override": _fraction, "n_list": _int_list,
-    "samples": int, "seed": int, "tol": float, "b0": float,
-    "output": str, "fmt": str, "case": str, "suite": str, "dump": str,
+# the flag and converter of each config field; a flag and its config-file entry parse alike
+_OPTIONS = {
+    "N": ("--N", int), "p_list": ("--p", _list_of(Fraction, "rational")), "q_override": ("--q", _fraction),
+    "n_list": ("--n", _list_of(int, "integer")), "samples": ("--samples", int),
+    "seed": ("--seed", int), "tol": ("--tol", float), "b0": ("--B0", float), "output": ("--output", str),
+    "fmt": ("--format", str), "case": ("--case", str), "suite": ("--suite", str), "dump": ("--dump", str),
 }
-# (flag, config field, further argparse settings) of the options every command takes
-_COMMON_FLAGS = (
-    ("--N", "N", {"help": "space dimension (exponents only)"}),
-    ("--p", "p_list", {"help": "comma-separated rational powers, e.g. 2 or 3/2,2"}),
-    ("--q", "q_override", {}),
-    ("--n", "n_list", {"help": "comma-separated mesh levels, e.g. 4,8,16"}),
-    ("--samples", "samples", {}),
-    ("--seed", "seed", {}),
-    ("--tol", "tol", {}),
-    ("--B0", "b0", {}),
-    ("--output", "output", {"help": "report file path"}),
-    ("--format", "fmt", {"choices": ("json", "csv")}),
-)
-# the options one command alone takes
-_COMMAND_FLAGS = {
-    "solve-linear": (("--case", "case", {"choices": sorted(MANUFACTURED_CASES)}),),
-    "verify": (("--suite", "suite", {"choices": _SUITES}),),
-    "mesh-info": (("--dump", "dump", {"help": "write plain-text mesh dump here"}),),
-    "solve-nonlinear": (("--dump", "dump", {"help": "write the nodal vector here as .npy"}),),
-}
+_HELP = {"N": "space dimension", "p_list": "comma-separated rational powers, e.g. 2 or 3/2,2",
+         "n_list": "comma-separated mesh levels, e.g. 4,8,16", "output": "report file path",
+         "dump": "write the mesh as text, or the nodal vector as .npy, here"}
+
+
+def _reads(command, suite=None):
+    """The config fields a command reads; for verify, those its suite reads if one is named."""
+    fields, one_valued = _READS[command]
+    reads = {*fields, *one_valued, "output", "fmt"}
+    if command == "verify" and suite is not None:
+        reads -= {key for key, suites in _SUITE_READS.items() if suite not in suites}
+    return reads
 
 
 def _build_parser():
@@ -436,9 +431,13 @@ def _build_parser():
     parser.add_argument("--config", help="JSON config file; flags override its entries")
     sub = parser.add_subparsers(dest="command")
     for name in _COMMANDS:
-        sp = sub.add_parser(name)
-        for flag, key, settings in _COMMON_FLAGS + _COMMAND_FLAGS.get(name, ()):
-            sp.add_argument(flag, dest=key, type=_FIELD_TYPES[key], default=None, **settings)
+        sp, reads = sub.add_parser(name), _reads(name)
+        for key in [key for key in _OPTIONS if key in reads]:
+            suites = _SUITE_READS.get(key) if name == "verify" else None
+            choices = _CHOICES.get(key)
+            sp.add_argument(_OPTIONS[key][0], dest=key, type=_OPTIONS[key][1], default=None,
+                            help=f"read by the suites {', '.join(suites)}" if suites else _HELP.get(key),
+                            metavar="{" + ",".join(choices) + "}" if choices else None)
     return parser
 
 
@@ -456,14 +455,14 @@ def _file_settings(path):
         raise UsageError("config file must hold a JSON object")
     settings = {}
     for key, value in entries.items():
-        if key not in _FIELD_TYPES:
+        if key not in _OPTIONS:
             raise UsageError(f"unknown config entry {key!r}")
         if value is None:
             continue
         parts = value if isinstance(value, list) else [value]
         text = ",".join(v if isinstance(v, str) else json.dumps(v) for v in parts)
         try:
-            settings[key] = _FIELD_TYPES[key](text)
+            settings[key] = _OPTIONS[key][1](text)
         except (ValueError, ZeroDivisionError, argparse.ArgumentTypeError) as exc:
             raise UsageError(f"config entry {key!r}: {exc}") from None
     return settings
@@ -471,19 +470,20 @@ def _file_settings(path):
 
 def parse_config(argv):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, unread = parser.parse_known_args(argv)
     if args.command is None:
         parser.print_usage(sys.stderr)
         raise UsageError("a command is required")
+    if unread:
+        raise UsageError(f"{args.command} does not read {' '.join(unread)}")
 
     settings = _file_settings(args.config) if args.config else {}
-    for key in _FIELD_TYPES:
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value  # flags win over file entries
+    # flags win over file entries
+    settings.update((key, value) for key, value in vars(args).items()
+                    if key in _OPTIONS and value is not None)
 
     config = ExperimentConfig(command=args.command, **settings)
-    config.validate()
+    config.validate(given=settings)
     return config
 
 

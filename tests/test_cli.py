@@ -271,7 +271,7 @@ def test_verify_energy_and_equivalence_suites(tmp_path):
     for suite in ("energy", "equivalence"):
         out = tmp_path / f"{suite}.json"
         status = main([
-            "verify", "--suite", suite, "--n", "4", "--samples", "4",
+            "verify", "--suite", suite, "--n", "4",
             "--seed", "7", "--tol", "1e-8", "--output", str(out),
         ])
         assert status == 0
@@ -386,8 +386,10 @@ def test_parse_config_validates_lists():
     ids=["verify", "sweep"],
 )
 def test_numeric_commands_require_three_dimensions(argv, capsys):
+    # every mesh is the 3-D unit cube; only the exponent algebra reads --N
     assert main(argv) == 2
-    assert "needs N = 3" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{argv[0]} does not read --N" in err
 
 
 def test_exponents_accepts_other_dimensions(capsys):
@@ -431,11 +433,11 @@ def test_config_file_entries_parse_like_their_flags(tmp_path, entries):
 
 def test_csv_header_line_is_pinned(tmp_path):
     out = tmp_path / "rep.csv"
-    argv = ["exponents", "--N", "4", "--p", "3/2", "--q", "7/2", "--n", "2,4", "--samples", "5",
+    argv = ["verify", "--suite", "chain", "--p", "3/2", "--q", "7/2", "--n", "2,4", "--samples", "5",
             "--seed", "11", "--tol", "1e-9", "--B0", "2", "--format", "csv", "--output", str(out)]
     assert main(argv) == 0
     assert out.read_text().splitlines()[0] == (
-        '# {"version": "0.1.0", "config": {"command": "exponents", "N": 4, "p_list": ["3/2"], '
+        '# {"version": "0.1.0", "config": {"command": "verify", "N": 3, "p_list": ["3/2"], '
         '"q_override": "7/2", "n_list": [2, 4], "samples": 5, "seed": 11, '
         '"tol": 1e-09, "suite": "chain", "case": "exp-x1", "b0": 2.0}}'
     )
@@ -513,7 +515,7 @@ def test_invalid_numeric_option_is_status_2(option, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["verify", "--suite", "energy", "--p", "2,5/2", "--n", "2", "--samples", "4", "--seed", "1"],
+    [["verify", "--suite", "energy", "--p", "2,5/2", "--n", "2", "--seed", "1"],
      ["solve-nonlinear", "--p", "2,5/2", "--n", "2", "--seed", "1"],
      ["solve-nonlinear", "--p", "2", "--n", "2,4", "--seed", "1"],
      ["mesh-info", "--n", "2,4"]],
@@ -646,6 +648,55 @@ def test_gn_rows_name_the_branch_like_universal_rows(tmp_path):
         assert branches["gn_interpolation"] == branches["boundary_growth"] == "sup<=1"
 
 
+# the config fields each command reads, and those verify reads for one suite only
+READS = {
+    "exponents": {"N", "p_list", "q_override", "output", "fmt"},
+    "mesh-info": {"n_list", "dump", "output", "fmt"},
+    "solve-linear": {"n_list", "tol", "case", "output", "fmt"},
+    "solve-nonlinear": {"p_list", "q_override", "n_list", "seed", "tol", "dump", "output", "fmt"},
+    "sweep": {"p_list", "q_override", "n_list", "seed", "tol", "output", "fmt"},
+    "verify": {"p_list", "q_override", "n_list", "seed", "suite", "output", "fmt"},
+}
+SUITE_READS = {
+    "universal": {"samples", "b0"},
+    "gn": {"samples", "tol"},
+    "regularity": {"samples", "tol"},
+    "chain": {"samples", "b0", "tol"},
+    "energy": {"tol"},
+    "equivalence": {"tol"},
+}
+# each config field's flag and a valid text for it (output and dump are paths)
+FLAGS = {
+    "N": ("--N", "3"), "p_list": ("--p", "2"), "q_override": ("--q", "3"), "n_list": ("--n", "2"),
+    "samples": ("--samples", "2"), "seed": ("--seed", "1"), "tol": ("--tol", "1e-9"),
+    "b0": ("--B0", "2"), "output": ("--output", None), "fmt": ("--format", "csv"),
+    "case": ("--case", "exp-x1x2"), "suite": ("--suite", None), "dump": ("--dump", None),
+}
+# (command, suite) of every command, and of verify once per suite
+TARGETS = [(command, None) for command in READS if command != "verify"]
+TARGETS += [("verify", suite) for suite in SUITE_READS]
+
+
+def _reads(command, suite):
+    return READS[command] | SUITE_READS[suite] if suite else READS[command]
+
+
+def _settings(command, suite, tmp_path):
+    """Field texts of a valid run: the options the command needs, and a value for every field."""
+    texts = {key: text for key, (_, text) in FLAGS.items()}
+    texts.update(output=str(tmp_path / "report.csv"), dump=str(tmp_path / "dump"), suite=suite or "chain")
+    required = {"p_list", "n_list", "seed", "suite"} & _reads(command, suite)
+    return texts, {key: texts[key] for key in required}
+
+
+def _argv(command, fields):
+    return [command] + [text for key, value in fields.items() for text in (FLAGS[key][0], value)]
+
+
+def _ids(pairs):
+    return [f"{suite or command}-{key}" for (command, suite), key in pairs]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     command=st.sampled_from(cli._COMMANDS),
@@ -657,8 +708,74 @@ def test_gn_rows_name_the_branch_like_universal_rows(tmp_path):
     b0=st.sampled_from(["1", "0", "-1", "nan"]),
 )
 def test_exit_status_property(command, suite, n, samples, seed, tol, b0):
-    argv = [command, "--n", n, "--samples", str(samples), "--seed", seed, "--tol", tol, "--B0", b0]
+    # each option is passed where its command (and suite) reads it
+    reads = _reads(command, suite if command == "verify" else None)
+    options = {"n_list": ("--n", n), "samples": ("--samples", str(samples)), "seed": ("--seed", seed),
+               "tol": ("--tol", tol), "b0": ("--B0", b0)}
+    argv = [command] + [text for key, flag in options.items() if key in reads for text in flag]
     if command == "verify":
         argv += ["--suite", suite]
-    invalid = seed == "-1" or tol != "1e-8" or b0 != "1"
+    invalid = (("seed" in reads and seed == "-1") or ("tol" in reads and tol != "1e-8")
+               or ("b0" in reads and b0 != "1"))
     assert main(argv) in ({2} if invalid else {0, 1})
+
+
+UNREAD = [(target, key) for target in TARGETS for key in FLAGS if key not in _reads(*target)]
+READ = [(target, key) for target in TARGETS for key in FLAGS if key in _reads(*target)]
+
+
+@pytest.mark.parametrize("target, key", UNREAD, ids=_ids(UNREAD))
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_unread_option_is_status_2_and_writes_nothing(target, key, how, tmp_path, capsys):
+    command, suite = target
+    texts, fields = _settings(command, suite, tmp_path)
+    # ask for every file the command writes, to see that none is written
+    fields.update({name: texts[name] for name in ("output", "dump") if name in _reads(command, suite)})
+    if how == "flag":
+        argv = _argv(command, {**fields, key: texts[key]})
+    else:
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({key: texts[key]}))
+        argv = ["--config", str(conf)] + _argv(command, fields)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and f"{command} " in err and f"{FLAGS[key][0]} " in err
+    if suite and key in ("samples", "tol", "b0"):
+        assert f"--suite {suite} " in err
+    assert sorted(tmp_path.iterdir()) == ([conf] if how == "config" else [])
+
+
+@pytest.mark.parametrize("target, key", READ, ids=_ids(READ))
+def test_read_option_parses_as_flag_and_as_config_entry(target, key, tmp_path):
+    command, suite = target
+    texts, fields = _settings(command, suite, tmp_path)
+    from_flag = parse_config(_argv(command, {**fields, key: texts[key]}))
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({key: texts[key]}))
+    fields.pop(key, None)
+    from_file = parse_config(["--config", str(conf)] + _argv(command, fields))
+    assert repr(dataclasses.asdict(from_file)) == repr(dataclasses.asdict(from_flag))
+
+
+@pytest.mark.parametrize("command", list(READS))
+def test_help_lists_only_the_options_the_command_reads(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[A-Za-z]\w*", capsys.readouterr().out))
+    suites = SUITE_READS.values() if command == "verify" else [set()]
+    assert listed == {"--help"} | {FLAGS[key][0] for key in READS[command].union(*suites)}
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+WORKLOADS = json.loads((BENCH / "workloads.json").read_text())["workloads"]
+
+
+@pytest.mark.parametrize("workload", list(WORKLOADS))
+def test_bench_workload_parses_to_its_reference_header(workload):
+    # the benchmark gate compares a workload's header config with its reference exactly
+    spec = WORKLOADS[workload]
+    argv = [arg.replace("{seed}", str(spec["default_seed"])) for arg in spec["argv"]]
+    reference = json.loads((BENCH / "reference" / f"{workload}.json").read_text())
+    config = json.loads(json.dumps(parse_config(argv).as_dict(), default=str))
+    assert config == reference["header"]["config"]

@@ -66,7 +66,9 @@ def cli_runs(out):
         ["solve-nonlinear", "--p", "2", "--n", "4", "--seed", "11"],
         ["sweep", "--p", "2", "--n", "2,4", "--seed", "11"],
     ]
-    runs += [["verify", "--suite", suite, "--n", "2,4", "--samples", "4", "--seed", "7"]
+    # energy and equivalence draw no corpus, so they read no --samples
+    runs += [["verify", "--suite", suite, "--n", "2,4", "--seed", "7"]
+             + (["--samples", "4"] if suite not in ("energy", "equivalence") else [])
              for suite in SUITES]
     return [argv + ["--output", str(out / f"report{i}.json")] for i, argv in enumerate(runs)]
 
