@@ -52,6 +52,10 @@ _MASS_PATTERN = (np.ones((4, 4)) + np.eye(4)) / 20.0
 # damping of the Jacobi sweeps that smooth each multigrid level
 _JACOBI_OMEGA = 0.6
 
+# faces per block of the boundary loads and operators: with 16 quadrature
+# points a face, a block's values at them take 128 KiB
+_FACE_BLOCK = 1024
+
 
 def _splu(matrix):
     """Sparse LU factorization (scipy's ``splu``) of a CSC matrix: its SuperLU object."""
@@ -205,14 +209,15 @@ class _FemSpace:
 
     # -- evaluation at quadrature points ------------------------------------
 
-    # ``tets`` selects a slice of the tets; it must cover whole cells (6 tets
-    # each, starting at a multiple of 6) for ``gradients``
+    # ``tets`` selects a slice of the tets (read from the level's row
+    # source); it must cover whole cells (6 tets each, starting at a multiple
+    # of 6) for ``gradients``.  ``faces`` selects a slice of the boundary faces
 
     def volume_values(self, values, tets=slice(None)):
         return values[self.mesh.tets[tets]] @ self.vol_basis.T      # (nt, nq)
 
-    def boundary_values(self, values):
-        return values[self.mesh.boundary_faces] @ self.bnd_basis.T  # (nf, nqb)
+    def boundary_values(self, values, faces=slice(None)):
+        return values[self.mesh.boundary_faces[faces]] @ self.bnd_basis.T  # (nf, nqb)
 
     def gradients(self, values, tets=slice(None)):
         nodal = values[self.mesh.tets[tets]].reshape(-1, 6, 4)          # (cells, 6, 4)
@@ -225,17 +230,42 @@ class _FemSpace:
         return float(np.sum(self.bnd_w * point_values))
 
     # -- boundary assembly ---------------------------------------------------
+    #
+    # ``point_values`` are a field's values at the boundary quadrature points:
+    # an (nf, nqb) array, or a function of a slice of faces returning that
+    # slice's rows.  Either is read block by block of faces, so a function
+    # is never evaluated on the whole boundary at once.  Each block writes
+    # its faces' rows of the element vectors or matrices, and one scatter
+    # assembles them.
+
+    def _face_blocks(self):
+        """Slices of at most _FACE_BLOCK faces, in order.  A one-face
+        remainder joins the block before it: a one-row matmul (as in
+        ``boundary_values``) rounds differently from a longer one."""
+        nf = len(self.bnd_w)
+        starts = list(range(0, nf, _FACE_BLOCK))
+        if len(starts) > 1 and nf - starts[-1] == 1:
+            starts.pop()
+        return [slice(a, b) for a, b in zip(starts, starts[1:] + [nf])]
+
+    def _weighted_blocks(self, point_values):
+        """(faces, quadrature weights times the values) per block of faces."""
+        for faces in self._face_blocks():
+            block = point_values(faces) if callable(point_values) else point_values[faces]
+            yield faces, self.bnd_w[faces] * block
 
     def boundary_load_from_values(self, point_values):
-        contrib = np.einsum("fq,qi->fi", self.bnd_w * point_values, self.bnd_basis)
+        contrib = np.empty((len(self.bnd_w), 3))
+        for faces, weighted in self._weighted_blocks(point_values):
+            np.einsum("fq,qi->fi", weighted, self.bnd_basis, out=contrib[faces])
         return np.bincount(self.mesh.boundary_faces.ravel(), weights=contrib.ravel(), minlength=self.nv)
 
     def boundary_operator_from_values(self, point_values):
         from scipy import sparse
 
-        entries = np.einsum(
-            "fq,qij->fij", self.bnd_w * point_values, self.bnd_basis_pairs
-        )
+        entries = np.empty((len(self.bnd_w), 3, 3))
+        for faces, weighted in self._weighted_blocks(point_values):
+            np.einsum("fq,qij->fij", weighted, self.bnd_basis_pairs, out=entries[faces])
         rows = np.broadcast_to(self.mesh.boundary_faces[:, :, None], entries.shape)
         cols = np.broadcast_to(self.mesh.boundary_faces[:, None, :], entries.shape)
         mat = sparse.coo_matrix(

@@ -4,7 +4,8 @@ Each of the n^3 subcubes is split into the six path tetrahedra that share the
 main diagonal (Kuhn split).  The split is translation invariant, so faces of
 neighbouring subcubes match and the mesh is conforming at every level.  The
 tets and boundary faces follow in closed form from the subcube grid; each
-level is built once per process and shared read-only.
+level is built once per process and shared read-only.  A level stores no
+tet array: its tets are rows computed on demand from their index.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ class Mesh:
     """Tetrahedral mesh of the unit cube.
 
     vertices          (nv, 3) coordinates
-    tets              (nt, 4) vertex indices, positive signed volume
+    tets              (nt, 4) vertex indices, positive signed volume: an
+                      ndarray, or for a build_cube_mesh level a _KuhnTets
+                      row source read in slices and index arrays
     boundary_faces    (nf, 3) vertex indices of boundary triangles
     boundary_normals  (nf, 3) outward unit normals
     boundary_parents  (nf,)   index of the unique tet owning each face
@@ -96,6 +99,62 @@ def signed_volumes(vertices, tets):
     return np.einsum("ij,ij->i", e0, np.cross(e1, e2)) / 6.0
 
 
+class _KuhnTets:
+    """The (6 n^3, 4) tets of level n, computed on demand and never stored.
+
+    Subcubes run in (k, j, i) order, six tets each: tet t is
+    base(t // 6) + offsets[t % 6], where base(c) = c + (c // n) % n +
+    (2n + 1)(c // n^2) is the id of cell c's corner-0 vertex and offsets are
+    the six shapes' flat corner offsets.  Indexing takes a 1-D slice, an
+    integer or an integer array of ids in [0, nt) and returns fresh int64
+    rows; nothing converts the whole source to one array.
+    """
+
+    def __init__(self, n):
+        s = n + 1
+        self.n = n
+        self.shape = (6 * n**3, 4)
+        self.offsets = _KUHN_CORNERS @ np.array([1, s, s * s])          # (6, 4)
+        # rows of the n cells of one line (j, k fixed), less the line's base s j + s^2 k
+        self._line = (np.arange(n)[:, None, None] + self.offsets).reshape(-1, 4)
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __array__(self, dtype=None, copy=None):
+        raise TypeError("a level's tets are read in slices or index arrays, not as one array")
+
+    def _bases(self, cells):
+        n = self.n
+        return cells + (cells // n) % n + (2 * n + 1) * (cells // (n * n))
+
+    def __getitem__(self, index):
+        n, nt = self.n, self.shape[0]
+        if isinstance(index, slice):
+            start, stop, step = index.indices(nt)
+            if step == 1:
+                stop = max(start, stop)
+                width = 6 * n
+                line = start // width
+                if stop <= width * (line + 1):
+                    # inside one line: a slice of its rows plus its base
+                    first, base = width * line, (n + 1) * (line % n + (n + 1) * (line // n))
+                    return self._line[start - first:stop - first] + base
+                first, last = start // 6, -(-stop // 6)
+                rows = self._bases(np.arange(first, last))[:, None, None] + self.offsets
+                return rows.reshape(-1, 4)[start - 6 * first:stop - 6 * first]
+            index = np.arange(start, stop, step)
+        elif isinstance(index, tuple):
+            raise IndexError("tets take one index, a slice or integers; index the rows for columns")
+        t = np.asarray(index)
+        if t.dtype.kind not in "iu":
+            raise IndexError(f"tets take slices and integer indices, not {t.dtype}")
+        if t.size and (t.min() < 0 or t.max() >= nt):
+            raise IndexError(f"tet index outside [0, {nt})")
+        cells, shapes = np.divmod(t, 6)
+        return self._bases(cells)[..., None] + self.offsets[shapes]
+
+
 _MESHES = {}
 
 
@@ -103,7 +162,7 @@ def build_cube_mesh(n):
     """Mesh the unit cube with n subdivisions per edge (6*n^3 tets).
 
     Levels are built once and shared: the returned mesh and its arrays are
-    read-only.
+    read-only, and its tets are a _KuhnTets row source.
     """
     if isinstance(n, bool) or not isinstance(n, int):
         raise TypeError("n must be an integer")
@@ -124,12 +183,7 @@ def _kuhn_mesh(n):
     vertices[..., 1] = coords[:, None]
     vertices[..., 2] = coords[:, None, None]
     vertices = vertices.reshape(-1, 3)
-
-    # subcubes in (k, j, i) order, each split into the six path tets: a tet is
-    # its subcube's corner-0 vertex plus its shape's flat corner offsets
-    r = np.arange(n)
-    base = (s * s * r[:, None, None] + s * r[:, None] + r).ravel()      # (n^3,)
-    tets = (base[:, None, None] + _KUHN_CORNERS @ np.array([1, s, s * s])).reshape(-1, 4)
+    tets = _KuhnTets(n)
 
     # boundary faces lie in the subcubes touching the cube's surface; a face
     # is on the boundary iff it lies in a subcube plane that is a cube face
@@ -142,16 +196,20 @@ def _kuhn_mesh(n):
     cell, face = np.nonzero(sides @ _FACE_PLANES)
     parents = 6 * cells[cell] + face // 4
     omitted = face % 4
-    faces = np.sort(tets[parents[:, None], _FACE_VERTICES[omitted]], axis=1)
+    parent_tets = tets[parents]
+    faces = np.sort(np.take_along_axis(parent_tets, _FACE_VERTICES[omitted], axis=1), axis=1)
+    # the parent's vertex off a boundary face lies inside the cube
+    opposite = vertices[parent_tets[np.arange(len(parents)), omitted]]
 
     a, b, c = (vertices[faces[:, k]] for k in range(3))
-    normals = np.cross(b - a, c - a)
-    normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
-    tet_centroids = vertices[tets[parents]].mean(axis=1)
-    inward = np.einsum("fd,fd->f", normals, (a + b + c) / 3.0 - tet_centroids) < 0
+    b -= a
+    c -= a
+    normals = np.cross(b, c)
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    inward = np.einsum("fd,fd->f", normals, a - opposite) < 0
     normals[inward] = -normals[inward]
 
-    for array in (vertices, tets, faces, normals, parents):
+    for array in (vertices, faces, normals, parents):
         array.flags.writeable = False
     return Mesh(vertices, tets, faces, normals, parents, n)
 
@@ -206,17 +264,21 @@ def _face_keys(tets, a0, a1, nv):
     return _pack(a, b, c, a0, nv), (a >= a0) & (a < a1)
 
 
-def _out_of_range(mesh):
-    """Detail of the first vertex or parent id outside its range, or None."""
-    nv, nt = mesh.num_vertices, mesh.num_tets
-    for name, ids, bound, what in (
-        ("tet", mesh.tets, nv, "references vertex"),
-        ("boundary face", mesh.boundary_faces, nv, "references vertex"),
-        ("boundary face", mesh.boundary_parents[:, None], nt, "has parent tet"),
-    ):
-        if ids.size and (ids.min() < 0 or ids.max() >= bound):
-            row, col = divmod(int(np.argmax(((ids < 0) | (ids >= bound)).ravel())), ids.shape[1])
-            return f"{name} {row} {what} {ids[row, col]} outside [0, {bound})"
+def _write_keys(keys, size, tets, a0, a1, nv):
+    """Write the keys of tets' faces whose least vertex id lies in [a0, a1)
+    to keys[size:]; returns the new size."""
+    key, inside = _face_keys(tets, a0, a1, nv)
+    block = key[inside]
+    keys[size:size + block.size] = block
+    return size + block.size
+
+
+def _out_of_range(name, ids, bound, what, first=0):
+    """Detail of the first id in the rows ``ids`` (numbered from ``first``)
+    outside [0, bound), or None."""
+    if ids.size and (ids.min() < 0 or ids.max() >= bound):
+        row, col = divmod(int(np.argmax(((ids < 0) | (ids >= bound)).ravel())), ids.shape[1])
+        return f"{name} {first + row} {what} {ids[row, col]} outside [0, {bound})"
     return None
 
 
@@ -224,15 +286,26 @@ def mesh_integrity(mesh):
     """Check every structural invariant; report the first violation.
 
     Vertex and parent ids are checked first: outside their ranges the volume
-    and area cannot be summed, and the report carries nan for both.
+    and area cannot be summed, and the report carries nan for both.  The tets
+    are read in slabs, each once for its ids, signed volumes and the face
+    keys of the first range of least vertex ids.
     """
-    bad_id = _out_of_range(mesh)
+    nt, nv = mesh.num_tets, mesh.num_vertices
+    span = _key_span(nv)
+    vols = np.empty(nt)
+    keys = np.empty(4 * nt, dtype=np.int64)
+    size = 0
+    for start in range(0, nt, _SLAB):
+        tets = mesh.tets[start:start + _SLAB]
+        bad_id = _out_of_range("tet", tets, nv, "references vertex", start)
+        if bad_id is not None:
+            return IntegrityReport(False, bad_id, float("nan"), float("nan"))
+        vols[start:start + _SLAB] = signed_volumes(mesh.vertices, tets)
+        size = _write_keys(keys, size, tets, 0, span, nv)
+    bad_id = (_out_of_range("boundary face", mesh.boundary_faces, nv, "references vertex")
+              or _out_of_range("boundary face", mesh.boundary_parents[:, None], nt, "has parent tet"))
     if bad_id is not None:
         return IntegrityReport(False, bad_id, float("nan"), float("nan"))
-    nt = mesh.num_tets
-    vols = np.empty(nt)
-    for start in range(0, nt, _SLAB):
-        vols[start:start + _SLAB] = signed_volumes(mesh.vertices, mesh.tets[start:start + _SLAB])
     volume = float(vols.sum())
     area = float(face_areas(mesh).sum())
 
@@ -248,21 +321,22 @@ def mesh_integrity(mesh):
         return fail(f"boundary area sum {area!r} differs from 6")
 
     stored = np.sort(mesh.boundary_faces, axis=1)
-    shared, found, is_boundary = _match_faces(mesh, stored)
+    shared, found, is_boundary = _match_faces(mesh, stored, keys, size)
+    del keys, vols  # 40 bytes per tet, freed before the parent checks
     if shared is not None:
         row, owners = shared
-        face = np.sort(mesh.tets[row // 4, _FACE_VERTICES[row % 4]])
+        face = np.sort(mesh.tets[row // 4][_FACE_VERTICES[row % 4]])
         return fail(f"face {tuple(face.tolist())} shared by {owners} tets")
     if found != mesh.num_boundary_faces:
         return fail(f"{mesh.num_boundary_faces} stored boundary faces, {found} found")
 
     # a boundary face has one owner, so its parent is right iff that tet has it
-    parents = mesh.boundary_parents
-    parent_faces = np.sort(mesh.tets[parents][:, _FACE_VERTICES], axis=2)
+    parent_tets = mesh.tets[mesh.boundary_parents]
+    parent_faces = np.sort(parent_tets[:, _FACE_VERTICES], axis=2)
     has_face = (parent_faces == stored[:, None, :]).all(axis=2).any(axis=1)
     normals = mesh.boundary_normals
     centroids = mesh.vertices[mesh.boundary_faces].mean(axis=1)
-    tet_centroids = mesh.vertices[mesh.tets[parents]].mean(axis=1)
+    tet_centroids = mesh.vertices[parent_tets].mean(axis=1)
     checks = (
         (~is_boundary, "stored face {} is not a boundary face"),
         (~has_face, "face {} has wrong parent tet"),
@@ -277,29 +351,27 @@ def mesh_integrity(mesh):
     return IntegrityReport(True, "pass", volume, area)
 
 
-def _match_faces(mesh, stored):
+def _match_faces(mesh, stored, keys, size):
     """Owners of every face, from the packed keys of the tet face rows.
 
     A face's owners are the tet rows 4 t + o holding its key.  Per range of
-    least vertex id, the keys are written into one buffer and sorted in place,
-    so equal keys are neighbours.  Returns (earliest tet row, owners) of a
-    face with more than two owners or None, the number of one-owner faces,
+    least vertex id, the keys are written into the buffer ``keys`` (4 nt
+    long) and sorted in place, so equal keys are neighbours; ``keys[:size]``
+    arrives holding the first range's.  Returns (earliest tet row, owners) of
+    a face with more than two owners or None, the number of one-owner faces,
     and which stored faces (rows in increasing order) are one-owner faces.
     """
     nt, nv = mesh.num_tets, mesh.num_vertices
     is_boundary = np.zeros(len(stored), dtype=bool)
     found = 0
     shared = None
-    keys = np.empty(4 * nt, dtype=np.int64)
     span = _key_span(nv)
     for a0 in range(0, nv, span):
         a1 = a0 + span
-        size = 0
-        for start in range(0, nt, _SLAB):
-            key, inside = _face_keys(mesh.tets[start:start + _SLAB], a0, a1, nv)
-            block = key[inside]
-            keys[size:size + block.size] = block
-            size += block.size
+        if a0:
+            size = 0
+            for start in range(0, nt, _SLAB):
+                size = _write_keys(keys, size, mesh.tets[start:start + _SLAB], a0, a1, nv)
         run = keys[:size]
         run.sort()
         triples = run[2:][run[2:] == run[:-2]]
@@ -341,8 +413,9 @@ def dump_mesh(mesh, path):
     with open(path, "w") as out:
         for v in mesh.vertices:
             out.write("v %.17g %.17g %.17g\n" % tuple(v))
-        for t in mesh.tets:
-            out.write("t %d %d %d %d\n" % tuple(t))
+        for start in range(0, mesh.num_tets, _SLAB):
+            for t in mesh.tets[start:start + _SLAB]:
+                out.write("t %d %d %d %d\n" % tuple(t))
         for f in range(mesh.num_boundary_faces):
             i, j, k = mesh.boundary_faces[f]
             nx, ny, nz = mesh.boundary_normals[f]

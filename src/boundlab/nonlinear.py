@@ -207,9 +207,14 @@ _MAX_HALVINGS = 30
 _POLISH_TOL = 1e-13
 
 
+def _at_boundary(space, values, flux):
+    """flux(x, u) at the boundary quadrature points, as a function of a slice
+    of faces: the block form the workspace's boundary assembly reads."""
+    return lambda faces: flux(space.bnd_pts[faces], space.boundary_values(values, faces))
+
+
 def _residual_vector(space, operator, values, nl):
-    uq = space.boundary_values(values)
-    load = space.boundary_load_from_values(nl.f(space.bnd_pts, uq))
+    load = space.boundary_load_from_values(_at_boundary(space, values, nl.f))
     return operator @ values - load
 
 
@@ -288,14 +293,13 @@ def certify_solution(u, nl, tol):
 def _jacobian(space, operator, values, nl):
     """Newton Jacobian (H1 operator - boundary jacobian of f_s) at values, matrix-free.
 
-    Only the boundary part, an O(n^2) CSR, is assembled; a product is
-    ``operator @ v - boundary @ v``, so no CSR of the H1 operator's size is
-    formed per Newton step.
+    Only the boundary part, an O(n^2) CSR assembled block by block of faces,
+    is formed; a product is ``operator @ v - boundary @ v``, so no CSR of the
+    H1 operator's size is formed per Newton step.
     """
     from scipy.sparse.linalg import LinearOperator
 
-    uq = space.boundary_values(values)
-    boundary = space.boundary_operator_from_values(nl.f_s(space.bnd_pts, uq))
+    boundary = space.boundary_operator_from_values(_at_boundary(space, values, nl.f_s))
     return LinearOperator(operator.shape, matvec=lambda v: operator @ v - boundary @ v, dtype=float)
 
 

@@ -36,7 +36,7 @@ def test_mass_entries_total_volume(mesh4):
     space = fem_space(mesh4)
     row_sums = space.h1_operator() @ np.ones(mesh4.num_vertices)
     basis_integrals = np.zeros(mesh4.num_vertices)
-    np.add.at(basis_integrals, mesh4.tets, space.tet_volume / 4.0)
+    np.add.at(basis_integrals, mesh4.tets[:], space.tet_volume / 4.0)
     assert np.abs(row_sums - basis_integrals).max() <= 1e-15
     assert np.all(row_sums > 0)
     assert abs(row_sums.sum() - 1.0) < 1e-12
@@ -55,7 +55,7 @@ def test_operator_positive_definite(mesh4, rng):
 
 
 def test_degenerate_tet_aborts(mesh2):
-    tets = mesh2.tets.copy()
+    tets = mesh2.tets[:]
     tets[0] = tets[0][[0, 0, 1, 2]]  # repeated vertex, zero volume
     broken = Mesh(
         vertices=mesh2.vertices,
@@ -157,7 +157,8 @@ def _per_tet_reference(mesh):
     """Per-tet geometry from the vertex coordinates: basis gradients from
     inv of each tet's edge matrix, volumes from det, and the H1 operator
     (stiffness + mass) assembled tet by tet from them."""
-    vtx = mesh.vertices[mesh.tets]
+    tets = mesh.tets[:]
+    vtx = mesh.vertices[tets]
     edges = vtx[:, 1:, :] - vtx[:, :1, :]
     vols = np.linalg.det(edges) / 6.0
     grads = np.empty((mesh.num_tets, 4, 3))
@@ -165,8 +166,8 @@ def _per_tet_reference(mesh):
     grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
     pattern = (np.ones((4, 4)) + np.eye(4)) / 20.0
     h1 = vols[:, None, None] * (np.einsum("tid,tjd->tij", grads, grads) + pattern)
-    rows = np.broadcast_to(mesh.tets[:, :, None], h1.shape).ravel()
-    cols = np.broadcast_to(mesh.tets[:, None, :], h1.shape).ravel()
+    rows = np.broadcast_to(tets[:, :, None], h1.shape).ravel()
+    cols = np.broadcast_to(tets[:, None, :], h1.shape).ravel()
     shape = (mesh.num_vertices, mesh.num_vertices)
     return grads, vols, sparse.coo_matrix((h1.ravel(), (rows, cols)), shape=shape).tocsr()
 
@@ -178,11 +179,11 @@ def test_closed_form_geometry_matches_per_tet_reference(n, rng):
     grads, vols, reference = _per_tet_reference(mesh)
     # every tet's gradients, read through its nodal values
     values = rng.standard_normal(mesh.num_vertices)
-    expected = np.einsum("tid,ti->td", grads, values[mesh.tets])
+    expected = np.einsum("tid,ti->td", grads, values[mesh.tets[:]])
     assert np.abs(space.gradients(values) - expected).max() <= 1e-12 * np.abs(expected).max()
     shapes = space.grad_shapes[np.arange(mesh.num_tets) % 6]
     assert np.abs(shapes - grads).max() <= 1e-12 * np.abs(grads).max()
-    assert np.abs(signed_volumes(mesh.vertices, mesh.tets) - space.tet_volume).max() <= 1e-12 * space.tet_volume
+    assert np.abs(signed_volumes(mesh.vertices, mesh.tets[:]) - space.tet_volume).max() <= 1e-12 * space.tet_volume
     assert np.abs(vols - space.tet_volume).max() <= 1e-12 * space.tet_volume
     matrix = space.h1_operator().tocsr()
     assert np.array_equal(matrix.indptr, reference.indptr)
@@ -193,7 +194,7 @@ def test_closed_form_geometry_matches_per_tet_reference(n, rng):
 def test_reordered_tets_abort(mesh2):
     # swapping two tet rows keeps every volume positive, but tet t is then
     # no longer a translate of shape t % 6
-    tets = mesh2.tets.copy()
+    tets = mesh2.tets[:]
     tets[[0, 1]] = tets[[1, 0]]
     assert np.all(signed_volumes(mesh2.vertices, tets) > 0)
     reordered = Mesh(

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boundlab import assembly, cli, linear_solver, norms, verify_chain
+from boundlab import mesh as mesh_module
 from boundlab.assembly import FemFunction
 from boundlab.cli import main, parse_config, write_report
 from boundlab.linear_solver import MANUFACTURED_CASES
@@ -477,12 +478,35 @@ def test_uncertified_solution_is_status_1(monkeypatch, capsys):
     assert "numerical fault" in err and "uncertified" in err
 
 
+def test_no_cli_path_reads_a_whole_level_of_tets(tmp_path, monkeypatch):
+    # level 12 has 10 368 tets, more than any block a reader takes (at most
+    # 6144), so a read of every row at once would show here
+    reads = []
+    read = mesh_module._KuhnTets.__getitem__
+
+    def recording(self, index):
+        rows = read(self, index)
+        reads.append((rows.reshape(-1, 4).shape[0], len(self)))
+        return rows
+
+    monkeypatch.setattr(mesh_module._KuhnTets, "__getitem__", recording)
+    runs = [
+        ["mesh-info", "--n", "12", "--dump", str(tmp_path / "mesh.txt")],
+        ["solve-linear", "--n", "12"],
+        ["solve-nonlinear", "--p", "2", "--n", "12", "--seed", "11"],
+        ["verify", "--suite", "chain", "--n", "12", "--samples", "4", "--seed", "7"],
+    ]
+    for i, argv in enumerate(runs):
+        assert main(argv + ["--output", str(tmp_path / f"report{i}.json")]) == 0
+    assert reads and all(count < nt for count, nt in reads)
+
+
 def test_degenerate_tet_is_status_1(monkeypatch, capsys):
     build = cli.build_cube_mesh
 
     def flipped(n):
         mesh = build(n)
-        tets = mesh.tets.copy()
+        tets = mesh.tets[:]
         tets[0, [0, 1]] = tets[0, [1, 0]]
         return dataclasses.replace(mesh, tets=tets)
 

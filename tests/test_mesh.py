@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -118,7 +119,7 @@ def test_level_two_counts(mesh2):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_partition_of_cube(n):
     mesh = build_cube_mesh(n)
-    vols = signed_volumes(mesh.vertices, mesh.tets)
+    vols = signed_volumes(mesh.vertices, mesh.tets[:])
     assert np.all(vols > 0)
     assert abs(vols.sum() - 1.0) < 1e-12
     assert abs(face_areas(mesh).sum() - 6.0) < 1e-12
@@ -128,8 +129,8 @@ def test_refinement_totals_agree():
     coarse = build_cube_mesh(2)
     fine = build_cube_mesh(4)
     assert abs(
-        signed_volumes(coarse.vertices, coarse.tets).sum()
-        - signed_volumes(fine.vertices, fine.tets).sum()
+        signed_volumes(coarse.vertices, coarse.tets[:]).sum()
+        - signed_volumes(fine.vertices, fine.tets[:]).sum()
     ) < 1e-12
     assert abs(face_areas(coarse).sum() - face_areas(fine).sum()) < 1e-12
 
@@ -150,7 +151,7 @@ def test_integrity_passes_on_built_meshes(mesh2):
 
 
 def test_integrity_detects_negative_volume(mesh2):
-    tets = mesh2.tets.copy()
+    tets = mesh2.tets[:]
     tets[0, [0, 1]] = tets[0, [1, 0]]
     broken = Mesh(
         vertices=mesh2.vertices,
@@ -230,15 +231,86 @@ def test_dump_format(tmp_path, mesh2):
 @pytest.mark.parametrize("n", sorted(MESH_SHA256))
 def test_mesh_is_bitwise_pinned(n, tmp_path):
     mesh = build_cube_mesh(n)
-    digests = {f: hashlib.sha256(getattr(mesh, f).tobytes()).hexdigest() for f in MESH_FIELDS}
+    digests = {f: hashlib.sha256(getattr(mesh, f)[:].tobytes()).hexdigest() for f in MESH_FIELDS}
     path = tmp_path / "mesh.txt"
     dump_mesh(mesh, path)
     digests["dump"] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == MESH_SHA256[n]
 
 
+def _formula_tets(n):
+    """The stored (6 n^3, 4) tet array levels held before their tets became
+    a row source: each cell's corner-0 vertex plus the shapes' offsets."""
+    s = n + 1
+    r = np.arange(n)
+    base = (s * s * r[:, None, None] + s * r[:, None] + r).ravel()
+    return (base[:, None, None] + mesh_module._KUHN_CORNERS @ np.array([1, s, s * s])).reshape(-1, 4)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_tet_rows_equal_the_stored_formula(n, rng):
+    tets, expected = build_cube_mesh(n).tets, _formula_tets(n)
+    nt = len(expected)
+    assert tets.shape == expected.shape and len(tets) == nt
+    # blocks of every size the readers use: cell-aligned or not, inside one
+    # line of cells or across lines and planes
+    for step in (1, 4, 6, 7, 10, 6 * n - 1, 6 * n + 5, 4096):
+        for start in range(0, nt, step):
+            rows = tets[start:start + step]
+            assert rows.dtype == np.int64
+            assert rows.tobytes() == expected[start:start + step].tobytes()
+    assert tets[:].tobytes() == expected.tobytes()
+    assert np.array_equal(tets[nt:], expected[nt:]) and tets[nt:].shape == (0, 4)
+    assert np.array_equal(tets[1::5], expected[1::5])
+    index = rng.integers(0, nt, 100)
+    assert tets[index].tobytes() == expected[index].tobytes()
+    assert np.array_equal(tets[index[:0]], expected[index[:0]])
+    assert np.array_equal(tets[nt - 1], expected[-1])
+    for outside in (nt, -1):
+        with pytest.raises(IndexError):
+            tets[np.array([outside])]
+    # a (row, column) pair would otherwise read as two row indices
+    with pytest.raises(IndexError):
+        tets[0, 1]
+    with pytest.raises(TypeError):
+        np.asarray(tets)
+
+
+def _twin(mesh):
+    """The same level with its tets as one explicit array."""
+    return dataclasses.replace(mesh, tets=mesh.tets[:])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("slab", [5, 4096])
+def test_integrity_reads_a_level_as_its_explicit_twin(n, slab):
+    mesh = build_cube_mesh(n)
+    with mock.patch.object(mesh_module, "_SLAB", slab):
+        report = mesh_integrity(mesh)
+        assert report == mesh_integrity(_twin(mesh))
+    assert report.ok
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_dump_writes_the_rows_of_the_stored_array(n, tmp_path):
+    mesh = build_cube_mesh(n)
+    with mock.patch.object(mesh_module, "_SLAB", 7):
+        dump_mesh(mesh, tmp_path / "rows.txt")
+    # the dump of the explicit array, one row after another
+    with open(tmp_path / "array.txt", "w") as out:
+        for v in mesh.vertices:
+            out.write("v %.17g %.17g %.17g\n" % tuple(v))
+        for t in _formula_tets(n):
+            out.write("t %d %d %d %d\n" % tuple(t))
+        for (i, j, k), (nx, ny, nz) in zip(mesh.boundary_faces, mesh.boundary_normals):
+            out.write("b %d %d %d %.17g %.17g %.17g\n" % (i, j, k, nx, ny, nz))
+    assert (tmp_path / "rows.txt").read_bytes() == (tmp_path / "array.txt").read_bytes()
+
+
 def _kept_bytes(mesh):
-    return sum(getattr(mesh, field).nbytes for field in MESH_FIELDS)
+    """Bytes of the arrays a mesh stores; a level's tets are no array."""
+    return sum(getattr(mesh, field).nbytes for field in MESH_FIELDS
+               if isinstance(getattr(mesh, field), np.ndarray))
 
 
 def test_build_peak_memory_is_bounded(monkeypatch, traced_peak):
@@ -248,21 +320,37 @@ def test_build_peak_memory_is_bounded(monkeypatch, traced_peak):
     assert peak <= 3 * _kept_bytes(mesh)
 
 
+def test_build_keeps_no_tet_array(monkeypatch):
+    # a stored (nt, 4) int64 tet array made level 32 keep 7.85 MB
+    monkeypatch.setattr(mesh_module, "_MESHES", {})
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mesh = build_cube_mesh(32)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert not isinstance(mesh.tets, np.ndarray)
+    assert kept < 2 * 2**20
+
+
 def test_integrity_peak_memory_is_bounded(monkeypatch, traced_peak):
     monkeypatch.setattr(mesh_module, "_MESHES", {})
     mesh = build_cube_mesh(32)
     report, peak = traced_peak(lambda: mesh_integrity(mesh))
     assert report.ok
     # the face match sorts one int64 key per tet face in place; a whole-mesh
-    # lexicographic permutation of the face rows measured 3.2x
-    assert peak <= 1.6 * _kept_bytes(mesh)
+    # lexicographic permutation of the face rows measured 3.2x.  The bound is
+    # the one set while levels stored their tets: 1.6x the arrays kept then,
+    # with 32 bytes per tet for the tet array
+    assert peak <= 1.6 * (_kept_bytes(mesh) + 32 * mesh.num_tets)
 
 
 def test_integrity_report_carries_the_sums():
     # more tets than one signed-volume slab
     mesh = build_cube_mesh(18)
     report = mesh_integrity(mesh)
-    assert report.volume == float(signed_volumes(mesh.vertices, mesh.tets).sum())
+    assert report.volume == float(signed_volumes(mesh.vertices, mesh.tets[:]).sum())
     assert report.area == float(face_areas(mesh).sum())
 
 
@@ -270,14 +358,22 @@ def test_levels_are_built_once_and_read_only():
     mesh = build_cube_mesh(3)
     assert build_cube_mesh(3) is mesh
     for field in MESH_FIELDS:
-        with pytest.raises(ValueError):
-            getattr(mesh, field)[0] = 0
+        if field != "tets":
+            with pytest.raises(ValueError):
+                getattr(mesh, field)[0] = 0
+    # the tets are a row source: it takes no assignment, and the rows it
+    # returns are fresh arrays, so writing to them leaves the level unchanged
+    with pytest.raises(TypeError):
+        mesh.tets[0] = 0
+    rows = mesh.tets[:]
+    rows[0] = 0
+    assert mesh.tets[0].tolist() == [0, 1, 5, 21]
     with pytest.raises(dataclasses.FrozenInstanceError):
-        mesh.tets = mesh.tets.copy()
+        mesh.tets = mesh.tets[:]
 
 
 def _shared_face(m):
-    tets = m.tets.copy()
+    tets = m.tets[:]
     tets[1] = tets[0]
     return dataclasses.replace(m, tets=tets)
 
@@ -322,7 +418,7 @@ def _duplicated_face(m):
 
 def _set_tet_vertex(t, k, v):
     def corrupt(m):
-        tets = m.tets.copy()
+        tets = m.tets[:]
         tets[t, k] = v
         return dataclasses.replace(m, tets=tets)
 
@@ -471,7 +567,7 @@ def _corrupted_meshes(draw):
     tets, duplicated, shifted, rediagonalized or extra zero-area stored faces,
     wrong parents, flipped or scaled normals.  Every id stays in range."""
     m = build_cube_mesh(draw(st.integers(1, 4)))
-    tets, faces = m.tets.copy(), m.boundary_faces.copy()
+    tets, faces = m.tets[:], m.boundary_faces.copy()
     normals, parents = m.boundary_normals.copy(), m.boundary_parents.copy()
     tet = st.integers(0, m.num_tets - 1)
     face = st.integers(0, m.num_boundary_faces - 1)

@@ -273,7 +273,7 @@ def test_fractional_entries_stay_log_exp_quadrature(mesh2, rng):
                            holder_p=2.0)
     columns = values.T
     with np.errstate(divide="ignore"):
-        nodal = columns[:, mesh2.tets]
+        nodal = columns[:, mesh2.tets[:]]
         logs = np.log(np.abs(nodal.reshape(-1, 4) @ space.vol_basis.T)).reshape(3, -1)
         vol = np.exp(4.5 * logs) @ np.tile(space.tet_w, mesh2.num_tets)
         g = space.grad_shapes[np.arange(mesh2.num_tets) % 6].transpose(0, 2, 1) @ nodal.transpose(1, 2, 0)
