@@ -14,6 +14,7 @@ alone.
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from dataclasses import dataclass
 
@@ -64,26 +65,67 @@ def _splu(matrix):
     return splu(matrix)
 
 
-def _prolongation(n):
-    """P1 prolongation from level n to level 2n, as a sparse matrix.
+# Level 2n refines level n: on each axis, fine vertex i lies between coarse
+# vertices floor(i / 2) and ceil(i / 2).  Prolongation, per parity class of
+# fine vertices (even or odd on each axis): (its slice of the fine grid, the
+# slices of the coarse grid at the low and the high ends of its edges).  The
+# slices do not depend on n.
+_PROLONG_PARTS = [
+    (tuple(slice(odd, None, 2) for odd in parity),
+     tuple(slice(None, -1) if odd else slice(None) for odd in parity),
+     tuple(slice(1, None) if odd else slice(None) for odd in parity))
+    for parity in itertools.product((0, 1), repeat=3)
+]
+
+# Restriction: for each offset d of a fine vertex 2J + d whose edges end at
+# coarse vertex J (the corners of the cells [-1, 0]^3 and [0, 1]^3 around 2J),
+# in increasing fine index, the slice of the fine grid in a zero border of
+# width 1 that holds vertex 2J + d of every J
+_RESTRICT_OFFSETS = sorted(
+    (d for d in itertools.product((-1, 0, 1), repeat=3) if min(d) >= 0 or max(d) <= 0),
+    key=lambda d: 9 * d[0] + 3 * d[1] + d[2],
+)
+_RESTRICT_PARTS = [tuple(slice(a + 1, {-1: -2, 0: -1, 1: None}[a], 2) for a in d) for d in _RESTRICT_OFFSETS]
+_RESTRICT_TWIN = _RESTRICT_OFFSETS.index((0, 0, 0))
+
+
+def _prolong(values, n):
+    """P1 prolongation of nodal values from level n to level 2n, in closed form.
 
     The Kuhn split of level 2n refines that of level n, so fine vertex
     (I, J, K) lies on the coarse edge from floor((I, J, K) / 2) to
-    ceil((I, J, K) / 2) and takes the mean of its two ends.
+    ceil((I, J, K) / 2) and takes the mean of its two ends; a fine vertex
+    with even coordinates is both ends.  Each parity class of fine vertices
+    is one strided slice.  The mean is 0.5 a + 0.5 b, the sum of a CSR row
+    holding the map.
     """
-    from scipy import sparse
-
     s = n + 1
-    fine = np.arange(2 * n + 1)
-    ends = [s * s * c[:, None, None] + s * c[:, None] + c for c in (fine // 2, (fine + 1) // 2)]
-    nf = fine.size**3
-    mat = sparse.csr_matrix(
-        (np.full(2 * nf, 0.5), np.stack(ends, axis=-1).ravel(), np.arange(0, 2 * nf + 1, 2)),
-        shape=(nf, s**3),
-    )
-    # a vertex of level n is its own floor and ceil: its two halves add up to 1
-    mat.sum_duplicates()
-    return mat
+    half = 0.5 * values.reshape(s, s, s)
+    fine = np.empty((2 * n + 1,) * 3)
+    for fine_part, low, high in _PROLONG_PARTS:
+        np.add(half[low], half[high], out=fine[fine_part])
+    return fine.ravel()
+
+
+def _restrict(values, n):
+    """Restriction of nodal values from level 2n to level n: the exact transpose
+    of ``_prolong``.
+
+    Coarse vertex J sums half of every fine vertex 2J + d on an edge ending
+    at J, and all of its twin 2J, in increasing fine index: the order of a
+    CSR row of the transpose.  In a zero border, each offset d is one strided
+    slice for every J.  The sums are taken doubled (each fine value once,
+    the twin twice) and halved at the end, an exact scaling of every partial
+    sum, so they are bitwise the CSR's products.
+    """
+    s, f = n + 1, 2 * n + 1
+    padded = np.zeros((f + 2,) * 3)
+    padded[1:-1, 1:-1, 1:-1] = values.reshape(f, f, f)
+    coarse = np.zeros((s, s, s))
+    for k, part in enumerate(_RESTRICT_PARTS):
+        coarse += 2.0 * padded[part] if k == _RESTRICT_TWIN else padded[part]
+    coarse *= 0.5
+    return coarse.ravel()
 
 
 class _FemSpace:
@@ -109,21 +151,16 @@ class _FemSpace:
         self.vol_basis = np.column_stack([1.0 - ref_pts.sum(axis=1), ref_pts])  # (nq, 4)
         self.tet_w = 6.0 * self.tet_volume * ref_w                       # sums to the volume
 
-        bref_pts, bref_w = triangle_rule()
+        bref_pts, self.bnd_ref_w = triangle_rule()
         blam = np.column_stack([1.0 - bref_pts.sum(axis=1), bref_pts])  # (nqb, 3)
         self.bnd_basis = blam
         # products b_i*b_j are formed once so weighted sums stay bitwise symmetric
         self.bnd_basis_pairs = blam[:, :, None] * blam[:, None, :]
-        fvtx = mesh.vertices[mesh.boundary_faces]
+        # one scalar per face: the boundary's points, weights and normals are
+        # formed per block of faces
         self.face_areas = face_areas(mesh)
-        self.bnd_pts = np.einsum("qi,fid->fqd", blam, fvtx)
-        self.bnd_w = np.outer(2.0 * self.face_areas, bref_w)
-        self.bnd_normals = np.broadcast_to(
-            mesh.boundary_normals[:, None, :], self.bnd_pts.shape
-        )
 
         self._h1 = None
-        self._prolong = None
         self._vcycle = None
         # polished ground states of this level, keyed by nonlinear.solve_ground_state
         self.ground_states = {}
@@ -160,16 +197,15 @@ class _FemSpace:
             self._h1 = self._shape_operator(self.tet_volume * (stiffness + _MASS_PATTERN))
         return self._h1
 
-    def prolongation(self):
-        """P1 prolongation onto this level from level n // 2, or None on a coarsest level.
+    def coarse_n(self):
+        """Level n // 2 below this one, or None on a coarsest level.
 
         Levels halve while n is even and n > 2; the V-cycle and the nested
-        ground-state solves walk this one hierarchy.  Built once per level.
+        ground-state solves walk this one hierarchy, moving nodal values
+        between levels with ``_prolong`` and ``_restrict``.
         """
         n = self.mesh.n
-        if self._prolong is None and n % 2 == 0 and n > 2:
-            self._prolong = _prolongation(n // 2)
-        return self._prolong
+        return n // 2 if n % 2 == 0 and n > 2 else None
 
     def vcycle(self):
         """One symmetric multigrid V-cycle: an SPD approximate inverse of the H1 operator.
@@ -188,18 +224,17 @@ class _FemSpace:
             from scipy.sparse.linalg import LinearOperator
 
             matrix = self.h1_operator()
-            prolong = self.prolongation()
-            if prolong is None:
+            n = self.coarse_n()
+            if n is None:
                 solve = _splu(matrix.tocsc()).solve
             else:
-                coarse = fem_space(build_cube_mesh(self.mesh.n // 2)).vcycle()
-                restrict = prolong.T.tocsr()
+                coarse = fem_space(build_cube_mesh(n)).vcycle()
                 step = _JACOBI_OMEGA / matrix.diagonal()
 
                 def solve(r):
                     x = step * r
                     x += step * (r - matrix @ x)
-                    x += prolong @ coarse.matvec(restrict @ (r - matrix @ x))
+                    x += _prolong(coarse.matvec(_restrict(r - matrix @ x, n)), n)
                     x += step * (r - matrix @ x)
                     x += step * (r - matrix @ x)
                     return x
@@ -211,13 +246,25 @@ class _FemSpace:
 
     # ``tets`` selects a slice of the tets (read from the level's row
     # source); it must cover whole cells (6 tets each, starting at a multiple
-    # of 6) for ``gradients``.  ``faces`` selects a slice of the boundary faces
+    # of 6) for ``gradients``.  ``faces`` selects a slice of the boundary
+    # faces; the boundary's quadrature points, weights and normals are formed
+    # for the faces asked for only.
 
     def volume_values(self, values, tets=slice(None)):
         return values[self.mesh.tets[tets]] @ self.vol_basis.T      # (nt, nq)
 
     def boundary_values(self, values, faces=slice(None)):
         return values[self.mesh.boundary_faces[faces]] @ self.bnd_basis.T  # (nf, nqb)
+
+    def boundary_points(self, faces=slice(None)):
+        return self.bnd_basis @ self.mesh.vertices[self.mesh.boundary_faces[faces]]  # (nf, nqb, 3)
+
+    def boundary_weights(self, faces=slice(None)):
+        return (2.0 * self.face_areas[faces])[:, None] * self.bnd_ref_w   # (nf, nqb)
+
+    def boundary_normals(self, faces=slice(None)):
+        normals = self.mesh.boundary_normals[faces]
+        return np.broadcast_to(normals[:, None, :], (len(normals), len(self.bnd_ref_w), 3))
 
     def gradients(self, values, tets=slice(None)):
         nodal = values[self.mesh.tets[tets]].reshape(-1, 6, 4)          # (cells, 6, 4)
@@ -226,10 +273,7 @@ class _FemSpace:
     def volume_integral(self, point_values):
         return float(np.sum(self.tet_w * point_values))
 
-    def boundary_integral(self, point_values):
-        return float(np.sum(self.bnd_w * point_values))
-
-    # -- boundary assembly ---------------------------------------------------
+    # -- boundary fields and assembly -----------------------------------------
     #
     # ``point_values`` are a field's values at the boundary quadrature points:
     # an (nf, nqb) array, or a function of a slice of faces returning that
@@ -238,11 +282,34 @@ class _FemSpace:
     # its faces' rows of the element vectors or matrices, and one scatter
     # assembles them.
 
+    def at_boundary(self, values, flux, points=True):
+        """flux(x, u) at the boundary quadrature points, u the P1 function of
+        nodal ``values``, as a function of a slice of faces.  With ``points``
+        false the flux reads no x and receives None for it."""
+        def block(faces):
+            return flux(self.boundary_points(faces) if points else None, self.boundary_values(values, faces))
+
+        return block
+
+    def boundary_field(self, g):
+        """g(points, normals) at the boundary quadrature points, as a function
+        of a slice of faces: a block's values broadcast to (faces, nqb), and
+        a non-finite one raises ValueError."""
+
+        def block(faces):
+            points = self.boundary_points(faces)
+            values = np.asarray(g(points, self.boundary_normals(faces)), dtype=float)
+            if not np.all(np.isfinite(values)):
+                raise ValueError("boundary field produced non-finite values at quadrature points")
+            return np.broadcast_to(values, points.shape[:-1])
+
+        return block
+
     def _face_blocks(self):
         """Slices of at most _FACE_BLOCK faces, in order.  A one-face
         remainder joins the block before it: a one-row matmul (as in
         ``boundary_values``) rounds differently from a longer one."""
-        nf = len(self.bnd_w)
+        nf = len(self.face_areas)
         starts = list(range(0, nf, _FACE_BLOCK))
         if len(starts) > 1 and nf - starts[-1] == 1:
             starts.pop()
@@ -252,10 +319,19 @@ class _FemSpace:
         """(faces, quadrature weights times the values) per block of faces."""
         for faces in self._face_blocks():
             block = point_values(faces) if callable(point_values) else point_values[faces]
-            yield faces, self.bnd_w[faces] * block
+            yield faces, self.boundary_weights(faces) * block
+
+    def boundary_integral(self, point_values):
+        """Quadrature integral of a field over the boundary, summed block by
+        block of faces.  A function whose blocks stack several fields,
+        (..., faces, nqb), gives an array of their integrals."""
+        total = 0.0
+        for _, weighted in self._weighted_blocks(point_values):
+            total += weighted.sum(axis=(-2, -1))
+        return float(total) if np.ndim(total) == 0 else total
 
     def boundary_load_from_values(self, point_values):
-        contrib = np.empty((len(self.bnd_w), 3))
+        contrib = np.empty((len(self.face_areas), 3))
         for faces, weighted in self._weighted_blocks(point_values):
             np.einsum("fq,qi->fi", weighted, self.bnd_basis, out=contrib[faces])
         return np.bincount(self.mesh.boundary_faces.ravel(), weights=contrib.ravel(), minlength=self.nv)
@@ -263,7 +339,7 @@ class _FemSpace:
     def boundary_operator_from_values(self, point_values):
         from scipy import sparse
 
-        entries = np.empty((len(self.bnd_w), 3, 3))
+        entries = np.empty((len(self.face_areas), 3, 3))
         for faces, weighted in self._weighted_blocks(point_values):
             np.einsum("fq,qij->fij", weighted, self.bnd_basis_pairs, out=entries[faces])
         rows = np.broadcast_to(self.mesh.boundary_faces[:, :, None], entries.shape)
@@ -286,21 +362,12 @@ def fem_space(mesh):
     return space
 
 
-def _boundary_field_values(space, g):
-    values = np.asarray(g(space.bnd_pts, space.bnd_normals), dtype=float)
-    if values.shape != space.bnd_w.shape:
-        values = np.broadcast_to(values, space.bnd_w.shape)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("boundary field produced non-finite values at quadrature points")
-    return values
-
-
 def assemble_boundary_load(mesh, g):
     """Load vector l_i = integral over the boundary of g * basis_i.
 
-    ``g(points, normals)`` receives quadrature points of shape (nf, nqb, 3)
-    together with matching outward unit normals, and returns values of the
-    same leading shape.
+    ``g(points, normals)`` receives quadrature points of shape (faces, nqb, 3)
+    together with matching outward unit normals, one block of faces at a
+    time, and returns values of the same leading shape.
     """
     space = fem_space(mesh)
-    return space.boundary_load_from_values(_boundary_field_values(space, g))
+    return space.boundary_load_from_values(space.boundary_field(g))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .assembly import FemFunction, fem_space
+from .assembly import FemFunction, _prolong, fem_space
 # splu is not called here: binding assembly's _splu (which imports scipy's splu
 # on its first call) under this name lets bench/tracer.py's nonlinear.splu
 # wrapper reach the coarse-level factorization in assembly
@@ -61,6 +61,12 @@ class Nonlinearity:
     s0: float
     kind: str = "custom"
     scale: float = 1.0
+
+    @property
+    def reads_points(self):
+        """Whether f, F and f_s read their points: the pure power reads none,
+        so its boundary evaluations form no quadrature points."""
+        return self.kind != "power"
 
 
 def make_power_nonlinearity(p, lam_scale=1.0):
@@ -207,14 +213,8 @@ _MAX_HALVINGS = 30
 _POLISH_TOL = 1e-13
 
 
-def _at_boundary(space, values, flux):
-    """flux(x, u) at the boundary quadrature points, as a function of a slice
-    of faces: the block form the workspace's boundary assembly reads."""
-    return lambda faces: flux(space.bnd_pts[faces], space.boundary_values(values, faces))
-
-
 def _residual_vector(space, operator, values, nl):
-    load = space.boundary_load_from_values(_at_boundary(space, values, nl.f))
+    load = space.boundary_load_from_values(space.at_boundary(values, nl.f, nl.reads_points))
     return operator @ values - load
 
 
@@ -299,7 +299,7 @@ def _jacobian(space, operator, values, nl):
     """
     from scipy.sparse.linalg import LinearOperator
 
-    boundary = space.boundary_operator_from_values(_at_boundary(space, values, nl.f_s))
+    boundary = space.boundary_operator_from_values(space.at_boundary(values, nl.f_s, nl.reads_points))
     return LinearOperator(operator.shape, matvec=lambda v: operator @ v - boundary @ v, dtype=float)
 
 
@@ -368,8 +368,8 @@ def newton_refine(u0, nl, tol):
 
 def _normalized(space, values, p):
     """values scaled onto the constraint manifold int_bnd |w|^(p+1) = 1."""
-    uq = space.boundary_values(values)
-    mass = space.boundary_integral(np.abs(uq) ** (p + 1.0))
+    power = space.at_boundary(values, lambda x, u: np.abs(u) ** (p + 1.0), points=False)
+    mass = space.boundary_integral(power)
     return values / mass ** (1.0 / (p + 1.0))
 
 
@@ -391,15 +391,15 @@ def _constraint_iteration(space, nl, tol, seed):
     rng = np.random.default_rng(seed)
     w = 0.5 + rng.random(space.nv)
     # one linear solve to smooth the random start
-    load = space.boundary_load_from_values(space.boundary_values(w))
+    load = space.boundary_load_from_values(lambda faces: space.boundary_values(w, faces))
     w, _, _ = _pcg(operator, load, linear_tol, vcycle)
     w = _normalized(space, w, p)
 
     mu = float(w @ (operator @ w))
     mu_trace = [mu]
     for outer in range(1, _MAX_OUTER + 1):
-        uq = space.boundary_values(w)
-        load = space.boundary_load_from_values(np.sign(uq) * np.abs(uq) ** p)
+        flux = space.at_boundary(w, lambda x, u: np.sign(u) * np.abs(u) ** p, points=False)
+        load = space.boundary_load_from_values(flux)
         w_new, _, _ = _pcg(operator, load, linear_tol, vcycle, x0=w)
         w = _normalized(space, w_new, p)
         mu_new = float(w @ (operator @ w))
@@ -419,12 +419,12 @@ def _level_ground_state(space, nl, tol, seed):
     key = (nl.p, nl.scale, seed, tol)
     outcome = space.ground_states.get(key)
     if outcome is None:
-        prolong = space.prolongation()
-        if prolong is None:
+        n = space.coarse_n()
+        if n is None:
             values, outer = _constraint_iteration(space, nl, tol, seed)
         else:
-            coarse = _level_ground_state(fem_space(build_cube_mesh(space.mesh.n // 2)), nl, tol, seed)
-            values, outer = prolong @ coarse.solution.values, coarse.outer_iterations
+            coarse = _level_ground_state(fem_space(build_cube_mesh(n)), nl, tol, seed)
+            values, outer = _prolong(coarse.solution.values, n), coarse.outer_iterations
         outcome = newton_refine(FemFunction(space.mesh, values), nl, min(tol, _POLISH_TOL))
         values = outcome.solution.values
         values.flags.writeable = False  # shared by every later solve of this level

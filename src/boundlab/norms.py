@@ -193,7 +193,7 @@ def norm_table(mesh, values, volume=(), boundary=(), w1m=(), holder_p=None, copi
         if bnd or holder_p is not None:
             step = _block_step(count, len(space.bnd_basis))
             for rows, _, logs, scratch in _log_blocks(columns, mesh.boundary_faces, space.bnd_basis, step):
-                weights = space.bnd_w[rows].ravel()
+                weights = space.boundary_weights(rows).ravel()
                 for e, total in bnd.items():
                     total += np.exp(np.multiply(logs, e, out=scratch), out=scratch) @ weights
                 if holder_p is not None:
@@ -273,8 +273,8 @@ def norm_lp_boundary_field(mesh, g, r):
     if r < 1:
         raise ValueError(f"integrability index must be >= 1, got {r}")
     space = fem_space(mesh)
-    vals = np.asarray(g(space.bnd_pts, space.bnd_normals), dtype=float)
-    return space.boundary_integral(np.abs(vals) ** r) ** (1.0 / r)
+    field = space.boundary_field(g)
+    return space.boundary_integral(lambda faces: np.abs(field(faces)) ** r) ** (1.0 / r)
 
 
 def energy_J(u, nl):
@@ -282,8 +282,7 @@ def energy_J(u, nl):
     test oracle for the energy suite's J."""
     space = fem_space(u.mesh)
     half_h1 = 0.5 * float(u.values @ (space.h1_operator() @ u.values))
-    uq = space.boundary_values(u.values)
-    return half_h1 - space.boundary_integral(nl.F(space.bnd_pts, uq))
+    return half_h1 - space.boundary_integral(space.at_boundary(u.values, nl.F, nl.reads_points))
 
 
 def gn_ratio(u, ctx):

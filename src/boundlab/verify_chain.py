@@ -81,26 +81,27 @@ def build_corpus(mesh, size, seed, solutions=()):
     n_smooth = size // 4 if solutions else size - n_random
     n_solution = size - n_random - n_smooth if solutions else 0
 
-    columns = []
+    # each column is written in place, in the order of the rng draws
+    values = np.empty((nv, size))
     copies = {}
-    for _ in range(n_random):
+    for j in range(n_random):
         amp = 10.0 ** rng.uniform(-2.0, 1.0)
-        columns.append(amp * rng.standard_normal(nv))
+        np.multiply(amp, rng.standard_normal(nv), out=values[:, j])
     dictionary = smooth_fields(mesh.vertices)                       # (nv, 14)
-    for _ in range(n_smooth):
+    for j in range(n_random, n_random + n_smooth):
         coeffs = rng.standard_normal(len(SMOOTH_FIELDS))
         amp = 10.0 ** rng.uniform(-2.0, 1.0)
-        columns.append(amp * (dictionary @ coeffs))
-    first = len(columns)
+        np.multiply(amp, dictionary @ coeffs, out=values[:, j])
+    first = n_random + n_smooth
     for i in range(n_solution):
         base = solutions[i % len(solutions)]
         scale = 1.0
         if i >= len(solutions):
             scale = 10.0 ** rng.uniform(-1.0, 1.0)
-            copies[len(columns)] = (first + i % len(solutions), scale)
-        columns.append(scale * base.values)
+            copies[first + i] = (first + i % len(solutions), scale)
+        np.multiply(scale, base.values, out=values[:, first + i])
     kinds = ["random"] * n_random + ["smooth"] * n_smooth + ["solution"] * n_solution
-    return Corpus(mesh, np.column_stack(columns), kinds, copies)
+    return Corpus(mesh, values, kinds, copies)
 
 
 @dataclass(eq=False)
@@ -332,17 +333,19 @@ def solution_norms(outcome, what, w1m=()):
     (row,) = _rows(norm_table(u.mesh, u.values, volume=(_TWO_STAR,), boundary=(_TWO_LOW_STAR,),
                               w1m=w1m))
     h1_sq = float(u.values @ (space.h1_operator() @ u.values))
-    uq = space.boundary_values(u.values)
-    fq = nl.f(space.bnd_pts, uq)
     r_conj = _TWO_LOW_STAR / (_TWO_LOW_STAR - 1.0)
-    row.update(
-        h1_sq=h1_sq,
-        h1=math.sqrt(h1_sq),
-        uf=space.boundary_integral(fq * uq),
-        F=space.boundary_integral(nl.F(space.bnd_pts, uq)),
-        holder_left=space.boundary_integral(np.abs(fq * uq)),
-        f_norm=space.boundary_integral(np.abs(fq) ** r_conj) ** (1.0 / r_conj),
-    )
+
+    def terms(faces):
+        """The four boundary integrands on a block of faces, stacked."""
+        points = space.boundary_points(faces) if nl.reads_points else None
+        uq = space.boundary_values(u.values, faces)
+        fq = nl.f(points, uq)
+        fu = fq * uq
+        return np.stack([fu, nl.F(points, uq), np.abs(fu), np.abs(fq) ** r_conj])
+
+    uf, F, holder_left, f_power = space.boundary_integral(terms)
+    row.update(h1_sq=h1_sq, h1=math.sqrt(h1_sq), uf=float(uf), F=float(F),
+               holder_left=float(holder_left), f_norm=float(f_power) ** (1.0 / r_conj))
     return row
 
 

@@ -6,6 +6,18 @@ import pytest
 from boundlab import build_cube_mesh, make_power_nonlinearity, solve_ground_state
 
 
+def whole_boundary(space):
+    """The boundary's quadrature points (nf, nqb, 3), weights (nf, nqb) and
+    outward unit normals (nf, nqb, 3) of a workspace, each formed for every
+    face at once, as the workspace stored them before it formed them per
+    block of faces."""
+    mesh = space.mesh
+    points = np.einsum("qi,fid->fqd", space.bnd_basis, mesh.vertices[mesh.boundary_faces])
+    weights = np.outer(2.0 * space.face_areas, space.bnd_ref_w)
+    normals = np.broadcast_to(mesh.boundary_normals[:, None, :], points.shape)
+    return points, weights, normals
+
+
 @pytest.fixture(scope="session")
 def mesh2():
     return build_cube_mesh(2)

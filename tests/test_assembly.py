@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -8,6 +9,7 @@ from boundlab import assembly
 from boundlab import mesh as mesh_module
 from boundlab.assembly import FemFunction, assemble_boundary_load, fem_space
 from boundlab.mesh import Mesh, boundary_vertices, build_cube_mesh, signed_volumes
+from conftest import whole_boundary
 
 
 def constant_field(value):
@@ -92,7 +94,8 @@ def test_boundary_load_rejects_non_finite(mesh4):
 
 def boundary_operator(mesh, w):
     space = fem_space(mesh)
-    return space.boundary_operator_from_values(w(space.bnd_pts, space.bnd_normals))
+    points, _, normals = whole_boundary(space)
+    return space.boundary_operator_from_values(w(points, normals))
 
 
 def test_boundary_jacobian_totals(mesh4):
@@ -122,9 +125,8 @@ def test_load_pairing_matches_quadrature(mesh4, rng):
     u = FemFunction(mesh4, rng.standard_normal(mesh4.num_vertices))
     g = lambda pts, normals: np.cos(pts[..., 0]) + pts[..., 1] ** 2
     load = assemble_boundary_load(mesh4, g)
-    direct = space.boundary_integral(
-        g(space.bnd_pts, space.bnd_normals) * space.boundary_values(u.values)
-    )
+    points, _, normals = whole_boundary(space)
+    direct = space.boundary_integral(g(points, normals) * space.boundary_values(u.values))
     assert abs(float(u.values @ load) - direct) < 1e-12
 
 
@@ -259,8 +261,70 @@ def test_h1_products_match_csr_bitwise(n, rng):
 def test_boundary_load_matches_scatter_bitwise(n, rng):
     mesh = build_cube_mesh(n)
     space = fem_space(mesh)
-    point_values = rng.standard_normal(space.bnd_w.shape)
-    contrib = np.einsum("fq,qi->fi", space.bnd_w * point_values, space.bnd_basis)
+    _, weights, _ = whole_boundary(space)
+    point_values = rng.standard_normal(weights.shape)
+    contrib = np.einsum("fq,qi->fi", weights * point_values, space.bnd_basis)
     expected = np.zeros(mesh.num_vertices)
     np.add.at(expected, mesh.boundary_faces, contrib)
     assert np.array_equal(space.boundary_load_from_values(point_values), expected)
+
+
+# -- the boundary's points, weights and normals, formed per block of faces ------
+
+
+def _blocks(space):
+    return [np.concatenate(parts) for parts in zip(*(
+        (space.boundary_points(faces), space.boundary_weights(faces), space.boundary_normals(faces))
+        for faces in space._face_blocks()))]
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 16])
+@pytest.mark.parametrize("block", [2, 7, 100, 1024])
+def test_blocked_points_weights_and_normals_match_the_whole_boundary(n, block, monkeypatch):
+    monkeypatch.setattr(assembly, "_FACE_BLOCK", block)
+    space = fem_space(build_cube_mesh(n))
+    points, weights, normals = _blocks(space)
+    whole_points, whole_weights, whole_normals = whole_boundary(space)
+    # a matmul and an einsum sum the three vertex terms in their own orders:
+    # within one ulp of the unit cube's largest coordinate
+    assert np.abs(points - whole_points).max() <= np.spacing(1.0)
+    assert weights.tobytes() == np.outer(2.0 * space.face_areas, space.bnd_ref_w).tobytes()
+    assert weights.tobytes() == whole_weights.tobytes()
+    assert np.array_equal(normals, whole_normals)
+
+
+@pytest.mark.parametrize("n", [3, 16, 24])
+def test_blocked_boundary_integral_matches_the_whole_sum(n, rng):
+    space = fem_space(build_cube_mesh(n))
+    _, weights, _ = whole_boundary(space)
+    values = rng.random((3,) + weights.shape)
+    for field in values:
+        whole = float(np.sum(weights * field))
+        assert abs(space.boundary_integral(field) - whole) <= 1e-15 * whole
+        assert space.boundary_integral(lambda faces: field[faces]) == space.boundary_integral(field)
+    # a function of a block may stack several fields: one integral each, bitwise
+    stacked = space.boundary_integral(lambda faces: values[:, faces])
+    assert stacked.tobytes() == np.array([space.boundary_integral(f) for f in values]).tobytes()
+
+
+def test_workspace_keeps_no_per_quadrature_point_array(monkeypatch):
+    # fresh caches, so level 32 and its workspace are built here
+    levels = {}
+    monkeypatch.setattr(mesh_module, "_MESHES", levels)
+    monkeypatch.setattr(assembly, "_MESHES", levels)
+    monkeypatch.setattr(assembly, "_SPACE_CACHE", weakref.WeakKeyDictionary())
+    mesh = build_cube_mesh(32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        space = fem_space(mesh)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    nf, nqb = len(mesh.boundary_faces), len(space.bnd_ref_w)
+    # the whole-boundary points alone took nf * 16 * 3 doubles (4.7 MB here)
+    # and the weights nf * 16 (1.6 MB); the face areas take nf (98 KB)
+    assert kept < 8 * nf * nqb
+    for name, value in vars(space).items():
+        if isinstance(value, np.ndarray):
+            assert value.size < nf * nqb, name

@@ -5,7 +5,7 @@ import pytest
 from scipy.sparse.linalg import spsolve
 
 from boundlab import linear_solver
-from boundlab.assembly import _prolongation, assemble_boundary_load, fem_space
+from boundlab.assembly import _prolong, _restrict, assemble_boundary_load, fem_space
 from boundlab.exponents import derive_context
 from boundlab.linear_solver import (
     MANUFACTURED_CASES,
@@ -19,6 +19,7 @@ from boundlab.linear_solver import (
 )
 from boundlab.mesh import build_cube_mesh
 from boundlab.norms import norm_linf, norm_lp_boundary_field, norm_w1m
+from conftest import whole_boundary
 
 
 def zero_field(pts, normals):
@@ -159,7 +160,7 @@ def test_regularity_suite_shape_and_saturation():
 
 
 def test_smooth_fields_stack_the_dictionary(mesh4):
-    pts = fem_space(mesh4).bnd_pts
+    pts, _, _ = whole_boundary(fem_space(mesh4))
     fields = smooth_fields(pts)
     assert fields.shape == pts.shape[:-1] + (len(SMOOTH_FIELDS),)
     for k, phi in enumerate(SMOOTH_FIELDS):
@@ -266,14 +267,48 @@ def test_regularity_suite_requires_three_dimensions():
 # -- multigrid hierarchy -------------------------------------------------------
 
 
+def _prolongation(n):
+    """P1 prolongation from level n to level 2n as a CSR matrix, built as the
+    workspace built it before the closed form: fine vertex (I, J, K) takes
+    half of each end of the coarse edge from floor((I, J, K) / 2) to
+    ceil((I, J, K) / 2)."""
+    from scipy import sparse
+
+    s = n + 1
+    fine = np.arange(2 * n + 1)
+    ends = [s * s * c[:, None, None] + s * c[:, None] + c for c in (fine // 2, (fine + 1) // 2)]
+    nf = fine.size**3
+    mat = sparse.csr_matrix(
+        (np.full(2 * nf, 0.5), np.stack(ends, axis=-1).ravel(), np.arange(0, 2 * nf + 1, 2)),
+        shape=(nf, s**3),
+    )
+    # a vertex of level n is its own floor and ceil: its two halves add up to 1
+    mat.sum_duplicates()
+    return mat
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_prolongation_gives_coarse_operator(n):
     # nested P1 spaces: the Galerkin product of level 2n is level n's operator
-    prolong = _prolongation(n)
+    # (the closed forms applied to every coarse basis vector)
     fine = fem_space(build_cube_mesh(2 * n)).h1_operator()
     coarse = fem_space(build_cube_mesh(n)).h1_operator().toarray()
-    galerkin = (prolong.T @ fine @ prolong).toarray()
+    galerkin = np.column_stack([_restrict(fine @ _prolong(e, n), n) for e in np.eye((n + 1) ** 3)])
     assert np.abs(galerkin - coarse).max() <= 1e-13 * np.abs(coarse).max()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_closed_form_transfers_equal_the_csr_bitwise(n, rng):
+    prolong = _prolongation(n)
+    restrict = prolong.T.tocsr()
+    for scale in (1e-3, 1.0, 1e3):
+        x = scale * rng.standard_normal((n + 1) ** 3)
+        r = scale * rng.standard_normal((2 * n + 1) ** 3)
+        assert _prolong(x, n).tobytes() == (prolong @ x).tobytes()
+        assert _restrict(r, n).tobytes() == (restrict @ r).tobytes()
+    # the transfers read their input only
+    x.flags.writeable = r.flags.writeable = False
+    _prolong(x, n), _restrict(r, n)
 
 
 def test_vcycle_symmetric_positive(mesh8, rng):

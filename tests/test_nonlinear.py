@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from boundlab.nonlinear import (
     weak_residual,
 )
 from boundlab.verify_chain import main_estimate_ratio
+from conftest import whole_boundary
 
 
 def test_power_family_values():
@@ -329,7 +331,8 @@ def test_matrix_free_jacobian_matches_assembled(mesh4, rng):
     values = rng.standard_normal(space.nv)
     jacobian = nonlinear._jacobian(space, operator, values, nl)
     uq = space.boundary_values(values)
-    assembled = operator - space.boundary_operator_from_values(nl.f_s(space.bnd_pts, uq))
+    points, _, _ = whole_boundary(space)
+    assembled = operator - space.boundary_operator_from_values(nl.f_s(points, uq))
     for v in rng.standard_normal((5, space.nv)):
         want = assembled @ v
         assert np.linalg.norm(jacobian @ v - want) <= 1e-14 * np.linalg.norm(want)
@@ -342,11 +345,12 @@ def _unblocked_boundary_terms(space, values, nl):
     from scipy import sparse
 
     faces = space.mesh.boundary_faces
+    points, weights, _ = whole_boundary(space)
     uq = values[faces] @ space.bnd_basis.T
-    fq = nl.f(space.bnd_pts, uq)
-    contrib = np.einsum("fq,qi->fi", space.bnd_w * fq, space.bnd_basis)
+    fq = nl.f(points, uq)
+    contrib = np.einsum("fq,qi->fi", weights * fq, space.bnd_basis)
     load = np.bincount(faces.ravel(), weights=contrib.ravel(), minlength=space.nv)
-    entries = np.einsum("fq,qij->fij", space.bnd_w * nl.f_s(space.bnd_pts, uq), space.bnd_basis_pairs)
+    entries = np.einsum("fq,qij->fij", weights * nl.f_s(points, uq), space.bnd_basis_pairs)
     rows = np.broadcast_to(faces[:, :, None], entries.shape).ravel()
     cols = np.broadcast_to(faces[:, None, :], entries.shape).ravel()
     matrix = sparse.coo_matrix((entries.ravel(), (rows, cols)), shape=(space.nv, space.nv)).tocsr()
@@ -366,12 +370,12 @@ def test_face_blocks_keep_newton_terms_bitwise(n, block, rng, monkeypatch):
     fq, load, matrix = _unblocked_boundary_terms(space, values, nl)
     # a one-face block would move some of these values by an ulp, which the
     # sums below can absorb
-    at_boundary = nonlinear._at_boundary(space, values, nl.f)
+    at_boundary = space.at_boundary(values, nl.f)
     blocked_fq = np.concatenate([at_boundary(faces) for faces in space._face_blocks()])
     assert blocked_fq.tobytes() == fq.tobytes()
     residual = nonlinear._residual_vector(space, operator, values, nl)
     assert residual.tobytes() == (operator @ values - load).tobytes()
-    blocked = space.boundary_operator_from_values(nonlinear._at_boundary(space, values, nl.f_s))
+    blocked = space.boundary_operator_from_values(space.at_boundary(values, nl.f_s))
     for name in ("indptr", "indices", "data"):
         assert getattr(blocked, name).tobytes() == getattr(matrix, name).tobytes(), name
     jacobian = nonlinear._jacobian(space, operator, values, nl)
@@ -385,8 +389,8 @@ def test_face_blocks_cover_the_boundary_without_one_face_blocks(block, monkeypat
     for n in (1, 2, 3):
         space = fem_space(build_cube_mesh(n))
         blocks = space._face_blocks()
-        covered = np.concatenate([np.arange(len(space.bnd_w))[faces] for faces in blocks])
-        assert np.array_equal(covered, np.arange(len(space.bnd_w)))
+        covered = np.concatenate([np.arange(len(space.face_areas))[faces] for faces in blocks])
+        assert np.array_equal(covered, np.arange(len(space.face_areas)))
         assert all(2 <= faces.stop - faces.start <= block + 1 for faces in blocks)
 
 
@@ -404,3 +408,24 @@ def test_newton_boundary_terms_peak_memory_is_bounded(traced_peak):
     _, jacobian_peak = traced_peak(lambda: nonlinear._jacobian(space, operator, values, nl))
     assert residual_peak <= 2 * 2**20
     assert jacobian_peak <= 5 * 2**20
+
+
+def test_fluxes_that_read_no_points_are_given_none(rng):
+    # the power family ignores x, so its boundary terms form no points, and
+    # they are bitwise those formed with the points
+    nl = make_power_nonlinearity(1.5)
+    assert not nl.reads_points
+    space = fem_space(build_cube_mesh(5))
+    operator = space.h1_operator()
+    values = rng.standard_normal(space.nv)
+    seen = []
+    space.at_boundary(values, lambda x, u: seen.append(x) or u, points=False)(slice(0, 4))
+    space.at_boundary(values, lambda x, u: seen.append(x) or u)(slice(0, 4))
+    assert seen[0] is None and np.array_equal(seen[1], space.boundary_points(slice(0, 4)))
+    with_points = dataclasses.replace(nl, kind="custom")
+    assert with_points.reads_points
+    residual = nonlinear._residual_vector(space, operator, values, nl)
+    assert residual.tobytes() == nonlinear._residual_vector(space, operator, values, with_points).tobytes()
+    jacobian = nonlinear._jacobian(space, operator, values, nl)
+    v = rng.standard_normal(space.nv)
+    assert (jacobian @ v).tobytes() == (nonlinear._jacobian(space, operator, values, with_points) @ v).tobytes()

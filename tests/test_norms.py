@@ -22,6 +22,7 @@ from boundlab.norms import (
     norm_w1m,
 )
 from boundlab.verify_chain import Corpus, gn_ratio_suite
+from conftest import whole_boundary
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +183,7 @@ def _table_oracle(mesh, values, volume, boundary, w1m, holder_p):
     """The table's entries by the per-function formulas: np.power at every
     quadrature point and np.sum of the weighted values."""
     space = fem_space(mesh)
+    _, bnd_w, _ = whole_boundary(space)
     columns = [values[:, s] for s in range(values.shape[1])]
     vol = [np.abs(space.volume_values(c)) for c in columns]
     bnd = [np.abs(space.boundary_values(c)) for c in columns]
@@ -189,13 +191,13 @@ def _table_oracle(mesh, values, volume, boundary, w1m, holder_p):
     oracle = {
         "linf": [np.max(np.abs(c)) for c in columns],
         "linf_boundary": [np.max(np.abs(c[boundary_vertices(mesh)])) for c in columns],
-        "holder": [np.sum(space.bnd_w * np.power(b, holder_p) * b_next)
+        "holder": [np.sum(bnd_w * np.power(b, holder_p) * b_next)
                    for b, b_next in zip(bnd, bnd[1:] + bnd[:1])],
     }
     for r in volume:
         oracle["volume", r] = [np.sum(space.tet_w * np.power(v, r)) ** (1 / r) for v in vol]
     for r in boundary:
-        oracle["boundary", r] = [np.sum(space.bnd_w * np.power(b, r)) ** (1 / r) for b in bnd]
+        oracle["boundary", r] = [np.sum(bnd_w * np.power(b, r)) ** (1 / r) for b in bnd]
     for m in w1m:
         oracle["w1m", m] = [
             (np.sum(space.tet_w * np.power(v, m)) + np.sum(space.tet_volume * np.power(g, m))) ** (1 / m)
@@ -255,7 +257,8 @@ def test_even_powers_in_closed_form_match_quadrature(e, region, n, count, seed, 
     with mock.patch.object(norms, "_BLOCK_VALUES", block):
         got = norm_table(mesh, values, **{region: (e,)})[region, float(e)]
     points, weights = (
-        (space.volume_values, space.tet_w) if region == "volume" else (space.boundary_values, space.bnd_w)
+        (space.volume_values, space.tet_w) if region == "volume"
+        else (space.boundary_values, whole_boundary(space)[1])
     )
     expected = [np.sum(weights * points(values[:, s]) ** e) ** (1.0 / e) for s in range(count)]
     np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0)
@@ -280,8 +283,9 @@ def test_fractional_entries_stay_log_exp_quadrature(mesh2, rng):
         grad = space.tet_volume * np.exp(4.5 * 0.5 * np.log(np.einsum("tds,tds->ts", g, g))).sum(axis=0)
         faces = columns[:, mesh2.boundary_faces]
         blogs = np.log(np.abs(faces.reshape(-1, 3) @ space.bnd_basis.T)).reshape(3, -1)
-        bnd = np.exp(8.0 / 3.0 * blogs) @ space.bnd_w.ravel()
-        holder = np.exp(2.0 * blogs + np.roll(blogs, -1, axis=0)) @ space.bnd_w.ravel()
+        bnd_w = whole_boundary(space)[1].ravel()
+        bnd = np.exp(8.0 / 3.0 * blogs) @ bnd_w
+        holder = np.exp(2.0 * blogs + np.roll(blogs, -1, axis=0)) @ bnd_w
     assert table["volume", 4.5].tobytes() == (vol ** (1.0 / 4.5)).tobytes()
     assert table["w1m", 4.5].tobytes() == ((vol + grad) ** (1.0 / 4.5)).tobytes()
     assert table["boundary", 8.0 / 3.0].tobytes() == (bnd ** (1.0 / (8.0 / 3.0))).tobytes()
@@ -334,7 +338,7 @@ def _allocating_table(mesh, values, volume, boundary, w1m, holder_p):
             half_logs = 0.5 * np.log(np.einsum("tds,tds->ts", g, g))
             grad += space.tet_volume * np.exp(m * half_logs).sum(axis=0)
         for rows, _, logs in log_blocks(mesh.boundary_faces, space.bnd_basis):
-            weights = space.bnd_w[rows].ravel()
+            weights = whole_boundary(space)[1][rows].ravel()
             bnd += np.exp(b_frac * logs) @ weights
             holder += np.exp(holder_p * logs + np.roll(logs, -1, axis=0)) @ weights
     magnitudes = np.abs(columns)

@@ -25,8 +25,10 @@ from boundlab.verify_chain import (
     h1_trace_bound,
     main_estimate_ratio,
     norm_equivalence_report,
+    solution_norms,
     universal_suite,
 )
+from conftest import whole_boundary
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +134,47 @@ def test_corpus_copies_are_positive_rescalings_of_their_base(mesh4):
     assert Corpus(mesh4, corpus.values, corpus.kinds).copies == {}
 
 
+def _stacked_corpus(mesh, size, seed, solutions=()):
+    """The corpus as ``build_corpus`` formed it before it wrote each column in
+    place: a list of columns in the order of the rng draws, then one
+    ``np.column_stack``."""
+    from boundlab.linear_solver import SMOOTH_FIELDS, smooth_fields
+
+    rng = np.random.default_rng(seed)
+    nv = mesh.num_vertices
+    n_random = size // 2
+    n_smooth = size // 4 if solutions else size - n_random
+    n_solution = size - n_random - n_smooth if solutions else 0
+    columns, copies = [], {}
+    for _ in range(n_random):
+        amp = 10.0 ** rng.uniform(-2.0, 1.0)
+        columns.append(amp * rng.standard_normal(nv))
+    dictionary = smooth_fields(mesh.vertices)
+    for _ in range(n_smooth):
+        coeffs = rng.standard_normal(len(SMOOTH_FIELDS))
+        amp = 10.0 ** rng.uniform(-2.0, 1.0)
+        columns.append(amp * (dictionary @ coeffs))
+    first = len(columns)
+    for i in range(n_solution):
+        scale = 1.0
+        if i >= len(solutions):
+            scale = 10.0 ** rng.uniform(-1.0, 1.0)
+            copies[len(columns)] = (first + i % len(solutions), scale)
+        columns.append(scale * solutions[i % len(solutions)].values)
+    return np.column_stack(columns), copies
+
+
+@pytest.mark.parametrize("size", [1, 4, 7, 100])
+@pytest.mark.parametrize("count", [0, 1, 2])
+def test_corpus_columns_are_those_of_the_stacked_list(size, count, mesh4):
+    solutions = [const(mesh4, 0.5), FemFunction(mesh4, mesh4.vertices[:, 0])][:count]
+    corpus = build_corpus(mesh4, size, seed=3, solutions=solutions)
+    values, copies = _stacked_corpus(mesh4, size, 3, solutions)
+    assert corpus.values.flags.c_contiguous
+    assert corpus.values.tobytes() == values.tobytes()
+    assert corpus.copies == copies
+
+
 def test_universal_suite_clean(mesh4, ctx):
     report = universal_suite(build_corpus(mesh4, 40, seed=7), ctx)
     assert len(report.records) == 120
@@ -225,7 +268,8 @@ def test_shared_row_records_equal_per_function_reference(ground_state_p2_n8, ctx
     space = fem_space(u.mesh)
     h1_sq = float(u.values @ (space.h1_operator() @ u.values))
     uq = space.boundary_values(u.values)
-    uf = space.boundary_integral(nl.f(space.bnd_pts, uq) * uq)
+    points, _, _ = whole_boundary(space)
+    uf = space.boundary_integral(nl.f(points, uq) * uq)
     trace = norm_lp(u, float(ctx.two_low_star), "boundary")
     vol = norm_lp(u, float(ctx.two_star), "volume")
     rho = norm_linf(u) / (1.0 + norm_h1(u)) ** float(ctx.A)
@@ -237,6 +281,18 @@ def test_shared_row_records_equal_per_function_reference(ground_state_p2_n8, ctx
     assert h1_trace_bound(outcome, ctx).row(ctx)["max_ratio_or_margin"] == uf - h1_sq
     (energy,) = energy_bound_check([outcome]).records
     assert energy.row(ctx)["max_ratio_or_margin"] == energy_margin
+
+
+def test_solution_norms_peak_memory_is_bounded(traced_peak):
+    # the f, F and Holder terms are summed block by block of faces: one call
+    # at n = 24 peaked at 4.4 MB with whole-boundary temporaries and measures
+    # 2.4 MB in face blocks, most of it the norm table's cell blocks
+    nl = make_power_nonlinearity(2.0)
+    outcome = solve_ground_state(build_cube_mesh(24), nl, 1e-8, seed=11)
+    solution_norms(outcome, "warm-up")
+    row, peak = traced_peak(lambda: solution_norms(outcome, "peak"))
+    assert row == solution_norms(outcome, "again")
+    assert peak <= 3 * 2**20
 
 
 def test_equivalence_trivial_family(mesh4, ctx):
