@@ -3,13 +3,14 @@
 Provides the H1 operator (stiffness + mass, exact for piecewise linears),
 boundary load vectors and boundary operators built from values at the
 quadrature points, all with the degree-7 quadrature rules from
-:mod:`boundlab.quadrature`, and a multigrid V-cycle per level that
-preconditions solves with the H1 operator.  The H1 operator is a scipy DIA
-matrix holding its 15 Kuhn-stencil diagonals; boundary operators are scipy
-CSR matrices.  Assembly is sequential with a fixed element order, so
-repeated runs are bit-identical.  scipy is imported by the functions that
-build operators, on their first call, so importing this module loads numpy
-alone.
+:mod:`boundlab.quadrature`, and a preconditioner per level for solves with
+the H1 operator: the fast-diagonalization (DCT-I) inverse of a
+tensor-product operator, or an exact sparse LU on a coarsest level.  The H1
+operator is a scipy DIA matrix holding its 15 Kuhn-stencil diagonals;
+boundary operators are scipy CSR matrices.  Assembly is sequential with a
+fixed element order, so repeated runs are bit-identical.  scipy is imported
+by the functions that build operators, on their first call, so importing
+this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import _KUHN_CORNERS, _MESHES, build_cube_mesh, face_areas
+from .mesh import _KUHN_CORNERS, _MESHES, face_areas
 from .quadrature import tetrahedron_rule, triangle_rule
 
 __all__ = [
@@ -50,9 +51,6 @@ class FemFunction:
 # integral of b_i b_j over a tet, per unit volume
 _MASS_PATTERN = (np.ones((4, 4)) + np.eye(4)) / 20.0
 
-# damping of the Jacobi sweeps that smooth each multigrid level
-_JACOBI_OMEGA = 0.6
-
 # faces per block of the boundary loads and operators: with 16 quadrature
 # points a face, a block's values at them take 128 KiB
 _FACE_BLOCK = 1024
@@ -77,17 +75,6 @@ _PROLONG_PARTS = [
     for parity in itertools.product((0, 1), repeat=3)
 ]
 
-# Restriction: for each offset d of a fine vertex 2J + d whose edges end at
-# coarse vertex J (the corners of the cells [-1, 0]^3 and [0, 1]^3 around 2J),
-# in increasing fine index, the slice of the fine grid in a zero border of
-# width 1 that holds vertex 2J + d of every J
-_RESTRICT_OFFSETS = sorted(
-    (d for d in itertools.product((-1, 0, 1), repeat=3) if min(d) >= 0 or max(d) <= 0),
-    key=lambda d: 9 * d[0] + 3 * d[1] + d[2],
-)
-_RESTRICT_PARTS = [tuple(slice(a + 1, {-1: -2, 0: -1, 1: None}[a], 2) for a in d) for d in _RESTRICT_OFFSETS]
-_RESTRICT_TWIN = _RESTRICT_OFFSETS.index((0, 0, 0))
-
 
 def _prolong(values, n):
     """P1 prolongation of nodal values from level n to level 2n, in closed form.
@@ -107,25 +94,36 @@ def _prolong(values, n):
     return fine.ravel()
 
 
-def _restrict(values, n):
-    """Restriction of nodal values from level 2n to level n: the exact transpose
-    of ``_prolong``.
+def _kronecker_inverse(n):
+    """Solve with P = K1(x)M1(x)M1 + M1(x)K1(x)M1 + M1(x)M1(x)K1 + M1(x)M1(x)M1 on level n.
 
-    Coarse vertex J sums half of every fine vertex 2J + d on an edge ending
-    at J, and all of its twin 2J, in increasing fine index: the order of a
-    CSR row of the transpose.  In a zero border, each offset d is one strided
-    slice for every J.  The sums are taken doubled (each fine value once,
-    the twin twice) and halved at the end, an exact scaling of every partial
-    sum, so they are bitwise the CSR's products.
+    K1 is the 1-D Neumann stiffness and M1 the lumped 1-D mass, h = 1/n with
+    h/2 at the ends.  The DCT-I diagonalizes M1^-1 K1, with eigenvalues
+    4 n^2 sin^2(k pi / 2n), so with c = (1, 2, ..., 2, 1) on each axis
+    P^-1 r = C(C(r / c) / (1 + lam_i + lam_j + lam_k)), C the unnormalized
+    DCT-I along each axis (fast diagonalization): on an axis, the real part
+    of the FFT of the even extension (x_0 ... x_n, x_{n-1} ... x_1).  P is
+    spectrally equivalent to the H1 operator A uniformly in n: the
+    eigenvalues of P^-1 A lie within [0.76, 1.34] at n = 2, 3, 4 and 8.
+    Returns the solve as a function of a nodal vector.
     """
-    s, f = n + 1, 2 * n + 1
-    padded = np.zeros((f + 2,) * 3)
-    padded[1:-1, 1:-1, 1:-1] = values.reshape(f, f, f)
-    coarse = np.zeros((s, s, s))
-    for k, part in enumerate(_RESTRICT_PARTS):
-        coarse += 2.0 * padded[part] if k == _RESTRICT_TWIN else padded[part]
-    coarse *= 0.5
-    return coarse.ravel()
+    s = n + 1
+    c = np.full(s, 2.0)
+    c[[0, -1]] = 1.0
+    lam = 4.0 * n**2 * np.sin(np.arange(s) * np.pi / (2 * n)) ** 2
+    c3 = c[:, None, None] * c[:, None] * c
+    spectrum = 1.0 + lam[:, None, None] + lam[:, None] + lam
+
+    def dct3(x):
+        # transform the last axis, then cycle the axes: three passes restore the order
+        for _ in range(3):
+            x = np.fft.rfft(np.concatenate([x, x[..., -2:0:-1]], axis=-1)).real.transpose(2, 0, 1)
+        return x
+
+    def solve(r):
+        return dct3(dct3(r.reshape(s, s, s) / c3) / spectrum).ravel()
+
+    return solve
 
 
 class _FemSpace:
@@ -161,7 +159,7 @@ class _FemSpace:
         self.face_areas = face_areas(mesh)
 
         self._h1 = None
-        self._vcycle = None
+        self._preconditioner = None
         # polished ground states of this level, keyed by nonlinear.solve_ground_state
         self.ground_states = {}
 
@@ -200,47 +198,32 @@ class _FemSpace:
     def coarse_n(self):
         """Level n // 2 below this one, or None on a coarsest level.
 
-        Levels halve while n is even and n > 2; the V-cycle and the nested
-        ground-state solves walk this one hierarchy, moving nodal values
-        between levels with ``_prolong`` and ``_restrict``.
+        Levels halve while n is even and n > 2; the nested ground-state
+        solves walk this hierarchy, prolongating each level's solution with
+        ``_prolong``.
         """
         n = self.mesh.n
         return n // 2 if n % 2 == 0 and n > 2 else None
 
-    def vcycle(self):
-        """One symmetric multigrid V-cycle: an SPD approximate inverse of the H1 operator.
+    def preconditioner(self):
+        """An SPD approximate inverse of the H1 operator, cached on the level.
 
-        Level n // 2's H1 operator is the Galerkin coarse operator of level n
-        (P^T A_n P = A_{n/2} for nested P1 spaces), so the hierarchy is the
-        cached levels themselves.  While n is even and n > 2, the cycle runs
-        two damped Jacobi sweeps (omega = 0.6), the V-cycle of level n // 2 on
-        the restricted residual, and two more sweeps.  A coarsest level is
-        solved exactly by a sparse LU, factored once and cached on that level;
-        so for an odd finest n (5, 25, ...) the preconditioner is the exact
-        inverse.  Returned as a LinearOperator, the ``M`` of scipy's Krylov
+        A level with a coarser level applies the fast-diagonalization inverse
+        of ``_kronecker_inverse``, which takes about 10 CG iterations at every
+        n.  A coarsest level (n <= 2 or odd) is solved exactly by a sparse LU,
+        factored once, so at an odd finest n (5, 25, ...) CG takes one
+        iteration.  Returned as a LinearOperator, the ``M`` of scipy's Krylov
         solvers.
         """
-        if self._vcycle is None:
+        if self._preconditioner is None:
             from scipy.sparse.linalg import LinearOperator
 
-            matrix = self.h1_operator()
-            n = self.coarse_n()
-            if n is None:
-                solve = _splu(matrix.tocsc()).solve
+            if self.coarse_n() is None:
+                solve = _splu(self.h1_operator().tocsc()).solve
             else:
-                coarse = fem_space(build_cube_mesh(n)).vcycle()
-                step = _JACOBI_OMEGA / matrix.diagonal()
-
-                def solve(r):
-                    x = step * r
-                    x += step * (r - matrix @ x)
-                    x += _prolong(coarse.matvec(_restrict(r - matrix @ x, n)), n)
-                    x += step * (r - matrix @ x)
-                    x += step * (r - matrix @ x)
-                    return x
-
-            self._vcycle = LinearOperator(matrix.shape, matvec=solve, dtype=float)
-        return self._vcycle
+                solve = _kronecker_inverse(self.mesh.n)
+            self._preconditioner = LinearOperator((self.nv, self.nv), matvec=solve, dtype=float)
+        return self._preconditioner
 
     # -- evaluation at quadrature points ------------------------------------
 

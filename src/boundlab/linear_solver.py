@@ -1,11 +1,12 @@
 """Discrete solution operator for the linear flux-data problem.
 
 ``solve_neumann`` inverts the H1 operator against a boundary load with
-scipy's conjugate gradients, preconditioned by one multigrid V-cycle on the
-nested Kuhn levels (the operator is SPD because of the mass term, so the
-solve is unconditionally well posed; the iteration count does not grow with
-n).  On top of it sit a manufactured-solution convergence study and an
-empirical suite that tracks the regularity ratios
+scipy's conjugate gradients, preconditioned by the level's
+``preconditioner()``: a fast-diagonalization inverse of a tensor-product
+operator, or an exact LU on a coarsest level (the operator is SPD because of
+the mass term, so the solve is unconditionally well posed; the iteration
+count does not grow with n).  On top of it sit a manufactured-solution
+convergence study and an empirical suite that tracks the regularity ratios
 ||v||_{W^{1,m}} / ||h||_{L^q(bnd)} across refinements.
 """
 
@@ -54,7 +55,7 @@ def _pcg(matrix, rhs, tol, precond, x0=None, maxiter=None):
     """Preconditioned CG (scipy's ``cg``), stopping on CG's recurrence residual <= tol.
 
     ``precond`` is an SPD LinearOperator approximating the inverse of
-    ``matrix``: the level's V-cycle from ``fem_space(mesh).vcycle()``.
+    ``matrix``: the level's ``fem_space(mesh).preconditioner()``.
     Returns ``(x, iterations, residual)``, where ``residual`` is the true
     relative residual ||rhs - matrix x|| / ||rhs|| of the returned x (0.0 for
     a zero rhs), which rounding can leave above ``tol``: a caller that
@@ -95,7 +96,7 @@ def solve_neumann(mesh, h, tol, maxiter=None):
     _check_tol(tol)
     load = assemble_boundary_load(mesh, h)
     space = fem_space(mesh)
-    x, iterations, res = _pcg(space.h1_operator(), load, tol, space.vcycle(), maxiter=maxiter)
+    x, iterations, res = _pcg(space.h1_operator(), load, tol, space.preconditioner(), maxiter=maxiter)
     return LinearSolveResult(
         solution=FemFunction(mesh, x),
         iterations=iterations,
@@ -279,7 +280,7 @@ def regularity_ratio_suite(ctx, n_list, sample_count, seed, tol=1e-10):
     for n in n_list:
         mesh = build_cube_mesh(n)
         space = fem_space(mesh)
-        matrix, vcycle = space.h1_operator(), space.vcycle()
+        matrix, precond = space.h1_operator(), space.preconditioner()
         # one pass over the boundary's face blocks forms the dictionary fields,
         # their element load vectors and every sample's integral of |h|^q
         contrib = np.empty((len(SMOOTH_FIELDS), len(space.face_areas), 3))
@@ -292,11 +293,11 @@ def regularity_ratio_suite(ctx, n_list, sample_count, seed, tol=1e-10):
                 h_powers[s] += np.sum(weights * np.abs(fields @ c) ** q)
         loads = np.array([np.bincount(mesh.boundary_faces.ravel(), weights=f.ravel(), minlength=space.nv)
                           for f in contrib])
-        basis = np.array([_pcg(matrix, load, _BASIS_TOL, vcycle)[0] for load in loads])
+        basis = np.array([_pcg(matrix, load, _BASIS_TOL, precond)[0] for load in loads])
         values = (coeffs @ basis).T                                  # (nv, S), contiguous columns
         for s, c in enumerate(coeffs):
             # a start that already meets tol returns after one matvec; else CG polishes it
-            values[:, s], iterations, res = _pcg(matrix, c @ loads, tol, vcycle, x0=values[:, s])
+            values[:, s], iterations, res = _pcg(matrix, c @ loads, tol, precond, x0=values[:, s])
             if not res <= tol:
                 raise NonconvergenceError(f"regularity sample {s} at n={n}: true relative "
                                           f"residual {res:.3e} exceeds tolerance {tol}", iterations, res)

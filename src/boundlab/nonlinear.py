@@ -6,8 +6,9 @@ certify it.  Ground states of the pure-power family are computed by nested
 iteration on the level hierarchy: inverse iteration on the constraint
 manifold on the coarsest level, unscaled through the multiplier, then damped
 Newton on the discrete weak residual on every level, each starting from the
-prolongated solution of the level below.  Newton steps are
-multigrid-preconditioned MINRES solves with a matrix-free Jacobian.
+prolongated solution of the level below.  Newton steps are MINRES solves
+with a matrix-free Jacobian, preconditioned by the level's
+fast-diagonalization inverse (an exact LU on a coarsest level).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .assembly import FemFunction, _prolong, fem_space
 # splu is not called here: binding assembly's _splu (which imports scipy's splu
 # on its first call) under this name lets bench/tracer.py's nonlinear.splu
-# wrapper reach the coarse-level factorization in assembly
+# wrapper reach the coarsest level's factorization, the preconditioner there
 from .assembly import _splu as splu  # noqa: F401
 from .linear_solver import _check_tol, _pcg
 from .mesh import build_cube_mesh
@@ -309,10 +310,11 @@ def newton_refine(u0, nl, tol):
     The step solves (H1 operator - boundary jacobian of f_s) * delta = -residual.
     That Jacobian is symmetric and indefinite at a mountain-pass solution
     (Morse index 1), so the solve is MINRES preconditioned by the level's
-    multigrid V-cycle, to relative tolerance min(1e-10, 0.1 * residual).  The
-    step is halved, at most ``_MAX_HALVINGS`` times, until the residual norm
-    decreases.  Raises :class:`SolverDivergence` when MINRES stops short of
-    its tolerance, damping stalls, or ``_MAX_NEWTON`` steps do not reach tol.
+    ``preconditioner()``, an SPD approximate inverse of the H1 operator, to
+    relative tolerance min(1e-10, 0.1 * residual).  The step is halved, at
+    most ``_MAX_HALVINGS`` times, until the residual norm decreases.  Raises
+    :class:`SolverDivergence` when MINRES stops short of its tolerance,
+    damping stalls, or ``_MAX_NEWTON`` steps do not reach tol.
     """
     from scipy.sparse.linalg import minres
 
@@ -333,7 +335,7 @@ def newton_refine(u0, nl, tol):
         jac = _jacobian(space, operator, values, nl)
         steps = []
         delta, info = minres(
-            jac, -r, M=space.vcycle(), rtol=min(1e-10, 0.1 * history[-1]),
+            jac, -r, M=space.preconditioner(), rtol=min(1e-10, 0.1 * history[-1]),
             callback=steps.append,
         )
         if info != 0:
@@ -386,13 +388,13 @@ def _constraint_iteration(space, nl, tol, seed):
     p = nl.p
     linear_tol = min(1e-10, 0.01 * tol)
     operator = space.h1_operator()
-    vcycle = space.vcycle()
+    precond = space.preconditioner()
 
     rng = np.random.default_rng(seed)
     w = 0.5 + rng.random(space.nv)
     # one linear solve to smooth the random start
     load = space.boundary_load_from_values(lambda faces: space.boundary_values(w, faces))
-    w, _, _ = _pcg(operator, load, linear_tol, vcycle)
+    w, _, _ = _pcg(operator, load, linear_tol, precond)
     w = _normalized(space, w, p)
 
     mu = float(w @ (operator @ w))
@@ -400,7 +402,7 @@ def _constraint_iteration(space, nl, tol, seed):
     for outer in range(1, _MAX_OUTER + 1):
         flux = space.at_boundary(w, lambda x, u: np.sign(u) * np.abs(u) ** p, points=False)
         load = space.boundary_load_from_values(flux)
-        w_new, _, _ = _pcg(operator, load, linear_tol, vcycle, x0=w)
+        w_new, _, _ = _pcg(operator, load, linear_tol, precond, x0=w)
         w = _normalized(space, w_new, p)
         mu_new = float(w @ (operator @ w))
         mu_trace.append(mu_new)

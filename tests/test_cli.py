@@ -54,31 +54,37 @@ def test_mesh_info(tmp_path, capsys):
 
 
 # run in a fresh interpreter: prints the package layers loaded by the import,
-# the two commands' statuses, and the scipy modules loaded after them
+# the two commands' statuses, the scipy modules loaded after them, and then
+# sweep's status and whether it loaded scipy.fft
 _NUMPY_ONLY_COMMANDS = """
 import json, sys
 import boundlab.cli as cli
 layers = sorted(name for name in sys.modules if name.startswith("boundlab."))
 statuses = [cli.main(["mesh-info", "--n", "2"]), cli.main(["exponents", "--p", "2"])]
 scipy_modules = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
-print(json.dumps({"layers": layers, "statuses": statuses, "scipy": scipy_modules}))
+sweep = cli.main(["sweep", "--p", "2", "--n", "4,8", "--seed", "1", "--output", sys.argv[1]])
+print(json.dumps({"layers": layers, "statuses": statuses, "scipy": scipy_modules,
+                  "sweep": sweep, "fft": "scipy.fft" in sys.modules}))
 """
 
 
-def test_numpy_only_commands_load_no_scipy(monkeypatch):
+def test_numpy_only_commands_load_no_scipy(tmp_path, monkeypatch):
     # the benchmark tracer wraps the boundlab modules loaded by `import boundlab.cli`,
-    # so all its layers load there; mesh-info and exponents then need no scipy
+    # so all its layers load there; mesh-info and exponents then need no scipy.
+    # The preconditioner's DCT is numpy's FFT, loaded with scipy.sparse, so a
+    # sweep loads no scipy.fft either (importing it adds 4.8 MB to each run's peak)
     root = Path(__file__).resolve().parents[1]
     monkeypatch.syspath_prepend(str(root / "bench"))
     from tracer import LAYERS
 
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", _NUMPY_ONLY_COMMANDS], env={**os.environ, "PYTHONPATH": path},
-                         capture_output=True, text=True, check=True)
+    run = subprocess.run([sys.executable, "-c", _NUMPY_ONLY_COMMANDS, str(tmp_path / "sweep.json")],
+                         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True)
     loaded = json.loads(run.stdout.splitlines()[-1])
     assert {f"boundlab.{layer}" for layer in LAYERS} <= set(loaded["layers"])
     assert loaded["statuses"] == [0, 0]
     assert loaded["scipy"] == []
+    assert (loaded["sweep"], loaded["fft"]) == (0, False)
 
 
 def test_solve_linear_orders(tmp_path, capsys):

@@ -75,7 +75,7 @@ def cli_runs(out):
 
 def test_every_public_function_runs_on_a_cli_path(tmp_path, monkeypatch):
     surface = public_surface()
-    # fresh workspaces, so each level's operators, V-cycle and ground states
+    # fresh workspaces, so each level's operators, preconditioner and ground states
     # are built inside the profiled runs whatever ran earlier in this process
     monkeypatch.setattr(assembly, "_SPACE_CACHE", weakref.WeakKeyDictionary())
     called = set()
