@@ -114,14 +114,18 @@ def _kronecker_inverse(n):
     c3 = c[:, None, None] * c[:, None] * c
     spectrum = 1.0 + lam[:, None, None] + lam[:, None] + lam
 
-    def dct3(x):
-        # transform the last axis, then cycle the axes: three passes restore the order
+    def dct3(x, extension, transform):
+        # transform the last axis, then cycle the axes: three passes restore the order;
+        # each pass writes its even extension and its FFT into the same two buffers
         for _ in range(3):
-            x = np.fft.rfft(np.concatenate([x, x[..., -2:0:-1]], axis=-1)).real.transpose(2, 0, 1)
+            extension[..., :s] = x
+            extension[..., s:] = x[..., -2:0:-1]
+            x = np.fft.rfft(extension, out=transform).real.transpose(2, 0, 1)
         return x
 
     def solve(r):
-        return dct3(dct3(r.reshape(s, s, s) / c3) / spectrum).ravel()
+        buffers = np.empty((s, s, 2 * n)), np.empty((s, s, s), dtype=complex)
+        return dct3(dct3(r.reshape(s, s, s) / c3, *buffers) / spectrum, *buffers).ravel()
 
     return solve
 

@@ -106,39 +106,57 @@ def _even_power_integrals(columns, cells, measure, powers, step_count=None):
             for e, total in totals.items()}
 
 
+def _gradient_integrals(space, rows, nodal, totals):
+    """Add the integral of |grad u|^m over the cells ``rows`` to ``totals[m]``
+    for each m; ``nodal`` holds the cells' vertex values (S, cells, 4).  The
+    gradient is constant on each cell, so each cell adds |T| |grad u|^m."""
+    if not totals:
+        return
+    # gradients (cells, 3, S): tet t is a translate of Kuhn shape t % 6
+    shapes = space.grad_shapes[np.arange(*rows.indices(space.mesh.num_tets)) % 6]
+    g = shapes.transpose(0, 2, 1) @ nodal.transpose(1, 2, 0)
+    half_logs = 0.5 * np.log(np.einsum("tds,tds->ts", g, g))
+    for m, total in totals.items():
+        total += space.tet_volume * np.exp(m * half_logs).sum(axis=0)
+
+
 def _max_abs(rows):
     """max |x| along each row without forming |x|; the abs only clears the sign
     of a zero maximum."""
     return np.abs(np.maximum(rows.max(axis=1), -rows.min(axis=1)))
 
 
-def norm_table(mesh, values, volume=(), boundary=(), w1m=(), holder_p=None, copies=None):
+def norm_table(mesh, values, volume=(), boundary=(), w1m=(), gradient=(), holder_p=None, copies=None):
     """Norms of every column of the nodal matrix ``values`` (nv x S), in one pass.
 
     Returns a dict of length-S arrays keyed by "linf" and "linf_boundary"
     (nodal maxima), ("volume", r) and ("boundary", r) (L^r norms),
-    ("w1m", m) (W^{1,m} norms) and, when ``holder_p`` is given, "holder":
-    the boundary integral of |u_s|^p |u_{s+1}|, pairing each column with the
-    next one cyclically.  An L^r integral with r an even integer <= 6 is
-    taken in closed form, simplex by simplex (``_even_power_integrals``).
-    The other integrals use the quadrature, block by block of cells; each
-    block takes log|u| once and every power |u|^e is exp(e log|u|), and that
-    pass runs only when such an integral is asked for.  A zero column's
-    norms are exactly zero either way.
+    ("w1m", m) (W^{1,m} norms), ("gradient", m) (the L^m norm of |grad u|)
+    and, when ``holder_p`` is given, "holder": the boundary integral of
+    |u_s|^p |u_{s+1}|, pairing each column with the next one cyclically.
+    An L^r integral with r an even integer <= 6 is taken in closed form,
+    simplex by simplex (``_even_power_integrals``).  The other integrals use
+    the quadrature, block by block of cells; each block takes log|u| once and
+    every power |u|^e is exp(e log|u|), and that pass runs only when such an
+    integral is asked for.  The gradient is constant on each cell, so its
+    integrals need no quadrature points: they ride along the quadrature pass
+    when it runs and take their own pass over the cells otherwise.  A zero
+    column's norms are exactly zero either way.
 
     ``copies`` maps a column s to (b, c) when column s is c times column b,
     with c > 0 and b no copy itself.  The volume and W^{1,m} norms, all
     1-homogeneous, are then integrated for the other columns only, and
-    column s reads c times column b's; every other entry is computed on
-    every column.
+    column s reads c times column b's; the gradient norms likewise; every
+    other entry is computed on every column.
     """
     volume = tuple(float(r) for r in volume)
     boundary = tuple(float(r) for r in boundary)
     w1m = tuple(float(m) for m in w1m)
+    gradient = tuple(float(m) for m in gradient)
     if any(r < 1 for r in volume + boundary):
         raise ValueError(f"integrability index must be >= 1, got {min(volume + boundary)}")
-    if any(m < 1 for m in w1m):
-        raise ValueError(f"Sobolev index must be >= 1, got {min(w1m)}")
+    if any(m < 1 for m in w1m + gradient):
+        raise ValueError(f"Sobolev index must be >= 1, got {min(w1m + gradient)}")
     space = fem_space(mesh)
     columns = np.asarray(values, dtype=float).reshape(mesh.num_vertices, -1).T
     count = columns.shape[0]
@@ -172,24 +190,24 @@ def norm_table(mesh, values, volume=(), boundary=(), w1m=(), holder_p=None, copi
     # integrals of |u|^e over the volume and the boundary, of |grad u|^m: by
     # quadrature here, the even powers in closed form after the loops
     vol = {e: np.zeros(len(distinct)) for e in volume + w1m if e not in vol_even}
-    grad = {m: np.zeros(len(distinct)) for m in w1m}
+    grad = {m: np.zeros(len(distinct)) for m in w1m + gradient}
     bnd = {e: np.zeros(count) for e in boundary if e not in bnd_even}
     holder = np.zeros(count)
     with np.errstate(divide="ignore"):
-        if vol or grad:
-            step = _block_step(count, len(space.tet_w))
+        # the gradient integrals take the quadrature pass's blocks in either
+        # pass, so they are bitwise the same whether a quadrature power is asked for
+        step = _block_step(count, len(space.tet_w))
+        if vol:
             weights = np.tile(space.tet_w, min(step, mesh.num_tets))
             for rows, nodal, logs, scratch in _log_blocks(vol_columns, mesh.tets, space.vol_basis, step):
                 block_weights = weights[:logs.shape[1]]
                 for e, total in vol.items():
                     total += np.exp(np.multiply(logs, e, out=scratch), out=scratch) @ block_weights
-                if grad:
-                    # gradients (cells, 3, S), constant on each cell
-                    shapes = space.grad_shapes[np.arange(*rows.indices(mesh.num_tets)) % 6]
-                    g = shapes.transpose(0, 2, 1) @ nodal.transpose(1, 2, 0)
-                    half_logs = 0.5 * np.log(np.einsum("tds,tds->ts", g, g))
-                    for m, total in grad.items():
-                        total += space.tet_volume * np.exp(m * half_logs).sum(axis=0)
+                _gradient_integrals(space, rows, nodal, grad)
+        elif grad:
+            for start in range(0, mesh.num_tets, step):
+                rows = slice(start, start + step)
+                _gradient_integrals(space, rows, vol_columns[:, mesh.tets[rows]], grad)
         if bnd or holder_p is not None:
             step = _block_step(count, len(space.bnd_basis))
             for rows, _, logs, scratch in _log_blocks(columns, mesh.boundary_faces, space.bnd_basis, step):
@@ -206,19 +224,44 @@ def norm_table(mesh, values, volume=(), boundary=(), w1m=(), holder_p=None, copi
     bnd.update(_even_power_integrals(columns, mesh.boundary_faces, space.face_areas, bnd_even))
     table.update({("volume", r): spread(vol[r] ** (1.0 / r)) for r in volume})
     table.update({("w1m", m): spread((vol[m] + grad[m]) ** (1.0 / m)) for m in w1m})
+    table.update({("gradient", m): spread(grad[m] ** (1.0 / m)) for m in gradient})
     table.update({("boundary", r): bnd[r] ** (1.0 / r) for r in boundary})
     if holder_p is not None:
         table["holder"] = holder
     return table
 
 
+def _lyapunov_power(m):
+    """The even power e <= m, at most 6, whose closed-form integral brackets
+    the quadrature of |u|^m (``_power_bounds``); m >= 2."""
+    return float(2 * int(min(m, 2 * _POINTS_PER_AXIS - 1) // 2))
+
+
+def _power_bounds(table, m):
+    """Lower and upper bounds on the quadrature integral Q(|u|^m) of every
+    column of a ``norm_table`` holding "linf" and ("volume", e), e the
+    ``_lyapunov_power`` of m.
+
+    Q has positive weights summing to |Omega| = 1, and u at a quadrature
+    point is a convex combination of nodal values, so |u| <= L = ||u||_inf
+    there.  With I_e = Q(|u|^e), exact in closed form for the even e <= m,
+    Lyapunov's inequality gives I_e^(m/e) <= Q(|u|^m), and |u|^m <= L^(m-e)
+    |u|^e gives Q(|u|^m) <= L^(m-e) I_e.
+    """
+    e = _lyapunov_power(m)
+    norm = table["volume", e]  # I_e^(1/e)
+    return norm**m, table["linf"] ** (m - e) * norm**e
+
+
 def gn_ratios(table, ctx):
     """Interpolation ratio ||u||_inf / (||u||_{W^{1,m}}^sigma ||u||_{L^{2*}}^(1-sigma))
-    of every column of a ``norm_table`` holding ("w1m", m) and ("volume", 2*).
+    of every column of a table holding "linf", ("w1m", m) and ("volume", 2*).
 
     Scaling invariant (all norms are 1-homogeneous and the exponents sum
     to one); bounded ratios over a corpus are the finite-sample surrogate
-    for the interpolation constant.
+    for the interpolation constant.  This is the one formula of the ratio:
+    the gn suite also puts its bounds on the W^{1,m} norm through it (see
+    ``verify_chain._max_gn_ratio``).  A zero denominator raises ValueError.
     """
     sigma = float(ctx.sigma)
     w1m, volume = table["w1m", float(ctx.m)], table["volume", float(ctx.two_star)]

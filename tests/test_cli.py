@@ -654,17 +654,24 @@ def test_norm_table_runs_once_per_corpus_and_per_solution(monkeypatch):
     # fresh workspaces, so each level's ground state and its norm row are made in this run
     monkeypatch.setattr(assembly, "_SPACE_CACHE", weakref.WeakKeyDictionary())
     norm_table = norms.norm_table
-    columns = []
+    calls = {"table": [], "exact": [], "row": []}
 
     def counted(mesh, values, **exponents):
-        columns.append((mesh.n, np.shape(values)[-1] if np.ndim(values) == 2 else 1))
+        if np.ndim(values) == 1:
+            calls["row"].append((mesh.n, 1))
+        else:
+            calls["exact" if exponents.get("w1m") else "table"].append((mesh.n, np.shape(values)[1]))
         return norm_table(mesh, values, **exponents)
 
     for module in (norms, verify_chain):
         monkeypatch.setattr(module, "norm_table", counted)
     assert main(["verify", "--suite", "chain", "--n", "2,4", "--samples", "8", "--seed", "7"]) == 0
-    # one table per corpus (8 columns) and one row per ground state
-    assert sorted(columns) == [(2, 1), (2, 8), (4, 1), (4, 8)]
+    # one full-width table per corpus (8 columns), one exact W^{1,m} pass per
+    # corpus on the columns its bounds keep, and one row per ground state
+    assert sorted(calls["table"]) == [(2, 8), (4, 8)]
+    assert [n for n, _ in sorted(calls["exact"])] == [2, 4]
+    assert all(0 < columns < 8 for _, columns in calls["exact"])
+    assert sorted(calls["row"]) == [(2, 1), (4, 1)]
 
 
 def test_gn_rows_name_the_branch_like_universal_rows(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -425,3 +426,60 @@ def test_solution_norms_take_no_log_pass(ground_state_p2_n8, monkeypatch):
     _, outcome = ground_state_p2_n8
     row = solution_norms(outcome, "test")
     assert row["volume", 6.0] > 0.0 and row["boundary", 4.0] > 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    count=st.integers(3, 9),
+    seed=st.integers(0, 2**32 - 1),
+    block=st.sampled_from([1, 1000, norms._BLOCK_VALUES]),
+)
+def test_gradient_norms_take_their_own_pass(n, count, seed, block):
+    # with no quadrature power asked for, the gradient integrals take their own
+    # pass over the cells: they match the per-cell formula and, bitwise, the
+    # gradient part that rides along the quadrature pass; a copy reads c times
+    # its base
+    mesh = build_cube_mesh(n)
+    space = fem_space(mesh)
+    rng = np.random.default_rng(seed)
+    values = 10.0 ** rng.uniform(-2.0, 1.0, count) * rng.standard_normal((mesh.num_vertices, count))
+    values[:, 0] = 0.0
+    values[:, -1] = 3.0 * values[:, 1]
+    with mock.patch.object(norms, "_BLOCK_VALUES", block), warnings.catch_warnings():
+        warnings.simplefilter("error")  # log(0) of the zero column stays silent
+        own = norm_table(mesh, values, gradient=(4.5, 10.5))
+        riding = norm_table(mesh, values, volume=(2.5,), gradient=(4.5, 10.5))
+        shared = norm_table(mesh, values, gradient=(4.5, 10.5), copies={count - 1: (1, 3.0)})
+    with mock.patch.object(norms, "_log_blocks", None):  # no quadrature pass
+        norm_table(mesh, values, volume=(6.0, 4.0), gradient=(4.5,))
+    for m in (4.5, 10.5):
+        grads = [np.linalg.norm(space.gradients(values[:, s]), axis=1) for s in range(count)]
+        expected = [np.sum(space.tet_volume * g**m) ** (1.0 / m) for g in grads]
+        np.testing.assert_allclose(own["gradient", m], expected, rtol=1e-12, atol=0)
+        assert riding["gradient", m].tobytes() == own["gradient", m].tobytes()
+        np.testing.assert_allclose(shared["gradient", m], own["gradient", m], rtol=1e-14, atol=0)
+        assert shared["gradient", m][-1] == 3.0 * shared["gradient", m][1]
+        assert own["gradient", m][0] == 0.0
+
+
+@pytest.mark.parametrize("q, e", [(None, 4.0), (Fraction(7), 6.0), (Fraction(9, 4), 2.0)],
+                         ids=["m=9/2", "m=21/2", "m=27/8"])
+def test_power_bounds_bracket_the_quadrature(q, e, rng):
+    # I_e^(m/e) <= Q(|u|^m) <= L^(m-e) I_e for every column, Q the quadrature
+    # behind the W^{1,m} norm, up to rounding; a constant column meets both
+    ctx = derive_context(3, 2, q)
+    m = float(ctx.m)
+    assert norms._lyapunov_power(m) == e
+    mesh = build_cube_mesh(3)
+    x = mesh.vertices
+    noise = 10.0 ** rng.uniform(-2.0, 1.0, 6) * rng.standard_normal((mesh.num_vertices, 6))
+    smooth = np.column_stack([np.sin(np.pi * x[:, 0]) * np.cos(np.pi * x[:, 1]) - 0.3, x[:, 2] ** 2])
+    values = np.column_stack([noise, np.abs(noise[:, 0]), 10.0 * smooth, np.full(mesh.num_vertices, -0.07)])
+    table = norm_table(mesh, values, volume=(e, m))
+    lower, upper = norms._power_bounds(table, m)
+    quadrature = table["volume", m] ** m
+    assert np.all(lower <= quadrature * (1.0 + 1e-13))
+    assert np.all(quadrature <= upper * (1.0 + 1e-13))
+    assert np.all(lower[:-1] < 0.999 * quadrature[:-1]) and np.all(quadrature[:-1] < 0.999 * upper[:-1])
+    np.testing.assert_allclose([lower[-1], upper[-1]], 0.07**m, rtol=1e-13, atol=0)

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from boundlab.assembly import FemFunction, fem_space
 from boundlab.exponents import derive_context
@@ -14,7 +17,7 @@ from boundlab.nonlinear import (
     solve_ground_state,
     weak_residual,
 )
-from boundlab.norms import energy_J, norm_h1, norm_linf, norm_lp
+from boundlab.norms import energy_J, gn_ratios, norm_h1, norm_linf, norm_lp, norm_table
 from boundlab.verify_chain import (
     CertificationError,
     ChainReport,
@@ -207,6 +210,54 @@ def test_gn_suite_saturates_across_levels(ctx):
     report = gn_ratio_suite(corpora, ctx)
     assert report.verdict == "saturating"
     assert all(f <= 2.0 for f in report.factors)
+
+
+def _mixed_corpus(mesh, rng, count):
+    """A corpus of ``count`` columns mixing sign-changing noise, positive and
+    smooth fields, constants and rescaled copies, amplitudes 1e-2 to 1e1."""
+    x = mesh.vertices
+    values = np.empty((mesh.num_vertices, count))
+    copies = {}
+    for s in range(count):
+        kind = rng.integers(5) if s else rng.integers(4)
+        amp = 10.0 ** rng.uniform(-2.0, 1.0)
+        if kind == 0:
+            values[:, s] = amp * rng.standard_normal(mesh.num_vertices)
+        elif kind == 1:
+            values[:, s] = amp * np.abs(rng.standard_normal(mesh.num_vertices))
+        elif kind == 2:
+            a, b = rng.uniform(0.5, 3.0, 2)
+            values[:, s] = amp * (np.sin(a * x[:, 0] + b * x[:, 1] ** 2) - x[:, 2] / 2)
+        elif kind == 3:
+            values[:, s] = amp * rng.choice([-1.0, 1.0])
+        else:
+            base = int(rng.choice([b for b in range(s) if b not in copies]))
+            scale = 10.0 ** rng.uniform(-1.0, 1.0)
+            values[:, s] = scale * values[:, base]
+            copies[s] = (base, scale)
+    return Corpus(mesh, values, ["random"] * count, copies)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([2, 3, 4]),
+    p=st.sampled_from([Fraction(6, 5), Fraction(3, 2), Fraction(2), Fraction(5, 2)]),
+    q=st.sampled_from([None, Fraction(7, 2), Fraction(7)]),
+    count=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+)
+# two corpora whose largest lower bound is not on the column of the maximum
+@example(n=2, p=Fraction(3, 2), q=Fraction(7, 2), count=21, seed=2397)
+@example(n=4, p=Fraction(6, 5), q=Fraction(7, 2), count=5, seed=1729)
+def test_pruned_gn_maximum_equals_the_full_table_maximum(n, p, q, count, seed):
+    # the suite integrates |u|^m only on the columns its closed-form bounds
+    # keep; its maximum is that of every column's ratio, to rounding
+    ctx = derive_context(3, p, q)
+    corpus = _mixed_corpus(build_cube_mesh(n), np.random.default_rng(seed), count)
+    full = norm_table(corpus.mesh, corpus.values, volume=(ctx.two_star,), w1m=(ctx.m,))
+    expected = float(np.max(gn_ratios(full, ctx)))
+    got = gn_ratio_suite([corpus], ctx).rows[0]["max_ratio"]
+    assert abs(got - expected) <= 2e-15 * expected
 
 
 def test_main_estimate_trivial_solution(mesh4, ctx):
