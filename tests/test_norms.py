@@ -1,6 +1,7 @@
 import math
 import warnings
 from fractions import Fraction
+from itertools import permutations
 from unittest import mock
 
 import numpy as np
@@ -266,9 +267,94 @@ def test_even_powers_in_closed_form_match_quadrature(e, region, n, count, seed, 
     assert got[zero] == 0.0
 
 
+def _row_even_power(columns, cells, measure, e):
+    """Integrals of u^e (e even) of the columns (S, nv) over the simplices
+    ``cells`` of volume ``measure``, gathered row by row: on a d-simplex T,
+    int_T u^e = |T| e! d! / (e + d)! h_e(u_0, ..., u_d), with h_e formed by
+    the recurrence h_k += u_j h_{k-1} over the vertices j."""
+    rows = cells[:]
+    d = rows.shape[1] - 1
+    nodal = columns[:, rows.T]  # (S, d + 1, cells)
+    h = np.zeros((e,) + nodal[:, 0].shape)
+    for j in range(d + 1):
+        h[0] += nodal[:, j]
+        for k in range(1, e):
+            h[k] += nodal[:, j] * h[k - 1]
+    measure = np.broadcast_to(measure, len(rows))
+    return math.factorial(e) * math.factorial(d) / math.factorial(e + d) * (h[e - 1] @ measure)
+
+
+def _row_gradient_power(space, columns, m):
+    """Integral of |grad u|^m of the columns (S, nv): every tet's gradient
+    from its Kuhn shape's ``grad_shapes`` and its gathered vertex values."""
+    tets = space.mesh.tets[:]
+    g = space.grad_shapes[np.arange(len(tets)) % 6].transpose(0, 2, 1) @ columns[:, tets].transpose(1, 2, 0)
+    return space.tet_volume * (np.einsum("tds,tds->ts", g, g) ** (0.5 * m)).sum(axis=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    count=st.integers(1, 19),
+    seed=st.integers(0, 2**32 - 1),
+    block=st.sampled_from([1, 1000, norms._BLOCK_VALUES]),
+    trailing=st.booleans(),
+)
+def test_lattice_passes_match_the_row_oracles(n, count, seed, block, trailing):
+    # the closed forms and the gradient read on the Kuhn lattice against the
+    # rows gathered tet by tet and face by face, with a zero column, a column
+    # of one sign, and copies after the distinct columns or among them
+    mesh = build_cube_mesh(n)
+    space = fem_space(mesh)
+    rng = np.random.default_rng(seed)
+    values = 10.0 ** rng.uniform(-3.0, 2.0, count) * rng.standard_normal((mesh.num_vertices, count))
+    size = int(rng.integers(0, count // 2 + 1))
+    targets = list(range(count - size, count)) if trailing else rng.choice(count, size, replace=False).tolist()
+    bases = [s for s in range(count) if s not in targets]
+    zero = bases[rng.integers(len(bases))]
+    values[:, zero] = 0.0
+    one_sign = [s for s in bases if s != zero][:1]
+    values[:, one_sign] = -values[:, one_sign] ** 2
+    copies = {}
+    for s in targets:
+        base, scale = bases[rng.integers(len(bases))], 10.0 ** rng.uniform(-1.0, 1.0)
+        values[:, s] = scale * values[:, base]
+        copies[s] = (base, scale)
+    with mock.patch.object(norms, "_BLOCK_VALUES", block), warnings.catch_warnings():
+        warnings.simplefilter("error")  # log 0 of a zero column's paths stays silent
+        table = norm_table(mesh, values, volume=(2.0, 4.0, 6.0), boundary=(4.0, 6.0), gradient=(4.5, 10.5),
+                           copies=copies)
+    columns = values.T
+    oracle = {("volume", float(e)): _row_even_power(columns, mesh.tets, space.tet_volume, e) for e in (2, 4, 6)}
+    oracle.update({("boundary", float(e)): _row_even_power(columns, mesh.boundary_faces, space.face_areas, e)
+                   for e in (4, 6)})
+    oracle.update({("gradient", m): _row_gradient_power(space, columns, m) for m in (4.5, 10.5)})
+    for (region, r), integral in oracle.items():
+        np.testing.assert_allclose(table[region, r], integral ** (1.0 / r), rtol=1e-13, atol=0, err_msg=region)
+        assert table[region, r][zero] == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_boundary_faces_are_kuhn_triangles_of_the_face_lattices(n):
+    # each boundary face is the corner (0, 0), one axis step and the corner
+    # (1, 1) of a square of one of the six cube-face lattices, of area 1/(2 n^2)
+    mesh = build_cube_mesh(n)
+    ids = norms._lattice(np.arange(mesh.num_vertices)[:, None], n)
+    triangles = set()
+    for pair in norms._cube_faces(ids):
+        for face in pair[..., 0]:
+            for di, dj in ((1, 0), (0, 1)):
+                corners = np.stack([face[:-1, :-1], face[di:di + n, dj:dj + n], face[1:, 1:]], axis=-1)
+                triangles.update(map(tuple, np.sort(corners.reshape(-1, 3), axis=1).tolist()))
+    assert len(triangles) == 12 * n**2
+    assert triangles == set(map(tuple, mesh.boundary_faces.tolist()))
+    np.testing.assert_allclose(fem_space(mesh).face_areas, 1.0 / (2 * n**2), rtol=1e-14, atol=0)
+
+
 def test_fractional_entries_stay_log_exp_quadrature(mesh2, rng):
     # one block (a _BLOCK_VALUES above the mesh's quadrature values), so the
-    # reference is the quadrature pass written out for the whole mesh at once
+    # reference is the quadrature pass written out for the whole mesh at once,
+    # and the W^{1,m} norm's gradient part the lattice formula in one box
     space = fem_space(mesh2)
     values = rng.standard_normal((mesh2.num_vertices, 3))
     values[:, 1] = 0.0
@@ -280,8 +366,8 @@ def test_fractional_entries_stay_log_exp_quadrature(mesh2, rng):
         nodal = columns[:, mesh2.tets[:]]
         logs = np.log(np.abs(nodal.reshape(-1, 4) @ space.vol_basis.T)).reshape(3, -1)
         vol = np.exp(4.5 * logs) @ np.tile(space.tet_w, mesh2.num_tets)
-        g = space.grad_shapes[np.arange(mesh2.num_tets) % 6].transpose(0, 2, 1) @ nodal.transpose(1, 2, 0)
-        grad = space.tet_volume * np.exp(4.5 * 0.5 * np.log(np.einsum("tds,tds->ts", g, g))).sum(axis=0)
+        with mock.patch.object(norms, "_BLOCK_VALUES", 2**40):
+            grad = _lattice_gradient(values, 2, 4.5)
         faces = columns[:, mesh2.boundary_faces]
         blogs = np.log(np.abs(faces.reshape(-1, 3) @ space.bnd_basis.T)).reshape(3, -1)
         bnd_w = whole_boundary(space)[1].ravel()
@@ -293,10 +379,86 @@ def test_fractional_entries_stay_log_exp_quadrature(mesh2, rng):
     assert table["holder"].tobytes() == holder.tobytes()
 
 
+def _lattice_boxes(lattices, d, arrays):
+    """The boxes of a lattice pass over d-dimensional vertex lattices that
+    holds ``arrays`` buffers, in order, as corner functions: the layout of
+    ``norms._cell_blocks``, with its batching of small lattices."""
+    if len(lattices) > 1 and arrays * sum(lattice.size for lattice in lattices) <= norms._BLOCK_VALUES:
+        lattices = [np.concatenate(lattices)]
+    lead, n, count = lattices[0].shape[:-d - 1], lattices[0].shape[-2] - 1, lattices[0].shape[-1]
+    lines = max(1, norms._BLOCK_VALUES // (arrays * n * math.prod(lead) * count))
+    for lattice in lattices:
+        for box in norms._cell_boxes(n, d, lines):
+            yield lambda axes, lattice=lattice, box=box: lattice[
+                (..., *[slice(a + (i in axes), b + (i in axes)) for i, (a, b) in enumerate(box)], slice(None))]
+
+
+def _box_sums(boxes, terms, count):
+    """Per-column sums of the per-path ``terms(corner)`` arrays of every box,
+    each added in turn into slots of the first box's shape, as the buffered
+    passes' sums are."""
+    slots = None
+    for corner in boxes:
+        for term in terms(corner):
+            if slots is None:
+                slots = np.zeros(term.size)
+            slots[:term.size] += term.ravel()
+    return slots.reshape(-1, count).sum(axis=0)
+
+
+def _lattice_even_power(lattices, d, e):
+    """The integral of u^e (e even) over the Kuhn simplices of d-dimensional
+    vertex lattices, as the lattice formula with fresh arrays for every
+    path: h_1 ... h_e of corners 0 and 1, then of each path's inner
+    vertices, then the path's h_e, times e! / ((e + d)! n^d)."""
+    n, count = lattices[0].shape[-2] - 1, lattices[0].shape[-1]
+
+    def terms(corner):
+        u0, u1 = corner(()), corner(tuple(range(d)))
+        root, power = [u0 + u1], u1
+        for k in range(1, e):
+            power = u1 * power
+            root.append(u0 * root[-1] + power)
+        for path in permutations(range(d), d - 1):
+            state = root
+            for depth in range(1, d - 1):
+                x = corner(path[:depth])
+                inner = [state[0] + x]
+                for k in range(1, e):
+                    inner.append(x * inner[-1] + state[k])
+                state = inner
+            x = corner(path)
+            h = state[0] + x
+            for k in range(1, e):
+                h = x * h + state[k]
+            yield h
+
+    sums = _box_sums(_lattice_boxes(lattices, d, (d - 1) * e + 2), terms, count)
+    return math.factorial(e) / math.factorial(e + d) / n**d * sums
+
+
+def _lattice_gradient(values, n, m):
+    """The integral of |grad u|^m of each column of the nodal matrix as the
+    lattice formula with fresh arrays: on each Kuhn path 0, e_a, e_a + e_b, 1,
+    exp(m/2 log(sum of its squared edge differences)), times n^m / (6 n^3)."""
+    count = values.shape[1]
+
+    def terms(corner):
+        u0, u1 = corner(()), corner((0, 1, 2))
+        for a, b in permutations(range(3), 2):
+            x, y = corner((a,)), corner((a, b))
+            with np.errstate(divide="ignore"):
+                yield np.exp(0.5 * m * np.log((u1 - y) ** 2 + (y - x) ** 2 + (x - u0) ** 2))
+
+    lattice = norms._lattice(values, n)
+    return n**m / (6.0 * n**3) * _box_sums(_lattice_boxes([lattice], 3, 4), terms, count)
+
+
 def _allocating_table(mesh, values, volume, boundary, w1m, holder_p):
     """``norm_table`` without copies, written as the per-block loop that takes
     fresh arrays in every block: the point values, e log|u| and its exp, the
-    tiled weights, the rolled logs, and h and its product in the closed form."""
+    tiled weights and the rolled logs of the quadrature, and the lattice
+    formulas of the closed form and the gradient."""
     space = fem_space(mesh)
     columns = values.T
     count = columns.shape[0]
@@ -309,48 +471,29 @@ def _allocating_table(mesh, values, volume, boundary, w1m, holder_p):
             point_values = np.abs(nodal.reshape(-1, basis.shape[1]) @ basis.T)
             yield rows, nodal, np.log(point_values).reshape(count, -1)
 
-    def even_power(cells, measure, e):
-        d = cells.shape[1] - 1
-        measure = np.broadcast_to(measure, len(cells))
-        total = np.zeros(count)
-        step = max(1, norms._BLOCK_VALUES // ((e + 1) * count))
-        for start in range(0, len(cells), step):
-            rows = slice(start, start + step)
-            nodal = columns[:, cells[rows].T]
-            h = np.zeros((e,) + nodal[:, 0].shape)
-            product = np.empty_like(h[0])
-            for j in range(d + 1):
-                h[0] += nodal[:, j]
-                for k in range(1, e):
-                    h[k] += np.multiply(nodal[:, j], h[k - 1], out=product)
-            total += h[e - 1] @ measure[rows]
-        return math.factorial(e) * math.factorial(d) / math.factorial(e + d) * total
-
     (r_even, r_frac), (b_frac, b_even), (m,) = volume, boundary, w1m
-    vol, grad, bnd, holder = np.zeros(count), np.zeros(count), np.zeros(count), np.zeros(count)
+    vol, bnd, holder = np.zeros(count), np.zeros(count), np.zeros(count)
     vol_m = np.zeros(count)
     with np.errstate(divide="ignore"):
         for rows, nodal, logs in log_blocks(mesh.tets, space.vol_basis):
             weights = np.tile(space.tet_w, nodal.shape[1])
             vol += np.exp(r_frac * logs) @ weights
             vol_m += np.exp(m * logs) @ weights
-            shapes = space.grad_shapes[np.arange(*rows.indices(mesh.num_tets)) % 6]
-            g = shapes.transpose(0, 2, 1) @ nodal.transpose(1, 2, 0)
-            half_logs = 0.5 * np.log(np.einsum("tds,tds->ts", g, g))
-            grad += space.tet_volume * np.exp(m * half_logs).sum(axis=0)
         for rows, _, logs in log_blocks(mesh.boundary_faces, space.bnd_basis):
             weights = whole_boundary(space)[1][rows].ravel()
             bnd += np.exp(b_frac * logs) @ weights
             holder += np.exp(holder_p * logs + np.roll(logs, -1, axis=0)) @ weights
+    lattice = norms._lattice(values, mesh.n)
+    faces = [np.moveaxis(lattice[(slice(None),) * axis + (slice(None, None, mesh.n),)], axis, 0) for axis in range(3)]
     magnitudes = np.abs(columns)
     return {
         "linf": magnitudes.max(axis=1),
         "linf_boundary": magnitudes[:, boundary_vertices(mesh)].max(axis=1),
-        ("volume", r_even): even_power(mesh.tets, space.tet_volume, int(r_even)) ** (1.0 / r_even),
+        ("volume", r_even): _lattice_even_power([lattice], 3, int(r_even)) ** (1.0 / r_even),
         ("volume", r_frac): vol ** (1.0 / r_frac),
-        ("w1m", m): (vol_m + grad) ** (1.0 / m),
+        ("w1m", m): (vol_m + _lattice_gradient(values, mesh.n, m)) ** (1.0 / m),
         ("boundary", b_frac): bnd ** (1.0 / b_frac),
-        ("boundary", b_even): even_power(mesh.boundary_faces, space.face_areas, int(b_even)) ** (1.0 / b_even),
+        ("boundary", b_even): _lattice_even_power(faces, 2, int(b_even)) ** (1.0 / b_even),
         "holder": holder,
     }
 
@@ -436,10 +579,10 @@ def test_solution_norms_take_no_log_pass(ground_state_p2_n8, monkeypatch):
     block=st.sampled_from([1, 1000, norms._BLOCK_VALUES]),
 )
 def test_gradient_norms_take_their_own_pass(n, count, seed, block):
-    # with no quadrature power asked for, the gradient integrals take their own
-    # pass over the cells: they match the per-cell formula and, bitwise, the
-    # gradient part that rides along the quadrature pass; a copy reads c times
-    # its base
+    # the gradient integrals take their own pass over the lattice, whether or
+    # not a quadrature power is asked for: they match the per-cell formula and
+    # are bitwise the same with a quadrature pass beside them; a copy reads c
+    # times its base
     mesh = build_cube_mesh(n)
     space = fem_space(mesh)
     rng = np.random.default_rng(seed)

@@ -22,6 +22,7 @@ from boundlab.verify_chain import (
     CertificationError,
     ChainReport,
     Corpus,
+    _corpus_table,
     build_corpus,
     energy_bound_check,
     gn_ratio_suite,
@@ -344,6 +345,19 @@ def test_solution_norms_peak_memory_is_bounded(traced_peak):
     row, peak = traced_peak(lambda: solution_norms(outcome, "peak"))
     assert row == solution_norms(outcome, "again")
     assert peak <= 3 * 2**20
+
+
+def test_corpus_table_peak_memory_is_bounded(ctx, traced_peak):
+    # the lattice passes size their buffers from the norms' 512 KiB block
+    # budget: the n = 16, 100-column chain corpus's table peaked at 1.99 MiB
+    # with row-gathered passes and at 3.4 MiB with 3.4 MB lattice blocks
+    mesh = build_cube_mesh(16)
+    outcome = solve_ground_state(mesh, make_power_nonlinearity(2.0), 1e-8, seed=11)
+    corpus = build_corpus(mesh, 100, 7, [outcome.solution])
+    _corpus_table(mesh, corpus.values, ctx, corpus.copies)
+    table, peak = traced_peak(lambda: _corpus_table(mesh, corpus.values, ctx, corpus.copies))
+    assert len(table["linf"]) == 100
+    assert peak <= 2.5 * 2**20
 
 
 def test_equivalence_trivial_family(mesh4, ctx):
