@@ -285,11 +285,13 @@ def _solve_family(config, p, n_list):
 
 
 def _print_failures(ctx, records):
-    """One stderr line per failing (step, n) of these records; returns how many."""
+    """One stderr line per failing (step, n) of these records, naming the
+    sample of a universal step; returns how many."""
     failed = first_failures(records)
     for rec in failed:
+        sample = f" sample {rec.data['sample']}" if "sample" in rec.data else ""
         print(
-            f"FAIL: {rec.step} at p={ctx.p} n={rec.n}: "
+            f"FAIL: {rec.step} at p={ctx.p} n={rec.n}{sample}: "
             f"left={float(rec.left)!r} right={float(rec.right)!r}",
             file=sys.stderr,
         )
@@ -321,11 +323,11 @@ def _cmd_verify(config):
     if suite in _UNIVERSAL_SUITES:
         for corpus in corpora:
             report = universal_suite(corpus, ctx, config.b0)
-            records += report.summary_rows()
-            asserted += report.records
+            records += report.summary_rows(ctx)
+            asserted += report.failures()
             print(
-                f"universal n={corpus.mesh.n}: {len(report.records)} records, "
-                f"{len(report.violations)} violations, branches={report.branch_counts()}"
+                f"universal n={corpus.mesh.n}: {len(report.steps) * report.linf.size} records, "
+                f"{report.violations} violations, branches={report.branch_counts()}"
             )
     if suite in ("gn", "chain"):
         gn = gn_ratio_suite(corpora, ctx)

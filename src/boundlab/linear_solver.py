@@ -84,19 +84,19 @@ def _check_tol(tol):
         raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
 
 
-def solve_neumann(mesh, h, tol, maxiter=None):
+def solve_neumann(mesh, h, tol):
     """Solve the discrete problem (H1 operator) v = boundary load of h.
 
     ``h(points, normals)`` is evaluated at the boundary quadrature points.
     The result's ``residual_norm`` is the true relative residual of the
     returned solution.  ``tol`` must be finite and positive.  Raises
-    :class:`NonconvergenceError` when the iteration cap (default 10 *
-    dimension) is exceeded.
+    :class:`NonconvergenceError` when CG's iteration cap (10 * dimension) is
+    exceeded.
     """
     _check_tol(tol)
     load = assemble_boundary_load(mesh, h)
     space = fem_space(mesh)
-    x, iterations, res = _pcg(space.h1_operator(), load, tol, space.preconditioner(), maxiter=maxiter)
+    x, iterations, res = _pcg(space.h1_operator(), load, tol, space.preconditioner())
     return LinearSolveResult(
         solution=FemFunction(mesh, x),
         iterations=iterations,

@@ -1,9 +1,9 @@
 """Step-by-step verification of the sup-norm estimate chain.
 
-Each inequality of the chain becomes one record.  Steps with a computable
-constant (boundary growth, boundary Holder, boundary-max vs volume-max) are
-asserted on every corpus element: they are theorems about all functions and
-admit no violations.  Steps whose constant is merely known to exist
+Steps with a computable constant (boundary growth, boundary Holder,
+boundary-max vs volume-max) are asserted on every corpus element, as array
+inequalities over the corpus's norm table: they are theorems about all
+functions and admit no violations.  Steps whose constant is merely known to exist
 (interpolation ratio, main estimate) are never asserted pointwise; the suite
 tracks their maxima across refinement and reports saturation, the testable
 surrogate for a function-independent constant.
@@ -29,8 +29,8 @@ __all__ = [
     "StepRecord",
     "step_row",
     "first_failures",
-    "ChainReport",
     "branch_label",
+    "UniversalReport",
     "universal_suite",
     "gn_ratio_suite",
     "GnSuiteReport",
@@ -110,7 +110,6 @@ class StepRecord:
     step: str
     left: float
     right: float
-    constant: float
     verdict: str
     branch: str = ""
     n: int = 0
@@ -119,7 +118,7 @@ class StepRecord:
     def row(self, ctx):
         """This record as its report row.  The main estimate reports its
         observed constant rho; every other step reports its margin right - left."""
-        value = self.constant if self.step == "main_estimate" else self.right - self.left
+        value = self.data["rho"] if self.step == "main_estimate" else self.right - self.left
         return step_row(ctx, self.step, self.n, value, self.verdict, self.branch)
 
 
@@ -155,8 +154,9 @@ def branch_label(branches):
 
 # -- explicit-constant steps ---------------------------------------------------
 #
-# Each step is a pure function of norm-table rows (see ``norm_table``): one
-# table per corpus holds every norm the three steps and the gn suite read.
+# Each step is an inequality between columns of the corpus's norm table (see
+# ``norm_table``): one table per corpus holds every norm the three steps and
+# the gn suite read.
 
 
 def _corpus_table(mesh, values, ctx, copies):
@@ -177,91 +177,77 @@ def _corpus_table(mesh, values, ctx, copies):
                       boundary=(p * q, r, p * r / (r - 1.0)), gradient=(m,), holder_p=p, copies=copies)
 
 
-def _rows(table):
-    """The norm table as one dict of floats per column."""
-    return [
-        {key: float(column[s]) for key, column in table.items()}
-        for s in range(len(table["linf"]))
-    ]
+@dataclass(eq=False)
+class UniversalReport:
+    """The explicit-constant steps of one corpus level: per step, the left
+    side, right side and verdict of each column, as arrays over the columns."""
 
+    n: int
+    linf: np.ndarray    # the sup norm of each column, which names its branch
+    steps: dict         # step -> (left, right, holds)
 
-def _boundary_growth(row, ctx, B0, constant, mesh):
-    """Boundary growth step with its computable constant.
+    @property
+    def violations(self):
+        """How many (step, column) pairs fail."""
+        return sum(int(np.count_nonzero(~holds)) for _, _, holds in self.steps.values())
 
-    Checks ||f(u)||_{L^q(bnd)}^q <= C * (1 + max|u|^(pq - r) * int_bnd |u|^r)
-    with r the trace-critical exponent, f the B0-scaled pure power and
-    C = ``constant`` = B0^q * 2^(q-1) * max(|bnd|, 1).  This holds for every
-    function, not only solutions, so the verdict asserts it outright.
-    """
-    p = float(ctx.p)
-    q = float(ctx.q)
-    r = float(ctx.two_low_star)
-    flux_q = B0**q * row["boundary", p * q] ** (p * q)
-    trace_mass = row["boundary", r] ** r
-    right = constant * (1.0 + row["linf"] ** (p * q - r) * trace_mass)
-    verdict = "pass" if flux_q <= right else "fail"
-    return StepRecord(
-        step="boundary_growth",
-        left=flux_q,
-        right=right,
-        constant=constant,
-        verdict=verdict,
-        branch=_side(row["linf"]),
-        n=mesh.n,
-        data={"ctx_key": ctx.key()},
-    )
+    def branch_counts(self):
+        """The (step, column) pairs on each side of the sup-norm dichotomy."""
+        above = int(np.count_nonzero(self.linf > 1.0))
+        return {"sup>1": len(self.steps) * above, "sup<=1": len(self.steps) * (self.linf.size - above)}
 
+    def summary_rows(self, ctx):
+        """One row per step: the smallest margin, "fail" if any column fails,
+        and the branches exercised."""
+        branch = branch_label(_side(linf) for linf in self.linf)
+        return [
+            step_row(ctx, step, self.n, float(np.min(right - left)), "pass" if holds.all() else "fail", branch)
+            for step, (left, right, holds) in self.steps.items()
+        ]
 
-def _boundary_holder(row, psi_row, ctx, B0, mesh):
-    """Duality bound int_bnd |f(u) psi| <= ||f(u)||_{conj} * ||psi||_{trace-critical}."""
-    # row["holder"] is int_bnd |u|^p |psi|, and ||f(u)||_{r'} = B0 ||u||_{p r'}^p
-    p = float(ctx.p)
-    r = float(ctx.two_low_star)
-    left = B0 * row["holder"]
-    f_norm = B0 * row["boundary", p * r / (r - 1.0)] ** p
-    right = f_norm * psi_row["boundary", r]
-    verdict = "pass" if left <= right * (1.0 + 1e-10) + 1e-300 else "fail"
-    return StepRecord(
-        step="boundary_holder",
-        left=left,
-        right=right,
-        constant=1.0,
-        verdict=verdict,
-        branch=_side(row["linf"]),
-        n=mesh.n,
-        data={"ctx_key": ctx.key()},
-    )
-
-
-def _infty_cont(row, mesh):
-    """Discrete form of ||u||_{inf, bnd} <= ||u||_{inf, volume} (exact)."""
-    left = row["linf_boundary"]
-    right = row["linf"]
-    return StepRecord(
-        step="boundary_max_vs_volume_max",
-        left=left,
-        right=right,
-        constant=1.0,
-        verdict="pass" if left <= right else "fail",
-        branch=_side(right),
-        n=mesh.n,
-    )
+    def failures(self):
+        """One record per failing step, for its first failing column, whose
+        index it carries as ``data["sample"]``."""
+        records = []
+        for step, (left, right, holds) in self.steps.items():
+            if not holds.all():
+                s = int(np.argmin(holds))
+                records.append(StepRecord(step, float(left[s]), float(right[s]), "fail",
+                                          _side(self.linf[s]), self.n, {"sample": s}))
+        return records
 
 
 def universal_suite(corpus, ctx, B0=1.0):
-    """All explicit-constant steps over a corpus, read from its norm table;
-    each function is paired with the next one for the Holder step.  Returns
-    a ChainReport."""
-    mesh = corpus.mesh
-    rows = _rows(corpus.table(ctx))
+    """All explicit-constant steps over a corpus, as array inequalities over
+    the columns of its norm table.  They hold for every function, so each is
+    asserted on every column:
+
+    - boundary growth, ||f(u)||_{L^q(bnd)}^q <= C (1 + max|u|^(pq - r) int_bnd |u|^r)
+      with r the trace-critical exponent, f the B0-scaled pure power and
+      C = B0^q 2^(q-1) max(|bnd|, 1);
+    - boundary Holder, int_bnd |f(u) psi| <= ||f(u)||_{r'} ||psi||_r, with psi
+      the next column (cyclically) and a relative slack of 1e-10;
+    - boundary max vs volume max, ||u||_{inf, bnd} <= ||u||_{inf, volume} (exact).
+
+    Returns a UniversalReport."""
+    table = corpus.table(ctx)
+    p = float(ctx.p)
     q = float(ctx.q)
-    growth_constant = B0**q * 2.0 ** (q - 1.0) * max(float(fem_space(mesh).face_areas.sum()), 1.0)
-    records = []
-    for row, psi_row in zip(rows, rows[1:] + rows[:1]):
-        records.append(_boundary_growth(row, ctx, B0, growth_constant, mesh))
-        records.append(_boundary_holder(row, psi_row, ctx, B0, mesh))
-        records.append(_infty_cont(row, mesh))
-    return ChainReport(context=ctx, records=records)
+    r = float(ctx.two_low_star)
+    linf, trace = table["linf"], table["boundary", r]
+    constant = B0**q * 2.0 ** (q - 1.0) * max(float(fem_space(corpus.mesh).face_areas.sum()), 1.0)
+    growth_left = B0**q * table["boundary", p * q] ** (p * q)
+    growth_right = constant * (1.0 + linf ** (p * q - r) * trace**r)
+    # table["holder"] is int_bnd |u|^p |psi|, and ||f(u)||_{r'} = B0 ||u||_{p r'}^p
+    holder_left = B0 * table["holder"]
+    holder_right = B0 * table["boundary", p * r / (r - 1.0)] ** p * np.roll(trace, -1)
+    steps = {
+        "boundary_growth": (growth_left, growth_right, growth_left <= growth_right),
+        "boundary_holder": (holder_left, holder_right,
+                            holder_left <= holder_right * (1.0 + 1e-10) + 1e-300),
+        "boundary_max_vs_volume_max": (table["linf_boundary"], linf, table["linf_boundary"] <= linf),
+    }
+    return UniversalReport(corpus.mesh.n, linf, steps)
 
 
 # -- fitted-constant steps -----------------------------------------------------
@@ -370,8 +356,8 @@ def solution_norms(outcome, what, w1m=()):
     Holder terms int_bnd |f(u) u| and ||f(u)||_{L^{r'}(bnd)} at r = 2_*."""
     u, nl = _certified(outcome, what)
     space = fem_space(u.mesh)
-    (row,) = _rows(norm_table(u.mesh, u.values, volume=(_TWO_STAR,), boundary=(_TWO_LOW_STAR,),
-                              w1m=w1m))
+    table = norm_table(u.mesh, u.values, volume=(_TWO_STAR,), boundary=(_TWO_LOW_STAR,), w1m=w1m)
+    row = {key: float(column[0]) for key, column in table.items()}
     h1_sq = float(u.values @ (space.h1_operator() @ u.values))
     r_conj = _TWO_LOW_STAR / (_TWO_LOW_STAR - 1.0)
 
@@ -417,11 +403,10 @@ def main_estimate_ratio(outcome, ctx):
         step="main_estimate",
         left=linf,
         right=right,
-        constant=rho,
         verdict="finite" if ok else "nonfinite",
         branch=_side(linf),
         n=outcome.solution.mesh.n,
-        data={"rho": rho, "rho_hat": rho_hat, "h1": h1, "ctx_key": ctx.key()},
+        data={"rho": rho, "rho_hat": rho_hat, "h1": h1},
     )
 
 
@@ -446,7 +431,6 @@ def h1_trace_bound(outcome, ctx):
         step="h1_trace_bound",
         left=h1_sq,
         right=uf,
-        constant=1.0,
         verdict="pass" if (part_a and part_b) else "fail",
         branch=_side(row["linf"]),
         n=outcome.solution.mesh.n,
@@ -519,7 +503,7 @@ class EnergyReport:
     def records(self):
         """Each member's bound lower_bound <= J as a step record."""
         return [
-            StepRecord("energy_bound", r["lower_bound"], r["J"], 1.0, r["bound_verdict"], n=r["n"])
+            StepRecord("energy_bound", r["lower_bound"], r["J"], r["bound_verdict"], n=r["n"])
             for r in self.rows
         ]
 
@@ -580,47 +564,3 @@ def energy_bound_check(outcomes):
     bounded_h1 = bool(np.isfinite(max((r["h1_sq"] for r in rows), default=0.0)))
     all_ok = all(r["bound_verdict"] == "pass" for r in rows)
     return EnergyReport(rows, bounded_energy, bounded_h1, bounded_energy == bounded_h1 and all_ok)
-
-
-# -- report container -----------------------------------------------------------
-
-
-@dataclass(eq=False)
-class ChainReport:
-    """Record set for one verification run, tied to a single exponent context."""
-
-    context: object
-    records: list
-
-    def __post_init__(self):
-        keys = {r.data["ctx_key"] for r in self.records if "ctx_key" in r.data}
-        expected = self.context.key()
-        if keys - {expected}:
-            raise ValueError(
-                f"records mix exponent contexts: {sorted(keys)} vs {expected}"
-            )
-
-    @property
-    def violations(self):
-        return [r for r in self.records if r.verdict == "fail"]
-
-    def branch_counts(self):
-        counts = {"sup>1": 0, "sup<=1": 0}
-        for r in self.records:
-            if r.branch in counts:
-                counts[r.branch] += 1
-        return counts
-
-    def summary_rows(self):
-        """One row per (step, n): the smallest margin, "fail" if any record
-        fails, and the branches exercised."""
-        groups = {}
-        for r in self.records:
-            groups.setdefault((r.step, r.n), []).append(r)
-        rows = []
-        for (step, n), records in groups.items():
-            margin = min(r.right - r.left for r in records)
-            verdict = "fail" if any(r.verdict == "fail" for r in records) else "pass"
-            branch = branch_label(r.branch for r in records)
-            rows.append(step_row(self.context, step, n, margin, verdict, branch))
-        return rows

@@ -589,25 +589,47 @@ def _energy_lowered(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "break_step, step",
+    "break_step, step, where",
     [
-        (_boundary_max_doubled, "boundary_max_vs_volume_max"),
-        (_trace_bound_of_non_solution, "h1_trace_bound"),
-        (_energy_lowered, "energy_bound"),
+        # a universal step names the first failing column of its corpus
+        (_boundary_max_doubled, "boundary_max_vs_volume_max", "n=2 sample 0"),
+        (_trace_bound_of_non_solution, "h1_trace_bound", "n=2"),
+        (_energy_lowered, "energy_bound", "n=2"),
     ],
     ids=["universal", "h1-trace", "energy"],
 )
-def test_failing_step_is_status_1(break_step, step, monkeypatch, tmp_path, capsys):
+def test_failing_step_is_status_1(break_step, step, where, monkeypatch, tmp_path, capsys):
     break_step(monkeypatch)
     out = tmp_path / "chain.json"
     argv = ["verify", "--suite", "chain", "--n", "2", "--samples", "4", "--seed", "7"]
     assert main(argv + ["--output", str(out)]) == 1
     fails = [line for line in capsys.readouterr().err.splitlines() if line.startswith("FAIL:")]
     assert len(fails) == 1
-    assert fails[0].startswith(f"FAIL: {step} at p=2 n=2: left=") and " right=" in fails[0]
+    assert fails[0].startswith(f"FAIL: {step} at p=2 {where}: left=") and " right=" in fails[0]
     verdicts = {r["step"]: r["verdict"] for r in json.loads(out.read_text())["records"]}
     assert verdicts[step] == "fail"
     assert list(verdicts.values()).count("fail") == 1
+
+
+def test_universal_failure_names_its_sample(monkeypatch, tmp_path, capsys):
+    norm_table = verify_chain.norm_table
+
+    def doubled(*args, **kwargs):
+        # the boundary max of column 2 of the corpus's 4 only
+        table = norm_table(*args, **kwargs)
+        table["linf_boundary"][2] *= 2.0
+        return table
+
+    monkeypatch.setattr(verify_chain, "norm_table", doubled)
+    out = tmp_path / "universal.json"
+    argv = ["verify", "--suite", "universal", "--n", "2", "--samples", "4", "--seed", "7"]
+    assert main(argv + ["--output", str(out)]) == 1
+    fails = [line for line in capsys.readouterr().err.splitlines() if line.startswith("FAIL:")]
+    assert len(fails) == 1
+    assert re.fullmatch(r"FAIL: boundary_max_vs_volume_max at p=2 n=2 sample 2: left=\S+ right=\S+", fails[0])
+    verdicts = {r["step"]: r["verdict"] for r in json.loads(out.read_text())["records"]}
+    assert verdicts == {"boundary_growth": "pass", "boundary_holder": "pass",
+                        "boundary_max_vs_volume_max": "fail"}
 
 
 def _main_estimate_nonfinite(monkeypatch):

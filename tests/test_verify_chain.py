@@ -20,7 +20,6 @@ from boundlab.nonlinear import (
 from boundlab.norms import energy_J, gn_ratios, norm_h1, norm_linf, norm_lp, norm_table
 from boundlab.verify_chain import (
     CertificationError,
-    ChainReport,
     Corpus,
     _corpus_table,
     build_corpus,
@@ -44,28 +43,29 @@ def const(mesh, value):
     return FemFunction(mesh, np.full(mesh.num_vertices, float(value)))
 
 
-def step_records(ctx, step, *functions):
-    """The ``step`` records of ``universal_suite`` over a corpus of these
-    functions, in order; the Holder step pairs each with the next, cyclically."""
+def universal_report(ctx, *functions):
+    """``universal_suite`` over a corpus of these functions, in order; the
+    Holder step pairs each with the next, cyclically."""
     corpus = Corpus(functions[0].mesh, np.column_stack([u.values for u in functions]),
                     ["random"] * len(functions))
-    return [r for r in universal_suite(corpus, ctx).records if r.step == step]
+    return universal_suite(corpus, ctx)
 
 
 def test_boundary_growth_zero_function(mesh4, ctx):
-    (rec,) = step_records(ctx, "boundary_growth", const(mesh4, 0.0))
-    assert rec.verdict == "pass"
-    assert rec.left == 0.0
-    assert rec.constant == 24.0  # B0^q * 2^(q-1) * max(|bnd|, 1) = 4 * 6
+    ((left,), (right,), (holds,)) = universal_report(ctx, const(mesh4, 0.0)).steps["boundary_growth"]
+    assert holds
+    assert left == 0.0
+    assert right == 24.0  # the constant B0^q * 2^(q-1) * max(|bnd|, 1) = 4 * 6
 
 
 def test_boundary_growth_constant_one(mesh4, ctx):
-    (rec,) = step_records(ctx, "boundary_growth", const(mesh4, 1.0))
+    report = universal_report(ctx, const(mesh4, 1.0))
+    ((left,), (right,), (holds,)) = report.steps["boundary_growth"]
     # left = int_bnd 1 = 6; right = 24 * (1 + 1 * 6) = 168
-    assert abs(rec.left - 6.0) < 1e-10
-    assert abs(rec.right - 168.0) < 1e-8
-    assert rec.verdict == "pass"
-    assert rec.branch == "sup<=1"
+    assert abs(left - 6.0) < 1e-10
+    assert abs(right - 168.0) < 1e-8
+    assert holds
+    assert report.summary_rows(ctx)[0]["branch"] == "sup<=1"
 
 
 def test_boundary_growth_no_violations_on_random_corpus(mesh8, ctx, rng):
@@ -73,9 +73,8 @@ def test_boundary_growth_no_violations_on_random_corpus(mesh8, ctx, rng):
         FemFunction(mesh8, 10.0 ** rng.uniform(-2, 2) * rng.standard_normal(mesh8.num_vertices))
         for _ in range(100)
     ]
-    records = step_records(ctx, "boundary_growth", *functions)
-    assert len(records) == 100
-    assert all(rec.verdict == "pass" for rec in records)
+    _, _, holds = universal_report(ctx, *functions).steps["boundary_growth"]
+    assert holds.shape == (100,) and holds.all()
 
 
 def test_boundary_growth_requires_admissible_exponents(mesh4):
@@ -85,29 +84,99 @@ def test_boundary_growth_requires_admissible_exponents(mesh4):
 
     ctx_bad = dataclasses.replace(derive_context(3, 2), q=derive_context(3, 2).q / 10)
     with pytest.raises(ValueError):
-        step_records(ctx_bad, "boundary_growth", const(mesh4, 1.0))
+        universal_report(ctx_bad, const(mesh4, 1.0))
 
 
 def test_boundary_holder_records(mesh4, ctx, rng):
     # 40 functions, so 40 (u, psi) pairs
     functions = [FemFunction(mesh4, rng.standard_normal(mesh4.num_vertices)) for _ in range(40)]
-    records = step_records(ctx, "boundary_holder", *functions)
-    assert len(records) == 40
-    for rec in records:
-        assert rec.verdict == "pass"
-        assert rec.left <= rec.right * (1 + 1e-10) + 1e-300
+    left, right, holds = universal_report(ctx, *functions).steps["boundary_holder"]
+    assert holds.shape == (40,) and holds.all()
+    assert np.all(left <= right * (1 + 1e-10) + 1e-300)
 
 
 def test_infty_cont_exact(mesh4, ctx, rng):
     functions = [FemFunction(mesh4, rng.standard_normal(mesh4.num_vertices)) for _ in range(20)]
-    records = step_records(ctx, "boundary_max_vs_volume_max", *functions)
-    assert len(records) == 20
-    assert all(rec.verdict == "pass" for rec in records)
+    _, _, holds = universal_report(ctx, *functions).steps["boundary_max_vs_volume_max"]
+    assert holds.shape == (20,) and holds.all()
     spike = np.zeros(mesh4.num_vertices)
     center = np.argmin(np.linalg.norm(mesh4.vertices - 0.5, axis=1))
     spike[center] = 5.0
-    (rec,) = step_records(ctx, "boundary_max_vs_volume_max", FemFunction(mesh4, spike))
-    assert rec.left == 0.0 and rec.right == 5.0
+    report = universal_report(ctx, FemFunction(mesh4, spike))
+    ((left,), (right,), _) = report.steps["boundary_max_vs_volume_max"]
+    assert left == 0.0 and right == 5.0
+
+
+_UNIVERSAL_STEPS = ("boundary_growth", "boundary_holder", "boundary_max_vs_volume_max")
+
+
+def _universal_oracle(table, ctx, B0, area):
+    """Per step, (left, right, holds) of each column with Python floats, one
+    column at a time, each paired with the next (cyclically) for the Holder step."""
+    p, q, r = float(ctx.p), float(ctx.q), float(ctx.two_low_star)
+    constant = B0**q * 2.0 ** (q - 1.0) * max(area, 1.0)
+    rows = [{key: float(column[s]) for key, column in table.items()} for s in range(len(table["linf"]))]
+    steps = {step: [] for step in _UNIVERSAL_STEPS}
+    for row, psi_row in zip(rows, rows[1:] + rows[:1]):
+        left = B0**q * row["boundary", p * q] ** (p * q)
+        right = constant * (1.0 + row["linf"] ** (p * q - r) * row["boundary", r] ** r)
+        steps["boundary_growth"].append((left, right, left <= right))
+        left = B0 * row["holder"]
+        right = B0 * row["boundary", p * r / (r - 1.0)] ** p * psi_row["boundary", r]
+        steps["boundary_holder"].append((left, right, left <= right * (1.0 + 1e-10) + 1e-300))
+        left, right = row["linf_boundary"], row["linf"]
+        steps["boundary_max_vs_volume_max"].append((left, right, left <= right))
+    return steps
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([2, 3, 4]),
+    p=st.sampled_from([Fraction(3, 2), Fraction(2), Fraction(5, 2)]),
+    B0=st.sampled_from([1.0, 0.3, 2.5]),
+    count=st.integers(1, 12),
+    zero=st.booleans(),
+    broken=st.integers(-1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=2, p=Fraction(2), B0=1.0, count=1, zero=False, broken=-1, seed=0)
+@example(n=3, p=Fraction(2), B0=1.0, count=1, zero=True, broken=0, seed=1)
+def test_universal_arrays_match_the_per_column_oracle(n, p, B0, count, zero, broken, seed):
+    # _mixed_corpus mixes sign-changing noise, one-sign fields, constants and
+    # copies; a zero column may follow, and one column's boundary max and
+    # Holder pairing may be raised to make its steps fail
+    ctx = derive_context(3, p)
+    corpus = _mixed_corpus(build_cube_mesh(n), np.random.default_rng(seed), count)
+    if zero:
+        corpus = Corpus(corpus.mesh, np.column_stack([corpus.values, np.zeros(corpus.mesh.num_vertices)]),
+                        corpus.kinds + ["random"], corpus.copies)
+    table = corpus.table(ctx)
+    if 0 <= broken < len(table["linf"]):
+        table["linf_boundary"][broken] = 2.0 * table["linf"][broken] + 1.0
+        table["holder"][broken] = 3.0 * table["holder"][broken] + 1.0
+    report = universal_suite(corpus, ctx, B0)
+    oracle = _universal_oracle(table, ctx, B0, float(fem_space(corpus.mesh).face_areas.sum()))
+    assert list(report.steps) == list(_UNIVERSAL_STEPS)
+    for step, (left, right, holds) in report.steps.items():
+        expected_left, expected_right, expected_holds = map(np.array, zip(*oracle[step]))
+        assert np.all(np.abs(left - expected_left) <= 1e-15 * np.abs(expected_left))
+        assert np.all(np.abs(right - expected_right) <= 1e-15 * np.abs(expected_right))
+        assert holds.tolist() == expected_holds.tolist()
+    assert report.violations == sum(not h for step in oracle.values() for _, _, h in step)
+
+
+def test_failures_name_the_first_failing_column(mesh4, ctx, rng):
+    functions = [FemFunction(mesh4, rng.standard_normal(mesh4.num_vertices)) for _ in range(4)]
+    corpus = Corpus(mesh4, np.column_stack([u.values for u in functions]), ["random"] * 4)
+    table = corpus.table(ctx)
+    for s in (1, 3):
+        table["linf_boundary"][s] = 2.0 * table["linf"][s]
+    report = universal_suite(corpus, ctx)
+    (rec,) = report.failures()
+    assert (rec.step, rec.n, rec.verdict, rec.data) == ("boundary_max_vs_volume_max", 4, "fail", {"sample": 1})
+    assert (rec.left, rec.right) == (table["linf_boundary"][1], table["linf"][1])
+    assert report.violations == 2
+    assert [r["verdict"] for r in report.summary_rows(ctx)] == ["pass", "pass", "fail"]
 
 
 def test_corpus_composition(mesh4):
@@ -181,11 +250,12 @@ def test_corpus_columns_are_those_of_the_stacked_list(size, count, mesh4):
 
 def test_universal_suite_clean(mesh4, ctx):
     report = universal_suite(build_corpus(mesh4, 40, seed=7), ctx)
-    assert len(report.records) == 120
-    assert not report.violations
+    assert report.linf.size == 40 and len(report.steps) == 3
+    assert report.violations == 0 and report.failures() == []
     counts = report.branch_counts()
     assert counts["sup>1"] > 0 and counts["sup<=1"] > 0
-    rows = report.summary_rows()
+    assert counts["sup>1"] + counts["sup<=1"] == 120
+    rows = report.summary_rows(ctx)
     steps = {r["step"] for r in rows}
     assert steps == {"boundary_growth", "boundary_holder", "boundary_max_vs_volume_max"}
     for row in rows:
@@ -482,10 +552,3 @@ def test_energy_bound_constant_is_sup_over_boundary_points(mesh4):
     assert abs(row["lower_bound"] + 0.4) <= 1e-5 * 0.4
     assert row["bound_verdict"] == "pass"
 
-
-def test_chain_report_rejects_context_mixing(mesh4, ctx):
-    other = derive_context(3, 2, q_override=4)
-    (rec_a,) = step_records(ctx, "boundary_growth", const(mesh4, 1.0))
-    (rec_b,) = step_records(other, "boundary_growth", const(mesh4, 1.0))
-    with pytest.raises(ValueError, match="mix"):
-        ChainReport(context=ctx, records=[rec_a, rec_b])
