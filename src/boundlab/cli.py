@@ -35,7 +35,7 @@ from .nonlinear import SolverDivergence, StagnationError, make_power_nonlinearit
 from .verify_chain import (
     build_corpus,
     energy_bound_check,
-    first_failures,
+    failing_records,
     gn_ratio_suite,
     h1_trace_bound,
     main_estimate_ratio,
@@ -285,9 +285,9 @@ def _solve_family(config, p, n_list):
 
 
 def _print_failures(ctx, records):
-    """One stderr line per failing (step, n) of these records, naming the
-    sample of a universal step; returns how many."""
-    failed = first_failures(records)
+    """One stderr line per failing record, naming the sample of a universal
+    step; returns how many."""
+    failed = failing_records(records)
     for rec in failed:
         sample = f" sample {rec.data['sample']}" if "sample" in rec.data else ""
         print(

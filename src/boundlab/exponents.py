@@ -72,10 +72,6 @@ class ExponentContext:
     A_hat1: Fraction
     A_hat2: Fraction
 
-    def key(self):
-        """Stable identifier used to detect cross-step context mixing."""
-        return f"N={self.N},p={self.p},q={self.q}"
-
 
 def derive_context(N, p, q_override=None):
     """Build the full :class:`ExponentContext` for dimension N and power p.

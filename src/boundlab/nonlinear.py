@@ -4,11 +4,12 @@ A :class:`Nonlinearity` bundles the boundary flux f(x, s), its antiderivative
 F(x, s) and the s-derivative, plus the growth and superlinearity data that
 certify it.  Ground states of the pure-power family are computed by nested
 iteration on the level hierarchy: inverse iteration on the constraint
-manifold on the coarsest level, unscaled through the multiplier, then damped
-Newton on the discrete weak residual on every level, each starting from the
-prolongated solution of the level below.  Newton steps are MINRES solves
-with a matrix-free Jacobian, preconditioned by the level's
-fast-diagonalization inverse (an exact LU on a coarsest level).
+manifold int_bnd w f(x, w) = 1 on the coarsest level, with the flux f as its
+load, unscaled through the multiplier, then damped Newton on the discrete
+weak residual on every level, each starting from the prolongated solution of
+the level below.  Newton steps are MINRES solves with a matrix-free
+Jacobian, preconditioned by the level's fast-diagonalization inverse (an
+exact LU on a coarsest level).
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ class Nonlinearity:
     theta: float
     s0: float
     kind: str = "custom"
-    scale: float = 1.0
 
     @property
     def reads_points(self):
@@ -71,7 +71,8 @@ class Nonlinearity:
 
 
 def make_power_nonlinearity(p, lam_scale=1.0):
-    """Pure power flux f(x, s) = lam * |s|^(p-1) * s with exact growth/AR data.
+    """Pure power flux f(x, s) = lam * |s|^(p-1) * s, with growth constant
+    B0 = lam and exact AR data.
 
     F is written as s*f(s)/(p+1) (the same closed form as |s|^(p+1)*lam/(p+1)),
     which keeps the superlinearity comparison cancellation-free.
@@ -96,9 +97,7 @@ def make_power_nonlinearity(p, lam_scale=1.0):
         s = np.asarray(s, dtype=float)
         return lam * p * np.abs(s) ** (p - 1.0)
 
-    return Nonlinearity(
-        p=p, B0=lam, f=f, F=F, f_s=f_s, theta=theta, s0=0.0, kind="power", scale=lam
-    )
+    return Nonlinearity(p=p, B0=lam, f=f, F=F, f_s=f_s, theta=theta, s0=0.0, kind="power")
 
 
 # -- certification checks -----------------------------------------------------
@@ -214,14 +213,12 @@ _MAX_HALVINGS = 30
 _POLISH_TOL = 1e-13
 
 
-def _residual_vector(space, operator, values, nl):
-    load = space.boundary_load_from_values(space.at_boundary(values, nl.f, nl.reads_points))
-    return operator @ values - load
-
-
-def _relative(operator, r, values):
-    """Norm of the residual r of ``values``, relative to 1 + ||operator values||."""
-    return float(np.linalg.norm(r)) / (1.0 + float(np.linalg.norm(operator @ values)))
+def _residual(space, operator, values, nl):
+    """Weak residual r = operator values - load of ``values``, and its norm
+    relative to 1 + ||operator values||."""
+    a_values = operator @ values
+    r = a_values - space.boundary_load_from_values(space.at_boundary(values, nl.f, nl.reads_points))
+    return r, float(np.linalg.norm(r)) / (1.0 + float(np.linalg.norm(a_values)))
 
 
 def weak_residual(u, nl):
@@ -233,8 +230,7 @@ def weak_residual(u, nl):
     through ``newton_refine`` instead.
     """
     space = fem_space(u.mesh)
-    operator = space.h1_operator()
-    return _relative(operator, _residual_vector(space, operator, u.values, nl), u.values)
+    return _residual(space, space.h1_operator(), u.values, nl)[1]
 
 
 @dataclass(eq=False)
@@ -321,8 +317,8 @@ def newton_refine(u0, nl, tol):
     space = fem_space(u0.mesh)
     operator = space.h1_operator()
     values = u0.values.copy()
-    r = _residual_vector(space, operator, values, nl)
-    history = [_relative(operator, r, values)]
+    r, relative = _residual(space, operator, values, nl)
+    history = [relative]
     it = 0
     while history[-1] > tol:
         if it == _MAX_NEWTON:
@@ -351,7 +347,7 @@ def newton_refine(u0, nl, tol):
         step = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             trial = values + step * delta
-            r_trial = _residual_vector(space, operator, trial, nl)
+            r_trial, relative = _residual(space, operator, trial, nl)
             if float(np.linalg.norm(r_trial)) < r_norm:
                 break
             step *= 0.5
@@ -362,30 +358,30 @@ def newton_refine(u0, nl, tol):
                 values,
                 history,
             )
-        values = trial
-        r = r_trial
-        history.append(_relative(operator, r, values))
+        values, r = trial, r_trial
+        history.append(relative)
     return _outcome(FemFunction(u0.mesh, values), nl, tol, history, it)
 
 
-def _normalized(space, values, p):
-    """values scaled onto the constraint manifold int_bnd |w|^(p+1) = 1."""
-    power = space.at_boundary(values, lambda x, u: np.abs(u) ** (p + 1.0), points=False)
-    mass = space.boundary_integral(power)
-    return values / mass ** (1.0 / (p + 1.0))
+def _normalized(space, values, nl):
+    """values scaled onto the constraint manifold int_bnd w f(x, w) = 1
+    (exactly for a flux that is p-homogeneous in w)."""
+    mass = space.boundary_integral(space.at_boundary(values, lambda x, u: u * nl.f(x, u), nl.reads_points))
+    return values / mass ** (1.0 / (nl.p + 1.0))
 
 
 def _constraint_iteration(space, nl, tol, seed):
     """Stage 1 of a ground-state solve on one level, from a seeded random start.
 
-    Inverse iteration on the constraint manifold: repeatedly solve the linear
-    problem with flux data |w|^(p-1) w and renormalize, until the multiplier
-    mu = a(w, w) stabilizes (relative change <= ``_MULTIPLIER_TOL``, at most
-    ``_MAX_OUTER`` steps; each CG solve to min(1e-10, 0.01 * tol)).  Returns
-    the unscaled u = (mu/lam)^(1/(p-1)) w, which carries the stated flux
-    condition, and the number of iterations.
+    Inverse iteration on the constraint manifold int_bnd w f(x, w) = 1:
+    repeatedly solve the linear problem with flux data f(x, w) and
+    renormalize, until the multiplier mu = a(w, w) stabilizes (relative
+    change <= ``_MULTIPLIER_TOL``, at most ``_MAX_OUTER`` steps; each CG
+    solve to min(1e-10, 0.01 * tol)).  For a p-homogeneous flux the fixed
+    point satisfies a(w, v) = mu int_bnd f(x, w) v, so the returned
+    u = mu^(1/(p-1)) w carries the flux condition itself; the number of
+    iterations is returned with it.
     """
-    p = nl.p
     linear_tol = min(1e-10, 0.01 * tol)
     operator = space.h1_operator()
     precond = space.preconditioner()
@@ -395,21 +391,20 @@ def _constraint_iteration(space, nl, tol, seed):
     # one linear solve to smooth the random start
     load = space.boundary_load_from_values(lambda faces: space.boundary_values(w, faces))
     w, _, _ = _pcg(operator, load, linear_tol, precond)
-    w = _normalized(space, w, p)
+    w = _normalized(space, w, nl)
 
     mu = float(w @ (operator @ w))
     mu_trace = [mu]
     for outer in range(1, _MAX_OUTER + 1):
-        flux = space.at_boundary(w, lambda x, u: np.sign(u) * np.abs(u) ** p, points=False)
-        load = space.boundary_load_from_values(flux)
+        load = space.boundary_load_from_values(space.at_boundary(w, nl.f, nl.reads_points))
         w_new, _, _ = _pcg(operator, load, linear_tol, precond, x0=w)
-        w = _normalized(space, w_new, p)
+        w = _normalized(space, w_new, nl)
         mu_new = float(w @ (operator @ w))
         mu_trace.append(mu_new)
         converged = abs(mu_new - mu) <= _MULTIPLIER_TOL * max(1.0, abs(mu_new))
         mu = mu_new
         if converged:
-            return (mu / nl.scale) ** (1.0 / (p - 1.0)) * w, outer
+            return mu ** (1.0 / (nl.p - 1.0)) * w, outer
     raise StagnationError(
         f"constraint iteration did not stabilize the multiplier in {_MAX_OUTER} steps",
         mu_trace,
@@ -418,7 +413,7 @@ def _constraint_iteration(space, nl, tol, seed):
 
 def _level_ground_state(space, nl, tol, seed):
     """Polished ground state of one level, solved once and kept on its workspace."""
-    key = (nl.p, nl.scale, seed, tol)
+    key = (nl, seed, tol)  # a Nonlinearity hashes by identity
     outcome = space.ground_states.get(key)
     if outcome is None:
         n = space.coarse_n()
@@ -430,7 +425,7 @@ def _level_ground_state(space, nl, tol, seed):
         outcome = newton_refine(FemFunction(space.mesh, values), nl, min(tol, _POLISH_TOL))
         values = outcome.solution.values
         values.flags.writeable = False  # shared by every later solve of this level
-        w = _normalized(space, values, nl.p)
+        w = _normalized(space, values, nl)
         outcome = replace(outcome, multiplier=float(w @ (space.h1_operator() @ w)),
                           outer_iterations=outer, tolerance=tol)
         space.ground_states[key] = outcome
@@ -445,11 +440,11 @@ def solve_ground_state(mesh, nl, tol, seed):
     random start drawn from ``seed`` (the only use of the seed); every finer
     level starts from the prolongated solution of the level below.  Each
     level is polished by damped Newton to residual min(tol, 1e-13), and is
-    solved once per (p, flux scale, seed, tol) and kept on its workspace, so
-    the solves of a sweep over n share their coarse levels.
+    solved once per (flux object, seed, tol) and kept on its workspace, so
+    the solves of a sweep over n with one flux share their coarse levels.
 
     The outcome's ``multiplier`` is a(w, w) of the returned solution scaled
-    onto int_bnd |w|^(p+1) = 1, ``outer_iterations`` counts the coarsest
+    onto int_bnd w f(x, w) = 1, ``outer_iterations`` counts the coarsest
     level's constraint iterations, and ``newton_iterations`` and
     ``residual_history`` are those of mesh's own level.  ``tol`` must be
     finite and positive.

@@ -28,7 +28,7 @@ __all__ = [
     "build_corpus",
     "StepRecord",
     "step_row",
-    "first_failures",
+    "failing_records",
     "branch_label",
     "UniversalReport",
     "universal_suite",
@@ -61,9 +61,9 @@ class Corpus:
         """The full-width norm table under ctx (``_corpus_table``), computed
         once and read by both the universal and the gn suite.  It holds no
         W^{1,m} norm, only the parts the gn suite bounds it by."""
-        if ctx.key() not in self._tables:
-            self._tables[ctx.key()] = _corpus_table(self.mesh, self.values, ctx, self.copies)
-        return self._tables[ctx.key()]
+        if ctx not in self._tables:
+            self._tables[ctx] = _corpus_table(self.mesh, self.values, ctx, self.copies)
+        return self._tables[ctx]
 
 
 def build_corpus(mesh, size, seed, solutions=()):
@@ -133,13 +133,9 @@ def step_row(ctx, step, n, value, verdict, branch):
 _FAILING_VERDICTS = ("fail", "nonfinite")
 
 
-def first_failures(records):
-    """The first failing record of each (step, n), in record order."""
-    first = {}
-    for r in records:
-        if r.verdict in _FAILING_VERDICTS:
-            first.setdefault((r.step, r.n), r)
-    return list(first.values())
+def failing_records(records):
+    """The records whose verdict fails a run, in record order."""
+    return [r for r in records if r.verdict in _FAILING_VERDICTS]
 
 
 def _side(linf):

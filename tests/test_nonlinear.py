@@ -190,6 +190,54 @@ def test_ground_state_scaled_flux(mesh4):
     assert np.allclose(2.0 * scaled.solution.values, base.solution.values, rtol=1e-5)
 
 
+def _weighted_power(p):
+    """lam(x) |s|^(p-1) s with lam(x) = 1 + x_0, between 1 and 2 on the cube."""
+    lam = lambda x: 1.0 + x[..., 0]
+    return Nonlinearity(
+        p=p, B0=2.0,
+        f=lambda x, s: lam(x) * np.sign(s) * np.abs(s) ** p,
+        F=lambda x, s: lam(x) * np.abs(s) ** (p + 1.0) / (p + 1.0),
+        f_s=lambda x, s: lam(x) * p * np.abs(s) ** (p - 1.0),
+        theta=p + 1.0, s0=0.0,
+    )
+
+
+def test_stage1_solves_a_weighted_flux(mesh4):
+    # stage 1 loads and constrains with the flux it is given, so its output
+    # nearly solves the weighted problem, and Newton polishes that start to a
+    # positive solution
+    nl = _weighted_power(2.0)
+    assert nl.reads_points
+    start, _ = nonlinear._constraint_iteration(fem_space(mesh4), nl, 1e-8, 5)
+    start = FemFunction(mesh4, start)
+    assert weak_residual(start, nl) <= 1e-5
+    refined = newton_refine(start, nl, 1e-13)
+    assert refined.positive
+    assert refined.weak_residual <= 1e-13
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 2.5])
+def test_stage1_unscales_through_the_flux(mesh4, p):
+    # u_lam = u_1 / lam^(1/(p-1)) for the flux lam |s|^(p-1) s
+    space = fem_space(mesh4)
+    base, _ = nonlinear._constraint_iteration(space, make_power_nonlinearity(p), 1e-8, 5)
+    scaled, _ = nonlinear._constraint_iteration(space, make_power_nonlinearity(p, lam_scale=2.0), 1e-8, 5)
+    expected = 2.0 ** (-1.0 / (p - 1.0)) * base
+    assert np.max(np.abs(scaled - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_each_flux_object_caches_its_own_ground_state(mesh4):
+    space = fem_space(mesh4)
+    nl, other = make_power_nonlinearity(2.0), make_power_nonlinearity(2.0)
+    first = solve_ground_state(mesh4, nl, 1e-8, seed=5)
+    assert solve_ground_state(mesh4, nl, 1e-8, seed=5) is first
+    assert first.nonlinearity is nl and space.ground_states[(nl, 5, 1e-8)] is first
+    second = solve_ground_state(mesh4, other, 1e-8, seed=5)
+    assert second is not first and second.nonlinearity is other
+    assert space.ground_states[(other, 5, 1e-8)] is second
+    assert second.solution.values.tobytes() == first.solution.values.tobytes()
+
+
 def test_ground_state_requires_power_family(mesh4):
     other = Nonlinearity(
         p=2.0, B0=1.0,
@@ -373,7 +421,7 @@ def test_face_blocks_keep_newton_terms_bitwise(n, block, rng, monkeypatch):
     at_boundary = space.at_boundary(values, nl.f)
     blocked_fq = np.concatenate([at_boundary(faces) for faces in space._face_blocks()])
     assert blocked_fq.tobytes() == fq.tobytes()
-    residual = nonlinear._residual_vector(space, operator, values, nl)
+    residual, _ = nonlinear._residual(space, operator, values, nl)
     assert residual.tobytes() == (operator @ values - load).tobytes()
     blocked = space.boundary_operator_from_values(space.at_boundary(values, nl.f_s))
     for name in ("indptr", "indices", "data"):
@@ -395,7 +443,7 @@ def test_face_blocks_cover_the_boundary_without_one_face_blocks(block, monkeypat
 
 
 def test_newton_boundary_terms_peak_memory_is_bounded(traced_peak):
-    # at the whole-boundary evaluation one _residual_vector call peaked at
+    # at the whole-boundary evaluation one _residual call peaked at
     # 6.3 MB and one _jacobian call at 6.9 MB (n = 32, 12 288 faces x 16
     # points); face blocks measure 1.1 MB and 3.9 MB, the latter mostly the
     # COO triplets and the CSR of the boundary operator
@@ -404,7 +452,7 @@ def test_newton_boundary_terms_peak_memory_is_bounded(traced_peak):
     operator = space.h1_operator()
     values = 0.5 + np.random.default_rng(1).random(space.nv)
     nonlinear._jacobian(space, operator, values, nl)     # scipy loaded outside the trace
-    _, residual_peak = traced_peak(lambda: nonlinear._residual_vector(space, operator, values, nl))
+    _, residual_peak = traced_peak(lambda: nonlinear._residual(space, operator, values, nl))
     _, jacobian_peak = traced_peak(lambda: nonlinear._jacobian(space, operator, values, nl))
     assert residual_peak <= 2 * 2**20
     assert jacobian_peak <= 5 * 2**20
@@ -424,8 +472,8 @@ def test_fluxes_that_read_no_points_are_given_none(rng):
     assert seen[0] is None and np.array_equal(seen[1], space.boundary_points(slice(0, 4)))
     with_points = dataclasses.replace(nl, kind="custom")
     assert with_points.reads_points
-    residual = nonlinear._residual_vector(space, operator, values, nl)
-    assert residual.tobytes() == nonlinear._residual_vector(space, operator, values, with_points).tobytes()
+    residual, _ = nonlinear._residual(space, operator, values, nl)
+    assert residual.tobytes() == nonlinear._residual(space, operator, values, with_points)[0].tobytes()
     jacobian = nonlinear._jacobian(space, operator, values, nl)
     v = rng.standard_normal(space.nv)
     assert (jacobian @ v).tobytes() == (nonlinear._jacobian(space, operator, values, with_points) @ v).tobytes()

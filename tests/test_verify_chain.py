@@ -21,9 +21,11 @@ from boundlab.norms import energy_J, gn_ratios, norm_h1, norm_linf, norm_lp, nor
 from boundlab.verify_chain import (
     CertificationError,
     Corpus,
+    StepRecord,
     _corpus_table,
     build_corpus,
     energy_bound_check,
+    failing_records,
     gn_ratio_suite,
     h1_trace_bound,
     main_estimate_ratio,
@@ -552,3 +554,15 @@ def test_energy_bound_constant_is_sup_over_boundary_points(mesh4):
     assert abs(row["lower_bound"] + 0.4) <= 1e-5 * 0.4
     assert row["bound_verdict"] == "pass"
 
+
+def test_failing_records_keeps_every_failing_record_in_order():
+    records = [
+        StepRecord("boundary_growth", 3.0, 1.0, "fail", n=4, data={"sample": 2}),
+        StepRecord("h1_trace_bound", 1.0, 1.0, "pass", n=4),
+        StepRecord("boundary_growth", 5.0, 1.0, "fail", n=4, data={"sample": 7}),
+        StepRecord("main_estimate", np.inf, 1.0, "nonfinite", n=8),
+        StepRecord("main_estimate", 1.0, 2.0, "finite", n=4),
+        StepRecord("energy_bound", 2.0, 1.0, "fail", n=8),
+    ]
+    assert [id(r) for r in failing_records(records)] == [id(records[i]) for i in (0, 2, 3, 5)]
+    assert failing_records(records[1:2]) == []
