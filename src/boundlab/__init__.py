@@ -9,9 +9,9 @@ algebra, norm equivalences and energy bounds that support it.
 __version__ = "0.1.0"
 
 # Every module is imported here, so that bench/tracer.py, installed right after
-# ``import boundlab.cli``, finds and wraps them all.  None of them imports scipy
-# at module level: the solvers import it on their first call, so commands that
-# solve nothing (mesh-info, exponents) run on numpy alone.
+# ``import boundlab.cli``, finds and wraps them all.  None of them imports scipy:
+# the operators and Krylov solvers are numpy code, so every command runs on
+# numpy alone.
 from .exponents import ExponentContext, critical_exponents, derive_context, check_identities
 from .mesh import Mesh, build_cube_mesh, mesh_integrity, boundary_vertices
 from .assembly import FemFunction, assemble_boundary_load

@@ -5,12 +5,12 @@ boundary load vectors and boundary operators built from values at the
 quadrature points, all with the degree-7 quadrature rules from
 :mod:`boundlab.quadrature`, and a preconditioner per level for solves with
 the H1 operator: the fast-diagonalization (DCT-I) inverse of a
-tensor-product operator, or an exact sparse LU on a coarsest level.  The H1
-operator is a scipy DIA matrix holding its 15 Kuhn-stencil diagonals;
-boundary operators are scipy CSR matrices.  Assembly is sequential with a
-fixed element order, so repeated runs are bit-identical.  scipy is imported
-by the functions that build operators, on their first call, so importing
-this module loads numpy alone.
+tensor-product operator, on every level.  The H1 operator holds its 15
+Kuhn-stencil diagonals and applies them in row blocks; a boundary operator
+holds each boundary vertex's row, on a pattern formed once per level.  Both
+are numpy arrays with a product, so this module, like the whole package,
+runs on numpy alone.  Assembly is sequential with a fixed element order, so
+repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .mesh import _KUHN_CORNERS, _MESHES, face_areas
 from .quadrature import tetrahedron_rule, triangle_rule
@@ -57,7 +58,10 @@ _FACE_BLOCK = 1024
 
 
 def _splu(matrix):
-    """Sparse LU factorization (scipy's ``splu``) of a CSC matrix: its SuperLU object."""
+    """Sparse LU factorization (scipy's ``splu``) of a CSC matrix: its SuperLU
+    object.  No level calls it, since every preconditioner is the
+    fast-diagonalization inverse; the benchmark's ``nonlinear.splu`` metrics
+    name it."""
     from scipy.sparse.linalg import splu
 
     return splu(matrix)
@@ -136,6 +140,75 @@ def _kronecker_inverse(n):
     return solve
 
 
+# rows per block of a stencil product: the block's 15 x 8192 products (960 KiB)
+# stay in a 2 MiB L2 cache, and few blocks keep the Python per product small
+_STENCIL_ROWS = 8192
+
+
+class _Stencil:
+    """The H1 operator of level n as its 15 Kuhn-stencil diagonals.
+
+    ``data[d, i]`` couples row i with column i + ``offsets[d]`` (0.0 where
+    no cell couples them).  The offsets increase: -K + e.(1, s, s^2) for e
+    in {0, 1}^3, then e.(1, s, s^2) for e != 0, with s = n + 1 and
+    K = s^2 + s + 1.  ``nnz`` counts the in-band slots, as scipy's DIA
+    format does.  A product copies x into a buffer kept on the operator,
+    padded with K zeros at each end, so the x values the diagonals read are
+    strided views of it: per block of ``_STENCIL_ROWS`` rows, 4
+    multiplications form the 15 products and one reduction adds them from
+    0.0 in increasing offset order, bitwise scipy's DIA product.
+    """
+
+    def __init__(self, data, offsets, n):
+        s, nv = n + 1, data.shape[1]
+        self.data, self.offsets, self.shape = data, offsets, (nv, nv)
+        self.nnz = int(np.sum(nv - np.abs(offsets)))
+        self._reach = s * s + s + 1
+        self._padded = np.zeros(nv + 2 * self._reach)
+        step = self._padded.strides[0]
+        below, above = (as_strided(self._padded[start:], (2, 2, 2, nv), (step * s * s, step * s, step, step))
+                        for start in (0, self._reach))
+        # (values, x windows, their rows of the products), in increasing offset order
+        self._parts = [(data[:8].reshape(2, 2, 2, nv), below, slice(0, 8)), (data[8], above[0, 0, 1], slice(8, 9)),
+                       (data[9:11], above[0, 1], slice(9, 11)), (data[11:].reshape(2, 2, nv), above[1], slice(11, 15))]
+
+    def __matmul__(self, x):
+        nv = self.shape[0]
+        self._padded[self._reach:self._reach + nv] = x
+        y = np.empty(nv)
+        products = np.empty((15, min(nv, _STENCIL_ROWS)))
+        for start in range(0, nv, _STENCIL_ROWS):
+            rows = slice(start, start + _STENCIL_ROWS)
+            block = products[:, :min(nv - start, _STENCIL_ROWS)]
+            for values, windows, part in self._parts:
+                np.multiply(values[..., rows], windows[..., rows], out=block[part].reshape(values[..., rows].shape))
+            np.add.reduce(block, axis=0, initial=0.0, out=y[rows])
+        return y
+
+
+class _FaceOperator:
+    """A boundary operator, row by boundary vertex: row ``vertices[b]`` holds
+    ``values[w, b]`` in column ``columns[w, b]``, w = 0, 1, ... in
+    increasing column order.  Slots past a row's last coupling hold 0.0 in
+    the row's own column."""
+
+    def __init__(self, nv, vertices, columns, values):
+        self.shape = (nv, nv)
+        self.vertices, self.columns, self.values = vertices, columns, values
+
+    def boundary_rows(self, x):
+        """The product's rows at ``vertices``, each summed from 0.0 in column
+        order, as a CSR row of the same couplings sums them."""
+        products = x.take(self.columns)
+        products *= self.values
+        return np.add.reduce(products, axis=0, initial=0.0)
+
+    def __matmul__(self, x):
+        y = np.zeros(self.shape[0])
+        y[self.vertices] = self.boundary_rows(x)
+        return y
+
+
 class _FemSpace:
     """Cached geometry, quadrature and operators for one build_cube_mesh level.
 
@@ -170,6 +243,7 @@ class _FemSpace:
 
         self._h1 = None
         self._preconditioner = None
+        self._face_pattern = None
         # polished ground states of this level, keyed by nonlinear.solve_ground_state
         self.ground_states = {}
 
@@ -180,23 +254,19 @@ class _FemSpace:
 
         Entry (k, i, j) couples row v = cell + corner i with column
         v + corner j - corner i, an offset that is the same in every cell.  So
-        the operator is a sum of 15 offset diagonals, stored as scipy DIA in
-        increasing offset order: each entry adds one constant to the n^3 block
-        of its diagonal where corner j of a cell lies (DIA indexes a diagonal
-        by column).  Slots no cell couples hold 0.0, so products are bitwise
-        those of the CSR holding the same couplings.
+        the operator is a sum of 15 offset diagonals, in increasing offset
+        order: each entry adds one constant to the n^3 block of its diagonal
+        where corner i of a cell lies.
         """
-        from scipy import sparse
-
         n, nv = self.mesh.n, self.nv
         s = n + 1
         corners = _KUHN_CORNERS @ np.array([1, s, s * s])                  # (6, 4)
         offsets, diagonal = np.unique(corners[:, None, :] - corners[:, :, None], return_inverse=True)
         data = np.zeros((offsets.size, s, s, s))
         for (k, i, j), d in np.ndenumerate(diagonal.reshape(6, 4, 4)):
-            x, y, z = _KUHN_CORNERS[k, j]
+            x, y, z = _KUHN_CORNERS[k, i]
             data[d, z:z + n, y:y + n, x:x + n] += shape_matrices[k, i, j]
-        return sparse.dia_matrix((data.reshape(offsets.size, nv), offsets), shape=(nv, nv))
+        return _Stencil(data.reshape(offsets.size, nv), offsets, n)
 
     def h1_operator(self):
         """Stiffness + mass operator of the H1 inner product, exact for P1."""
@@ -216,23 +286,12 @@ class _FemSpace:
         return n // 2 if n % 2 == 0 and n > 2 else None
 
     def preconditioner(self):
-        """An SPD approximate inverse of the H1 operator, cached on the level.
-
-        A level with a coarser level applies the fast-diagonalization inverse
-        of ``_kronecker_inverse``, which takes about 10 CG iterations at every
-        n.  A coarsest level (n <= 2 or odd) is solved exactly by a sparse LU,
-        factored once, so at an odd finest n (5, 25, ...) CG takes one
-        iteration.  Returned as a LinearOperator, the ``M`` of scipy's Krylov
-        solvers.
-        """
+        """An SPD approximate inverse of the H1 operator, cached on the level:
+        the fast-diagonalization inverse of ``_kronecker_inverse``, which takes
+        about 10 CG iterations at every n, coarsest and odd levels included.
+        A function of a nodal vector."""
         if self._preconditioner is None:
-            from scipy.sparse.linalg import LinearOperator
-
-            if self.coarse_n() is None:
-                solve = _splu(self.h1_operator().tocsc()).solve
-            else:
-                solve = _kronecker_inverse(self.mesh.n)
-            self._preconditioner = LinearOperator((self.nv, self.nv), matvec=solve, dtype=float)
+            self._preconditioner = _kronecker_inverse(self.mesh.n)
         return self._preconditioner
 
     # -- evaluation at quadrature points ------------------------------------
@@ -329,18 +388,33 @@ class _FemSpace:
             np.einsum("fq,qi->fi", weighted, self.bnd_basis, out=contrib[faces])
         return np.bincount(self.mesh.boundary_faces.ravel(), weights=contrib.ravel(), minlength=self.nv)
 
-    def boundary_operator_from_values(self, point_values):
-        from scipy import sparse
+    def _boundary_pattern(self):
+        """The pattern of every boundary operator of the level, formed once:
+        the boundary vertices in increasing order, the (width, vertices)
+        columns of their rows, and the slot (w * vertices + b) of ``values``
+        into which each face entry (face, i, j) adds."""
+        if self._face_pattern is None:
+            faces = self.mesh.boundary_faces
+            vertices, local = np.unique(faces, return_inverse=True)
+            nb, local = vertices.size, local.reshape(faces.shape)
+            pairs, entry_pair = np.unique(local[:, :, None] * nb + local[:, None, :], return_inverse=True)
+            rows, cols = np.divmod(pairs, nb)
+            place = np.arange(pairs.size) - np.searchsorted(rows, rows)     # rank within the row
+            columns = np.tile(vertices, (place.max() + 1, 1))
+            columns[place, rows] = vertices[cols]
+            self._face_pattern = vertices, columns, (place * nb + rows)[entry_pair.ravel()]
+        return self._face_pattern
 
+    def boundary_operator_from_values(self, point_values):
+        """The boundary operator of a field: entry (a, b) is the quadrature
+        integral of the field times b_a b_b.  Each slot sums its face entries
+        in face order, so the operator is exactly symmetric."""
+        vertices, columns, slots = self._boundary_pattern()
         entries = np.empty((len(self.face_areas), 3, 3))
         for faces, weighted in self._weighted_blocks(point_values):
             np.einsum("fq,qij->fij", weighted, self.bnd_basis_pairs, out=entries[faces])
-        rows = np.broadcast_to(self.mesh.boundary_faces[:, :, None], entries.shape)
-        cols = np.broadcast_to(self.mesh.boundary_faces[:, None, :], entries.shape)
-        mat = sparse.coo_matrix(
-            (entries.ravel(), (rows.ravel(), cols.ravel())), shape=(self.nv, self.nv)
-        )
-        return mat.tocsr()
+        values = np.bincount(slots, weights=entries.ravel(), minlength=columns.size)
+        return _FaceOperator(self.nv, vertices, columns, values.reshape(columns.shape))
 
 
 _SPACE_CACHE = weakref.WeakKeyDictionary()

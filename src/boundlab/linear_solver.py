@@ -1,19 +1,21 @@
 """Discrete solution operator for the linear flux-data problem.
 
 ``solve_neumann`` inverts the H1 operator against a boundary load with
-scipy's conjugate gradients, preconditioned by the level's
-``preconditioner()``: a fast-diagonalization inverse of a tensor-product
-operator, or an exact LU on a coarsest level (the operator is SPD because of
-the mass term, so the solve is unconditionally well posed; the iteration
-count does not grow with n).  On top of it sit a manufactured-solution
-convergence study and an empirical suite that tracks the regularity ratios
-||v||_{W^{1,m}} / ||h||_{L^q(bnd)} across refinements.
+conjugate gradients, preconditioned by the level's ``preconditioner()``, a
+fast-diagonalization inverse of a tensor-product operator (the operator is
+SPD because of the mass term, so the solve is unconditionally well posed;
+the iteration count does not grow with n).  The Krylov solvers ``_cg`` and
+``_minres`` are ports of scipy's, so the package runs on numpy alone.  On
+top of them sit a manufactured-solution convergence study and an empirical
+suite that tracks the regularity ratios ||v||_{W^{1,m}} / ||h||_{L^q(bnd)}
+across refinements.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
@@ -51,21 +53,183 @@ class LinearSolveResult:
     tolerance: float
 
 
-def _pcg(matrix, rhs, tol, precond, x0=None, maxiter=None):
-    """Preconditioned CG (scipy's ``cg``), stopping on CG's recurrence residual <= tol.
+def _cg(matvec, b, x0=None, *, rtol, maxiter=None, psolve, callback=None):
+    """Preconditioned conjugate gradients (Hestenes & Stiefel, 1952) for an
+    SPD ``matvec`` with an SPD ``psolve``, both functions of a vector.
 
-    ``precond`` is an SPD LinearOperator approximating the inverse of
-    ``matrix``: the level's ``fem_space(mesh).preconditioner()``.
+    A line-for-line port of scipy 1.17's ``scipy.sparse.linalg.cg`` at
+    atol 0, without its input checks, so its iterates are bitwise scipy's
+    (scipy: BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc. 2003,
+    SciPy Developers).  Stops when CG's recurrence residual is below
+    ``rtol * ||b||``.  Returns ``(x, info)``: info is 0 on convergence, else
+    ``maxiter`` (default 10 * len(b)); x is b itself for a zero b.
+    """
+    x = np.zeros(len(b)) if x0 is None else np.array(x0, dtype=float)
+    bnrm2 = np.linalg.norm(b)
+    atol = float(rtol) * float(bnrm2)
+    if bnrm2 == 0:
+        return b, 0
+    if maxiter is None:
+        maxiter = len(b) * 10
+    r = b - matvec(x) if x.any() else b.copy()
+    rho_prev, p = None, None
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        z = psolve(r)
+        rho_cur = np.dot(r, z)
+        if iteration > 0:
+            beta = rho_cur / rho_prev
+            p *= beta
+            p += z
+        else:
+            p = z.copy()
+        q = matvec(p)
+        alpha = rho_cur / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho_cur
+        if callback:
+            callback(x)
+    return x, maxiter
+
+
+def _minres(matvec, b, x0=None, *, rtol, maxiter=None, psolve, callback=None):
+    """MINRES (Paige & Saunders, SIAM J. Numer. Anal. 12, 1975) for a
+    symmetric, possibly indefinite ``matvec`` with an SPD ``psolve``, both
+    functions of a vector.
+
+    A line-for-line port of scipy 1.17's ``scipy.sparse.linalg.minres`` at
+    shift 0, without its input checks, printing and message table, so its
+    iterates are bitwise scipy's (scipy: BSD-3-Clause, Copyright (c)
+    2001-2002 Enthought, Inc. 2003, SciPy Developers).  Returns
+    ``(x, info)``: info is ``maxiter`` (default 5 * len(b)) when the
+    iteration limit stopped it, else 0.
+    """
+    x = np.zeros(len(b)) if x0 is None else np.array(x0, dtype=float)
+    n = len(b)
+    if maxiter is None:
+        maxiter = 5 * n
+    istop = 0
+    itn = 0
+    eps = np.finfo(float).eps
+
+    r1 = b.copy() if x0 is None else b - matvec(x)
+    y = psolve(r1)
+    beta1 = np.inner(r1, y)
+    if beta1 < 0:
+        raise ValueError("indefinite preconditioner")
+    elif beta1 == 0:
+        return x, 0
+    if np.linalg.norm(b) == 0:
+        return b, 0
+    beta1 = sqrt(beta1)
+
+    oldb = 0
+    beta = beta1
+    dbar = 0
+    epsln = 0
+    phibar = beta1
+    rhs1 = beta1
+    rhs2 = 0
+    tnorm2 = 0
+    gmax = 0
+    gmin = np.finfo(float).max
+    cs = -1
+    sn = 0
+    w = np.zeros(n)
+    w2 = np.zeros(n)
+    r2 = r1
+
+    while itn < maxiter:
+        itn += 1
+        s = 1.0 / beta
+        v = s * y
+        y = matvec(v)
+        if itn >= 2:
+            y = y - (beta / oldb) * r1
+        alfa = np.inner(v, y)
+        y = y - (alfa / beta) * r2
+        r1 = r2
+        r2 = y
+        y = psolve(r2)
+        oldb = beta
+        beta = np.inner(r2, y)
+        if beta < 0:
+            raise ValueError("non-symmetric matrix")
+        beta = sqrt(beta)
+        tnorm2 += alfa**2 + oldb**2 + beta**2
+        if itn == 1 and beta / beta1 <= 10 * eps:
+            istop = -1
+
+        # apply the previous rotation, then compute the next one
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = np.linalg.norm([gbar, dbar])
+        gamma = max(np.linalg.norm([gbar, beta]), eps)
+        cs = gbar / gamma
+        sn = beta / gamma
+        phi = cs * phibar
+        phibar = sn * phibar
+
+        denom = 1.0 / gamma
+        w1 = w2
+        w2 = w
+        w = (v - oldeps * w1 - delta * w2) * denom
+        x = x + phi * w
+
+        gmax = max(gmax, gamma)
+        gmin = min(gmin, gamma)
+        z = rhs1 / gamma
+        rhs1 = rhs2 - delta * z
+        rhs2 = -epsln * z
+
+        # estimate the norms and test for convergence
+        Anorm = sqrt(tnorm2)
+        ynorm = np.linalg.norm(x)
+        epsx = Anorm * ynorm * eps
+        rnorm = phibar
+        test1 = math.inf if ynorm == 0 or Anorm == 0 else rnorm / (Anorm * ynorm)
+        test2 = math.inf if Anorm == 0 else root / Anorm
+        Acond = gmax / gmin
+        if istop == 0:
+            if 1 + test2 <= 1:
+                istop = 2
+            if 1 + test1 <= 1:
+                istop = 1
+            if itn >= maxiter:
+                istop = 6
+            if Acond >= 0.1 / eps:
+                istop = 4
+            if epsx >= beta1:
+                istop = 3
+            if test2 <= rtol:
+                istop = 2
+            if test1 <= rtol:
+                istop = 1
+        if callback is not None:
+            callback(x)
+        if istop != 0:
+            break
+    return x, maxiter if istop == 6 else 0
+
+
+def _pcg(matrix, rhs, tol, precond, x0=None, maxiter=None):
+    """Preconditioned CG (``_cg``), stopping on CG's recurrence residual <= tol.
+
+    ``precond`` is an SPD approximate inverse of ``matrix``, a function of a
+    vector: the level's ``fem_space(mesh).preconditioner()``.
     Returns ``(x, iterations, residual)``, where ``residual`` is the true
     relative residual ||rhs - matrix x|| / ||rhs|| of the returned x (0.0 for
     a zero rhs), which rounding can leave above ``tol``: a caller that
     certifies x checks it.  Raises :class:`NonconvergenceError` after
-    ``maxiter`` iterations (scipy's default: 10 * dimension).
+    ``maxiter`` iterations (default 10 * dimension).
     """
-    from scipy.sparse.linalg import cg
-
     steps = []
-    x, info = cg(matrix, rhs, x0=x0, rtol=tol, maxiter=maxiter, M=precond, callback=steps.append)
+    x, info = _cg(matrix.__matmul__, rhs, x0, rtol=tol, maxiter=maxiter, psolve=precond, callback=steps.append)
     rhs_norm = float(np.linalg.norm(rhs))
     res = float(np.linalg.norm(rhs - matrix @ x)) / rhs_norm if rhs_norm else 0.0
     if info != 0:

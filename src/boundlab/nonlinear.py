@@ -8,8 +8,7 @@ manifold int_bnd w f(x, w) = 1 on the coarsest level, with the flux f as its
 load, unscaled through the multiplier, then damped Newton on the discrete
 weak residual on every level, each starting from the prolongated solution of
 the level below.  Newton steps are MINRES solves with a matrix-free
-Jacobian, preconditioned by the level's fast-diagonalization inverse (an
-exact LU on a coarsest level).
+Jacobian, preconditioned by the level's fast-diagonalization inverse.
 """
 
 from __future__ import annotations
@@ -19,11 +18,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .assembly import FemFunction, _prolong, fem_space
-# splu is not called here: binding assembly's _splu (which imports scipy's splu
-# on its first call) under this name lets bench/tracer.py's nonlinear.splu
-# wrapper reach the coarsest level's factorization, the preconditioner there
+# splu is never called: no level factors its operator, since every level's
+# preconditioner is the fast-diagonalization inverse.  The binding stays because
+# the benchmark's nonlinear.splu metrics (which read 0) still name it.
 from .assembly import _splu as splu  # noqa: F401
-from .linear_solver import _check_tol, _pcg
+from .linear_solver import _check_tol, _minres, _pcg
 from .mesh import build_cube_mesh
 
 __all__ = [
@@ -288,16 +287,22 @@ def certify_solution(u, nl, tol):
 
 
 def _jacobian(space, operator, values, nl):
-    """Newton Jacobian (H1 operator - boundary jacobian of f_s) at values, matrix-free.
+    """Newton Jacobian (H1 operator - boundary jacobian of f_s) at values, as
+    a function of a vector.
 
-    Only the boundary part, an O(n^2) CSR assembled block by block of faces,
-    is formed; a product is ``operator @ v - boundary @ v``, so no CSR of the
-    H1 operator's size is formed per Newton step.
+    Only the boundary part, an O(n^2) operator filled block by block of faces
+    on the level's pattern, is formed; a product is ``operator @ v`` less the
+    boundary part's rows, so no matrix of the H1 operator's size is formed
+    per Newton step.
     """
-    from scipy.sparse.linalg import LinearOperator
-
     boundary = space.boundary_operator_from_values(space.at_boundary(values, nl.f_s, nl.reads_points))
-    return LinearOperator(operator.shape, matvec=lambda v: operator @ v - boundary @ v, dtype=float)
+
+    def product(v):
+        y = operator @ v
+        y[boundary.vertices] -= boundary.boundary_rows(v)
+        return y
+
+    return product
 
 
 def newton_refine(u0, nl, tol):
@@ -312,8 +317,6 @@ def newton_refine(u0, nl, tol):
     :class:`SolverDivergence` when MINRES stops short of its tolerance,
     damping stalls, or ``_MAX_NEWTON`` steps do not reach tol.
     """
-    from scipy.sparse.linalg import minres
-
     space = fem_space(u0.mesh)
     operator = space.h1_operator()
     values = u0.values.copy()
@@ -330,12 +333,12 @@ def newton_refine(u0, nl, tol):
         it += 1
         jac = _jacobian(space, operator, values, nl)
         steps = []
-        delta, info = minres(
-            jac, -r, M=space.preconditioner(), rtol=min(1e-10, 0.1 * history[-1]),
+        delta, info = _minres(
+            jac, -r, rtol=min(1e-10, 0.1 * history[-1]), psolve=space.preconditioner(),
             callback=steps.append,
         )
         if info != 0:
-            inner = float(np.linalg.norm(jac @ delta + r)) / float(np.linalg.norm(r))
+            inner = float(np.linalg.norm(jac(delta) + r)) / float(np.linalg.norm(r))
             raise SolverDivergence(
                 f"Newton step {it}: MINRES stopped after {len(steps)} iterations "
                 f"at relative residual {inner:.3e}",

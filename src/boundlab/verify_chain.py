@@ -384,7 +384,7 @@ def main_estimate_ratio(outcome, ctx):
     """Observed constants of the main estimate for one certified solution.
 
     Records rho = ||u||_inf / (1 + ||u||_H1)^A and the split form
-    rho_hat = ||u||_inf / ((1 + ||u||_{trace})^A1 (1 + ||u||_{volume})^A2);
+    rho_hat = ||u||_inf / ((1 + ||u||_{trace}^A1) (1 + ||u||_{volume}^A2));
     across a family of solutions the running max of rho is the fitted
     constant.
     """

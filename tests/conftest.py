@@ -2,8 +2,26 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from boundlab import build_cube_mesh, make_power_nonlinearity, solve_ground_state
+from boundlab.assembly import _FaceOperator, _Stencil
+
+
+def to_scipy(op):
+    """A package operator as the scipy matrix holding the same entries, for
+    tests with scipy as the oracle: the H1 stencil as a DIA matrix (its
+    diagonals in the same order) and a boundary operator as a CSR matrix
+    (its padding slots, 0.0 in a row's own column, add nothing)."""
+    if isinstance(op, _Stencil):
+        nv = op.shape[0]
+        data = np.zeros_like(op.data)
+        for d, k in enumerate(op.offsets.tolist()):
+            data[d, max(0, k):nv + min(0, k)] = op.data[d, max(0, -k):nv - max(0, k)]
+        return sparse.dia_matrix((data, op.offsets), shape=op.shape)
+    assert isinstance(op, _FaceOperator), type(op)
+    rows = np.broadcast_to(op.vertices, op.columns.shape)
+    return sparse.csr_matrix((op.values.ravel(), (rows.ravel(), op.columns.ravel())), shape=op.shape)
 
 
 def whole_boundary(space):

@@ -9,7 +9,7 @@ from boundlab import assembly
 from boundlab import mesh as mesh_module
 from boundlab.assembly import FemFunction, assemble_boundary_load, fem_space
 from boundlab.mesh import Mesh, boundary_vertices, build_cube_mesh, signed_volumes
-from conftest import whole_boundary
+from conftest import to_scipy, whole_boundary
 
 
 def constant_field(value):
@@ -45,7 +45,7 @@ def test_mass_entries_total_volume(mesh4):
 
 
 def test_operator_exactly_symmetric(mesh4):
-    op = fem_space(mesh4).h1_operator()
+    op = to_scipy(fem_space(mesh4).h1_operator())
     assert (op != op.T).nnz == 0
 
 
@@ -100,16 +100,16 @@ def boundary_operator(mesh, w):
 
 def test_boundary_jacobian_totals(mesh4):
     op = boundary_operator(mesh4, constant_field(1.0))
-    assert abs(op.sum() - 6.0) < 1e-12
+    assert abs(to_scipy(op).sum() - 6.0) < 1e-12
     one = np.ones(mesh4.num_vertices)
     assert abs(float(one @ (op @ one)) - 6.0) < 1e-12
-    zero = boundary_operator(mesh4, constant_field(0.0))
+    zero = to_scipy(boundary_operator(mesh4, constant_field(0.0)))
     assert zero.nnz == 0 or np.all(zero.data == 0.0)
 
 
 def test_boundary_jacobian_symmetric(mesh4, rng):
     w = lambda pts, normals: 1.0 + pts[..., 0] * pts[..., 1]
-    op = boundary_operator(mesh4, w)
+    op = to_scipy(boundary_operator(mesh4, w))
     assert (op != op.T).nnz == 0
     # interior vertices carry no boundary entries
     interior = np.setdiff1d(
@@ -149,9 +149,9 @@ def test_fem_function_validation(mesh2):
 
 
 def test_assembly_deterministic(mesh4):
-    a = fem_space(mesh4).h1_operator()
+    a = to_scipy(fem_space(mesh4).h1_operator())
     fresh = build_cube_mesh(4)
-    b = fem_space(fresh).h1_operator()
+    b = to_scipy(fem_space(fresh).h1_operator())
     assert (a != b).nnz == 0
 
 
@@ -187,7 +187,7 @@ def test_closed_form_geometry_matches_per_tet_reference(n, rng):
     assert np.abs(shapes - grads).max() <= 1e-12 * np.abs(grads).max()
     assert np.abs(signed_volumes(mesh.vertices, mesh.tets[:]) - space.tet_volume).max() <= 1e-12 * space.tet_volume
     assert np.abs(vols - space.tet_volume).max() <= 1e-12 * space.tet_volume
-    matrix = space.h1_operator().tocsr()
+    matrix = to_scipy(space.h1_operator()).tocsr()
     assert np.array_equal(matrix.indptr, reference.indptr)
     assert np.array_equal(matrix.indices, reference.indices)
     assert np.all(np.abs(matrix.data - reference.data) <= 1e-13 * np.abs(reference.data))
@@ -230,8 +230,9 @@ def test_h1_operator_peak_memory_is_bounded(monkeypatch, traced_peak):
     matrix, peak = traced_peak(lambda: fem_space(mesh).h1_operator())
     stored = matrix.data.nbytes + matrix.offsets.nbytes
     assert peak <= 6 * stored
-    # the operator alone, on a fresh workspace with scipy.sparse loaded: its
-    # diagonals are filled in place, so the build peak is about what it stores
+    # the operator alone, on a fresh workspace: its diagonals are filled in
+    # place, so the build peak is about what it stores (its product's padded
+    # copy of x adds 1/15 of it)
     space = assembly._FemSpace(mesh)
     matrix, peak = traced_peak(space.h1_operator)
     assert peak <= 1.5 * stored
@@ -239,7 +240,7 @@ def test_h1_operator_peak_memory_is_bounded(monkeypatch, traced_peak):
 
 def test_h1_operator_is_the_kuhn_stencil(mesh4):
     matrix = fem_space(mesh4).h1_operator()
-    assert isinstance(matrix, sparse.dia_matrix)
+    assert isinstance(matrix, assembly._Stencil)
     assert matrix.offsets.size == 15
     assert np.all(np.diff(matrix.offsets) > 0)
     assert matrix.data.shape == (15, mesh4.num_vertices)
@@ -250,11 +251,62 @@ def test_h1_products_match_csr_bitwise(n, rng):
     # the diagonals are added in increasing offset order, the column order of
     # a CSR row, and the slots no cell couples hold 0.0
     matrix = fem_space(build_cube_mesh(n)).h1_operator()
-    csr = matrix.tocsr()
+    csr = to_scipy(matrix).tocsr()
     for _ in range(3):
         x = rng.standard_normal(matrix.shape[0])
         assert np.array_equal(matrix @ x, csr @ x)
-    assert np.array_equal(matrix.diagonal(), csr.diagonal())
+    assert np.array_equal(matrix.data[matrix.offsets == 0][0], csr.diagonal())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 24])
+def test_stencil_products_are_scipy_dia_products_bitwise(n, rng, monkeypatch):
+    # n = 24 spans two row blocks, and blocks of 100 rows put block ends
+    # inside every band; signed zeros and a zero vector keep their bits too
+    matrix = fem_space(build_cube_mesh(n)).h1_operator()
+    dia = to_scipy(matrix)
+    assert matrix.nnz == dia.nnz
+    nv = matrix.shape[0]
+    signed_zeros = np.where(rng.random(nv) < 0.5, -0.0, 0.0)
+    vectors = [rng.standard_normal(nv), np.exp(30.0 * rng.standard_normal(nv)) * rng.standard_normal(nv),
+               np.zeros(nv), signed_zeros, np.where(rng.random(nv) < 0.5, signed_zeros, 1.0)]
+    for block in (assembly._STENCIL_ROWS, 100):
+        monkeypatch.setattr(assembly, "_STENCIL_ROWS", block)
+        for x in vectors:
+            assert (matrix @ x).tobytes() == (dia @ x).tobytes()
+
+
+def test_face_pattern_is_formed_once_per_level(mesh4):
+    space = fem_space(mesh4)
+    first = boundary_operator(mesh4, constant_field(1.0))
+    second = boundary_operator(mesh4, constant_field(2.0))
+    assert first.columns is second.columns and first.vertices is second.vertices
+    assert np.array_equal(first.vertices, boundary_vertices(mesh4))
+    assert space._boundary_pattern() is space._boundary_pattern()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_face_operator_matches_the_coo_csr_assembly(n, rng):
+    # the operator as it was assembled before its pattern was kept on the
+    # level: face entries summed by a COO -> CSR conversion, whose sums may
+    # add a pair's faces in another order
+    space = fem_space(build_cube_mesh(n))
+    points, weights, normals = whole_boundary(space)
+    field = 1.0 + points[..., 0] * np.cos(points[..., 1]) - points[..., 2] ** 2
+    op = space.boundary_operator_from_values(field)
+    matrix = to_scipy(op)
+    assert (matrix != matrix.T).nnz == 0
+    faces = space.mesh.boundary_faces
+    entries = np.einsum("fq,qij->fij", weights * field, space.bnd_basis_pairs)
+    rows = np.broadcast_to(faces[:, :, None], entries.shape).ravel()
+    cols = np.broadcast_to(faces[:, None, :], entries.shape).ravel()
+    old = sparse.coo_matrix((entries.ravel(), (rows, cols)), shape=op.shape).tocsr()
+    assert np.array_equal(matrix.indptr, old.indptr) and np.array_equal(matrix.indices, old.indices)
+    assert np.abs(matrix.data - old.data).max() <= 1e-15 * np.abs(old.data).max()
+    for x in rng.standard_normal((3, space.nv)):
+        want = old @ x
+        assert np.linalg.norm(op @ x - want) <= 1e-15 * np.linalg.norm(want)
+        # the product sums each row from 0.0 in column order, as scipy's CSR product does
+        assert (op @ x).tobytes() == (matrix @ x).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])

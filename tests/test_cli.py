@@ -54,37 +54,45 @@ def test_mesh_info(tmp_path, capsys):
 
 
 # run in a fresh interpreter: prints the package layers loaded by the import,
-# the two commands' statuses, the scipy modules loaded after them, and then
-# sweep's status and whether it loaded scipy.fft
+# the statuses of every command run, and the scipy modules loaded after them
 _NUMPY_ONLY_COMMANDS = """
 import json, sys
 import boundlab.cli as cli
 layers = sorted(name for name in sys.modules if name.startswith("boundlab."))
-statuses = [cli.main(["mesh-info", "--n", "2"]), cli.main(["exponents", "--p", "2"])]
+out = sys.argv[1]
+statuses = [cli.main(argv) for argv in (
+    ["mesh-info", "--n", "2"],
+    ["exponents", "--p", "2"],
+    ["verify", "--suite", "chain", "--n", "2,4", "--samples", "4", "--seed", "7",
+     "--output", out + "/chain.json"],
+    ["verify", "--suite", "regularity", "--n", "4", "--samples", "4", "--seed", "7",
+     "--output", out + "/regularity.json"],
+    ["sweep", "--p", "2", "--n", "3,4,8", "--seed", "1", "--output", out + "/sweep.json"],
+    ["solve-nonlinear", "--p", "2", "--n", "4", "--seed", "11", "--output", out + "/ground.json"],
+    ["solve-linear", "--n", "2,4", "--output", out + "/linear.json"],
+)]
 scipy_modules = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
-sweep = cli.main(["sweep", "--p", "2", "--n", "4,8", "--seed", "1", "--output", sys.argv[1]])
-print(json.dumps({"layers": layers, "statuses": statuses, "scipy": scipy_modules,
-                  "sweep": sweep, "fft": "scipy.fft" in sys.modules}))
+print(json.dumps({"layers": layers, "statuses": statuses, "scipy": scipy_modules}))
 """
 
 
 def test_numpy_only_commands_load_no_scipy(tmp_path, monkeypatch):
     # the benchmark tracer wraps the boundlab modules loaded by `import boundlab.cli`,
-    # so all its layers load there; mesh-info and exponents then need no scipy.
-    # The preconditioner's DCT is numpy's FFT, loaded with scipy.sparse, so a
-    # sweep loads no scipy.fft either (importing it adds 4.8 MB to each run's peak)
+    # so all its layers load there.  The operators, the preconditioner (the DCT-I as
+    # dense matrix products) and the Krylov solvers are numpy code, so no command
+    # loads any scipy module: importing scipy.sparse.linalg alone takes about
+    # 0.2 s and 25 MB
     root = Path(__file__).resolve().parents[1]
     monkeypatch.syspath_prepend(str(root / "bench"))
     from tracer import LAYERS
 
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", _NUMPY_ONLY_COMMANDS, str(tmp_path / "sweep.json")],
+    run = subprocess.run([sys.executable, "-c", _NUMPY_ONLY_COMMANDS, str(tmp_path)],
                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True)
     loaded = json.loads(run.stdout.splitlines()[-1])
     assert {f"boundlab.{layer}" for layer in LAYERS} <= set(loaded["layers"])
-    assert loaded["statuses"] == [0, 0]
+    assert loaded["statuses"] == [0] * 7
     assert loaded["scipy"] == []
-    assert (loaded["sweep"], loaded["fft"]) == (0, False)
 
 
 def test_solve_linear_orders(tmp_path, capsys):

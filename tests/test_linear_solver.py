@@ -4,15 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import LinearOperator, cg, minres, spsolve
 
-from boundlab import linear_solver
+from boundlab import linear_solver, nonlinear
 from boundlab.assembly import _kronecker_inverse, _prolong, assemble_boundary_load, fem_space
 from boundlab.exponents import derive_context
 from boundlab.linear_solver import (
     MANUFACTURED_CASES,
     SMOOTH_FIELDS,
     NonconvergenceError,
+    _cg,
+    _minres,
     _pcg,
     manufactured_convergence,
     regularity_ratio_suite,
@@ -21,7 +23,7 @@ from boundlab.linear_solver import (
 )
 from boundlab.mesh import build_cube_mesh
 from boundlab.norms import norm_linf, norm_lp_boundary_field, norm_w1m
-from conftest import whole_boundary
+from conftest import to_scipy, whole_boundary
 
 
 def zero_field(pts, normals):
@@ -64,7 +66,7 @@ def test_pcg_reports_true_residual(mesh8):
 
 def test_pcg_exact_start_and_zero_rhs_take_no_iterations(mesh8):
     matrix, rhs, precond = _pcg_system(mesh8)
-    exact = spsolve(matrix.tocsc(), rhs)
+    exact = spsolve(to_scipy(matrix).tocsc(), rhs)
     x, iterations, res = _pcg(matrix, rhs, 1e-10, precond, x0=exact)
     assert iterations == 0
     assert np.array_equal(x, exact)
@@ -297,7 +299,7 @@ def test_prolongation_gives_coarse_operator(n):
     # (the closed-form prolongation and the CSR's transpose applied to every
     # coarse basis vector)
     fine = fem_space(build_cube_mesh(2 * n)).h1_operator()
-    coarse = fem_space(build_cube_mesh(n)).h1_operator().toarray()
+    coarse = to_scipy(fem_space(build_cube_mesh(n)).h1_operator()).toarray()
     restrict = _prolongation(n).T.tocsr()
     galerkin = np.column_stack([restrict @ (fine @ _prolong(e, n)) for e in np.eye((n + 1) ** 3)])
     assert np.abs(galerkin - coarse).max() <= 1e-13 * np.abs(coarse).max()
@@ -326,7 +328,7 @@ def _kronecker_operator(n):
             + kron3(mass, mass, stiffness) + kron3(mass, mass, mass))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_kronecker_inverse_equals_dense_inverse(n):
     solve = _kronecker_inverse(n)
     inverse = np.column_stack([solve(e) for e in np.eye((n + 1) ** 3)])
@@ -334,13 +336,13 @@ def test_kronecker_inverse_equals_dense_inverse(n):
     assert np.abs(inverse - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
-@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize("n", [1, 3, 8])
 def test_preconditioner_symmetric_positive(n, rng):
-    # n = 3 is a coarsest level (sparse LU), n = 8 applies the DCT inverse
+    # every level applies the DCT inverse, coarsest (1, 3) and odd ones included
     precond = fem_space(build_cube_mesh(n)).preconditioner()
     for _ in range(5):
         x, y = rng.standard_normal((2, (n + 1) ** 3))
-        mx, my = precond.matvec(x), precond.matvec(y)
+        mx, my = precond(x), precond(y)
         assert abs(mx @ y - x @ my) <= 1e-12 * np.linalg.norm(mx) * np.linalg.norm(y)
         assert mx @ x > 0.0
 
@@ -360,11 +362,12 @@ def test_kronecker_inverse_commutes_with_cube_symmetries(rng):
 
 
 def test_cg_iterations_do_not_grow_with_level(rng):
+    # coarsest and odd levels (2, 3, 5, 25) apply the same DCT inverse
     c = rng.standard_normal(14)
     fn = lambda p: smooth_fields(p) @ c
     counts = [
         solve_neumann(build_cube_mesh(n), lambda p, nrm: fn(p), 1e-10).iterations
-        for n in (4, 8, 16, 24, 32)
+        for n in (2, 3, 4, 5, 8, 16, 24, 25, 32)
     ]
     assert all(0 < k <= 12 for k in counts), counts
 
@@ -377,5 +380,64 @@ def test_odd_level_matches_direct_solve(n, rng):
     h = lambda p, nrm: fn(p)
     result = solve_neumann(mesh, h, 1e-10)
     assert result.residual_norm <= 1e-10
-    direct = spsolve(fem_space(mesh).h1_operator().tocsc(), assemble_boundary_load(mesh, h))
+    direct = spsolve(to_scipy(fem_space(mesh).h1_operator()).tocsc(), assemble_boundary_load(mesh, h))
     assert np.linalg.norm(result.solution.values - direct) <= 1e-8 * np.linalg.norm(direct)
+
+
+# -- the Krylov ports against scipy ---------------------------------------------
+
+
+def _both_krylov_runs(scipy_solver, port, matvec, rhs, precond, **kwargs):
+    """(x, info, iterates) of scipy's solver and of the port on the same
+    system, each as bytes: scipy's on LinearOperators of the same functions."""
+    shape = (rhs.size, rhs.size)
+    a = LinearOperator(shape, matvec=matvec, dtype=float)
+    m = LinearOperator(shape, matvec=precond, dtype=float)
+    runs = []
+    for solve in (lambda callback: scipy_solver(a, rhs, M=m, callback=callback, **kwargs),
+                  lambda callback: port(matvec, rhs, psolve=precond, callback=callback, **kwargs)):
+        iterates = []
+        x, info = solve(lambda xk: iterates.append(xk.tobytes()))
+        runs.append((x.tobytes(), info, iterates))
+    return runs
+
+
+def _krylov_cases(mesh, rng):
+    """(rhs, keyword arguments) of each case: a zero start, a start near the
+    solution, a zero rhs and an iteration cap that stops short."""
+    _, rhs, _ = _pcg_system(mesh)
+    near = spsolve(to_scipy(fem_space(mesh).h1_operator()).tocsc(), rhs) + 1e-6 * rng.standard_normal(rhs.size)
+    return [(rhs, {"rtol": 1e-10}), (rhs, {"rtol": 1e-10, "x0": near}),
+            (np.zeros_like(rhs), {"rtol": 1e-10}), (rhs, {"rtol": 1e-14, "maxiter": 3})]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_cg_port_is_scipy_cg_bitwise(mesh8, rng, case):
+    matrix, _, precond = _pcg_system(mesh8)
+    rhs, kwargs = _krylov_cases(mesh8, rng)[case]
+    ours, theirs = _both_krylov_runs(cg, _cg, matrix.__matmul__, rhs, precond, **kwargs)
+    assert ours == theirs
+    assert theirs[1] == (3 if case == 3 else 0) and (len(theirs[2]) == 0) == (case == 2)
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_minres_port_is_scipy_minres_bitwise(mesh8, rng, case):
+    matrix, _, precond = _pcg_system(mesh8)
+    rhs, kwargs = _krylov_cases(mesh8, rng)[case]
+    ours, theirs = _both_krylov_runs(minres, _minres, matrix.__matmul__, rhs, precond, **kwargs)
+    assert ours == theirs
+    assert theirs[1] == (3 if case == 3 else 0) and (len(theirs[2]) == 0) == (case == 2)
+
+
+def test_minres_port_is_scipy_minres_on_the_indefinite_newton_jacobian(ground_state_p2_n8, rng):
+    # the Jacobian at the p = 2 ground state has Morse index 1
+    nl, outcome = ground_state_p2_n8
+    space = fem_space(outcome.solution.mesh)
+    jacobian = nonlinear._jacobian(space, space.h1_operator(), outcome.solution.values, nl)
+    dense = np.column_stack([jacobian(e) for e in np.eye(space.nv)])
+    assert np.sum(np.linalg.eigvalsh(0.5 * (dense + dense.T)) < 0) == 1
+    rhs = rng.standard_normal(space.nv)
+    for kwargs in ({"rtol": 1e-10}, {"rtol": 1e-10, "maxiter": 4}):
+        ours, theirs = _both_krylov_runs(minres, _minres, jacobian, rhs, space.preconditioner(), **kwargs)
+        assert ours == theirs
+        assert theirs[1] == kwargs.get("maxiter", 0)

@@ -23,7 +23,7 @@ def test_every_per_layer_metric_is_measured(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     import tracer
 
-    # fresh workspaces, so each level's operators and coarse factorization are
+    # fresh workspaces, so each level's operators and preconditioner are
     # built inside the traced run whatever ran earlier in this process
     monkeypatch.setattr(assembly, "_SPACE_CACHE", weakref.WeakKeyDictionary())
     recorder = tracer.Tracer()
@@ -51,4 +51,5 @@ def test_every_per_layer_metric_is_measured(tmp_path, monkeypatch):
     assert tracer.layer_metric("linear_solver.pcg.calls", table)[0] > 0
     # iterations are counted from _pcg's result, so a lost count reads as 0
     assert tracer.layer_metric("linear_solver.pcg.iterations", table)[0] > 0
-    assert tracer.layer_metric("nonlinear.splu.calls", table)[0] > 0
+    # no level factors its operator: every preconditioner is the DCT inverse
+    assert tracer.layer_metric("nonlinear.splu.calls", table)[0] == 0
