@@ -7,9 +7,9 @@ quadrature points, all with the degree-7 quadrature rules from
 the H1 operator: the fast-diagonalization (DCT-I) inverse of a
 tensor-product operator, on every level.  The H1 operator holds its 15
 Kuhn-stencil diagonals and applies them in row blocks; a boundary operator
-holds each boundary vertex's row, on a pattern formed once per level.  Both
-are numpy arrays with a product, so this module, like the whole package,
-runs on numpy alone.  Assembly is sequential with a fixed element order, so
+holds each boundary vertex's row, on a pattern formed once per level, and
+sums those rows.  Both are numpy arrays, so this module, like the whole
+package, runs on numpy alone.  Assembly is sequential with a fixed element order, so
 repeated runs are bit-identical.
 """
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .mesh import _KUHN_CORNERS, _MESHES, face_areas
+from .mesh import _KUHN_CORNERS, _MESHES, boundary_vertices
 from .quadrature import tetrahedron_rule, triangle_rule
 
 __all__ = [
@@ -203,17 +203,13 @@ class _FaceOperator:
         products *= self.values
         return np.add.reduce(products, axis=0, initial=0.0)
 
-    def __matmul__(self, x):
-        y = np.zeros(self.shape[0])
-        y[self.vertices] = self.boundary_rows(x)
-        return y
-
 
 class _FemSpace:
     """Cached geometry, quadrature and operators for one build_cube_mesh level.
 
     A level lists its tets cell by cell, so tet t is a translate of Kuhn shape
-    t % 6 scaled by 1/n, with volume 1/(6 n^3): no per-tet array is needed.
+    t % 6 scaled by 1/n, with volume 1/(6 n^3), and each boundary face is a
+    Kuhn triangle of area 1/(2 n^2): no per-tet or per-face array is needed.
     """
 
     def __init__(self, mesh):
@@ -237,9 +233,8 @@ class _FemSpace:
         self.bnd_basis = blam
         # products b_i*b_j are formed once so weighted sums stay bitwise symmetric
         self.bnd_basis_pairs = blam[:, :, None] * blam[:, None, :]
-        # one scalar per face: the boundary's points, weights and normals are
-        # formed per block of faces
-        self.face_areas = face_areas(mesh)
+        # every face's weights, as tet_w is every tet's: twice its area times the reference weights
+        self.bnd_w = self.bnd_ref_w / mesh.n**2
 
         self._h1 = None
         self._preconditioner = None
@@ -299,8 +294,8 @@ class _FemSpace:
     # ``tets`` selects a slice of the tets (read from the level's row
     # source); it must cover whole cells (6 tets each, starting at a multiple
     # of 6) for ``gradients``.  ``faces`` selects a slice of the boundary
-    # faces; the boundary's quadrature points, weights and normals are formed
-    # for the faces asked for only.
+    # faces; the boundary's quadrature points and normals are formed for the
+    # faces asked for only.
 
     def volume_values(self, values, tets=slice(None)):
         return values[self.mesh.tets[tets]] @ self.vol_basis.T      # (nt, nq)
@@ -310,9 +305,6 @@ class _FemSpace:
 
     def boundary_points(self, faces=slice(None)):
         return self.bnd_basis @ self.mesh.vertices[self.mesh.boundary_faces[faces]]  # (nf, nqb, 3)
-
-    def boundary_weights(self, faces=slice(None)):
-        return (2.0 * self.face_areas[faces])[:, None] * self.bnd_ref_w   # (nf, nqb)
 
     def boundary_normals(self, faces=slice(None)):
         normals = self.mesh.boundary_normals[faces]
@@ -361,7 +353,7 @@ class _FemSpace:
         """Slices of at most _FACE_BLOCK faces, in order.  A one-face
         remainder joins the block before it: a one-row matmul (as in
         ``boundary_values``) rounds differently from a longer one."""
-        nf = len(self.face_areas)
+        nf = self.mesh.num_boundary_faces
         starts = list(range(0, nf, _FACE_BLOCK))
         if len(starts) > 1 and nf - starts[-1] == 1:
             starts.pop()
@@ -371,7 +363,7 @@ class _FemSpace:
         """(faces, quadrature weights times the values) per block of faces."""
         for faces in self._face_blocks():
             block = point_values(faces) if callable(point_values) else point_values[faces]
-            yield faces, self.boundary_weights(faces) * block
+            yield faces, self.bnd_w * block
 
     def boundary_integral(self, point_values):
         """Quadrature integral of a field over the boundary, summed block by
@@ -383,7 +375,7 @@ class _FemSpace:
         return float(total) if np.ndim(total) == 0 else total
 
     def boundary_load_from_values(self, point_values):
-        contrib = np.empty((len(self.face_areas), 3))
+        contrib = np.empty((self.mesh.num_boundary_faces, 3))
         for faces, weighted in self._weighted_blocks(point_values):
             np.einsum("fq,qi->fi", weighted, self.bnd_basis, out=contrib[faces])
         return np.bincount(self.mesh.boundary_faces.ravel(), weights=contrib.ravel(), minlength=self.nv)
@@ -395,8 +387,8 @@ class _FemSpace:
         into which each face entry (face, i, j) adds."""
         if self._face_pattern is None:
             faces = self.mesh.boundary_faces
-            vertices, local = np.unique(faces, return_inverse=True)
-            nb, local = vertices.size, local.reshape(faces.shape)
+            vertices = boundary_vertices(self.mesh)
+            nb, local = vertices.size, np.searchsorted(vertices, faces)
             pairs, entry_pair = np.unique(local[:, :, None] * nb + local[:, None, :], return_inverse=True)
             rows, cols = np.divmod(pairs, nb)
             place = np.arange(pairs.size) - np.searchsorted(rows, rows)     # rank within the row
@@ -410,7 +402,7 @@ class _FemSpace:
         integral of the field times b_a b_b.  Each slot sums its face entries
         in face order, so the operator is exactly symmetric."""
         vertices, columns, slots = self._boundary_pattern()
-        entries = np.empty((len(self.face_areas), 3, 3))
+        entries = np.empty((self.mesh.num_boundary_faces, 3, 3))
         for faces, weighted in self._weighted_blocks(point_values):
             np.einsum("fq,qij->fij", weighted, self.bnd_basis_pairs, out=entries[faces])
         values = np.bincount(slots, weights=entries.ravel(), minlength=columns.size)

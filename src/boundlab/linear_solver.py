@@ -447,14 +447,13 @@ def regularity_ratio_suite(ctx, n_list, sample_count, seed, tol=1e-10):
         matrix, precond = space.h1_operator(), space.preconditioner()
         # one pass over the boundary's face blocks forms the dictionary fields,
         # their element load vectors and every sample's integral of |h|^q
-        contrib = np.empty((len(SMOOTH_FIELDS), len(space.face_areas), 3))
+        contrib = np.empty((len(SMOOTH_FIELDS), mesh.num_boundary_faces, 3))
         h_powers = np.zeros(sample_count)
         for faces in space._face_blocks():
             fields = smooth_fields(space.boundary_points(faces))       # (faces, nqb, 14)
-            weights = space.boundary_weights(faces)
-            np.einsum("fqk,qi->kfi", weights[..., None] * fields, space.bnd_basis, out=contrib[:, faces])
+            np.einsum("fqk,qi->kfi", space.bnd_w[:, None] * fields, space.bnd_basis, out=contrib[:, faces])
             for s, c in enumerate(coeffs):
-                h_powers[s] += np.sum(weights * np.abs(fields @ c) ** q)
+                h_powers[s] += np.sum(space.bnd_w * np.abs(fields @ c) ** q)
         loads = np.array([np.bincount(mesh.boundary_faces.ravel(), weights=f.ravel(), minlength=space.nv)
                           for f in contrib])
         basis = np.array([_pcg(matrix, load, _BASIS_TOL, precond)[0] for load in loads])

@@ -26,6 +26,7 @@ __all__ = [
 
 _VOLUME_TOL = 1e-12
 _AREA_TOL = 1e-12
+_CUBE_AREA = 6.0    # |bnd|, the unit cube's boundary area
 
 
 @dataclass(eq=False, frozen=True)
@@ -317,7 +318,7 @@ def mesh_integrity(mesh):
         return fail(f"negative volume: tet {t} has signed volume {vols[t]:.3e}")
     if abs(volume - 1.0) > _VOLUME_TOL:
         return fail(f"volume sum {volume!r} differs from 1")
-    if abs(area - 6.0) > _AREA_TOL:
+    if abs(area - _CUBE_AREA) > _AREA_TOL:
         return fail(f"boundary area sum {area!r} differs from 6")
 
     stored = np.sort(mesh.boundary_faces, axis=1)
@@ -404,8 +405,10 @@ def _earliest_row(tets, triples, a0, a1, nv):
 
 
 def boundary_vertices(mesh):
-    """Sorted indices of the boundary vertices (union over boundary faces)."""
-    return np.unique(mesh.boundary_faces)
+    """Sorted indices of the boundary vertices: those a boundary face marks."""
+    marked = np.zeros(mesh.num_vertices, dtype=bool)
+    marked[mesh.boundary_faces] = True
+    return np.flatnonzero(marked)
 
 
 def dump_mesh(mesh, path):

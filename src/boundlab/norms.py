@@ -50,7 +50,7 @@ def _block_step(count, values_per_cell):
 
 
 def _log_blocks(columns, cells, basis, step):
-    """Blocks of ``step`` cells: (cell slice, log|u| at the quadrature points
+    """Blocks of ``step`` cells: (log|u| at the quadrature points
     (S, cells * nq), scratch of the same shape).  ``columns`` is the (S, nv)
     matrix.  log|u| and the scratch are views of two buffers that every block
     reuses, so a block allocates only its nodal gather."""
@@ -58,13 +58,12 @@ def _log_blocks(columns, cells, basis, step):
     size = count * min(step, len(cells)) * nq
     log_buffer, scratch_buffer = np.empty(size), np.empty(size)
     for start in range(0, len(cells), step):
-        rows = slice(start, start + step)
-        nodal = columns[:, cells[rows]]
+        nodal = columns[:, cells[start:start + step]]
         used = nodal.shape[0] * nodal.shape[1] * nq
         logs = log_buffer[:used].reshape(count, -1)
         point_values = np.matmul(nodal.reshape(-1, basis.shape[1]), basis.T, out=logs.reshape(-1, nq))
         np.log(np.abs(point_values, out=point_values), out=point_values)
-        yield rows, logs, scratch_buffer[:used].reshape(count, -1)
+        yield logs, scratch_buffer[:used].reshape(count, -1)
 
 
 def _closed_form(e):
@@ -307,22 +306,23 @@ def norm_table(mesh, values, volume=(), boundary=(), w1m=(), gradient=(), holder
             # those of a table without copies
             step = _block_step(count, len(space.tet_w))
             weights = np.tile(space.tet_w, min(step, mesh.num_tets))
-            for _, logs, scratch in _log_blocks(vol_columns, mesh.tets, space.vol_basis, step):
+            for logs, scratch in _log_blocks(vol_columns, mesh.tets, space.vol_basis, step):
                 block_weights = weights[:logs.shape[1]]
                 for e, total in vol.items():
                     total += np.exp(np.multiply(logs, e, out=scratch), out=scratch) @ block_weights
         if bnd or holder_p is not None:
-            step = _block_step(count, len(space.bnd_basis))
-            for rows, logs, scratch in _log_blocks(columns, mesh.boundary_faces, space.bnd_basis, step):
-                weights = space.boundary_weights(rows).ravel()
+            step = _block_step(count, len(space.bnd_w))
+            weights = np.tile(space.bnd_w, min(step, mesh.num_boundary_faces))
+            for logs, scratch in _log_blocks(columns, mesh.boundary_faces, space.bnd_basis, step):
+                block_weights = weights[:logs.shape[1]]
                 for e, total in bnd.items():
-                    total += np.exp(np.multiply(logs, e, out=scratch), out=scratch) @ weights
+                    total += np.exp(np.multiply(logs, e, out=scratch), out=scratch) @ block_weights
                 if holder_p is not None:
                     # holder_p log|u_s| + log|u_{s+1}|, the next column taken cyclically
                     np.multiply(logs, holder_p, out=scratch)
                     scratch[:-1] += logs[1:]
                     scratch[-1] += logs[0]
-                    holder += np.exp(scratch, out=scratch) @ weights
+                    holder += np.exp(scratch, out=scratch) @ block_weights
     lattice = _lattice(vol_values, mesh.n)
     grad = _gradient_powers(lattice, w1m + gradient) if w1m or gradient else {}
     if vol_even:

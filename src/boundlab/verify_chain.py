@@ -19,6 +19,7 @@ import numpy as np
 from .assembly import fem_space
 from .exponents import critical_exponents
 from .linear_solver import SMOOTH_FIELDS, smooth_fields
+from .mesh import _CUBE_AREA
 from .nonlinear import SolveOutcome, _check_grid, antiderivative_check, ar_check, growth_check
 from .norms import _lyapunov_power, _power_bounds, gn_ratios, norm_table
 
@@ -220,7 +221,7 @@ def universal_suite(corpus, ctx, B0=1.0):
 
     - boundary growth, ||f(u)||_{L^q(bnd)}^q <= C (1 + max|u|^(pq - r) int_bnd |u|^r)
       with r the trace-critical exponent, f the B0-scaled pure power and
-      C = B0^q 2^(q-1) max(|bnd|, 1);
+      C = B0^q 2^(q-1) max(|bnd|, 1), where |bnd| = 6 is the unit cube's area;
     - boundary Holder, int_bnd |f(u) psi| <= ||f(u)||_{r'} ||psi||_r, with psi
       the next column (cyclically) and a relative slack of 1e-10;
     - boundary max vs volume max, ||u||_{inf, bnd} <= ||u||_{inf, volume} (exact).
@@ -231,7 +232,7 @@ def universal_suite(corpus, ctx, B0=1.0):
     q = float(ctx.q)
     r = float(ctx.two_low_star)
     linf, trace = table["linf"], table["boundary", r]
-    constant = B0**q * 2.0 ** (q - 1.0) * max(float(fem_space(corpus.mesh).face_areas.sum()), 1.0)
+    constant = B0**q * 2.0 ** (q - 1.0) * _CUBE_AREA
     growth_left = B0**q * table["boundary", p * q] ** (p * q)
     growth_right = constant * (1.0 + linf ** (p * q - r) * trace**r)
     # table["holder"] is int_bnd |u|^p |psi|, and ||f(u)||_{r'} = B0 ||u||_{p r'}^p
@@ -513,7 +514,7 @@ def _c_s0(nl):
     vanishes at s = 0."""
     xs, ss = _check_grid(np.linspace(-nl.s0, nl.s0, 2001))
     gap = nl.F(xs, ss) - ss * nl.f(xs, ss) / nl.theta
-    return 6.0 * float(np.max(np.maximum(gap, 0.0)))
+    return _CUBE_AREA * float(np.max(np.maximum(gap, 0.0)))
 
 
 def energy_bound_check(outcomes):

@@ -28,10 +28,10 @@ def whole_boundary(space):
     """The boundary's quadrature points (nf, nqb, 3), weights (nf, nqb) and
     outward unit normals (nf, nqb, 3) of a workspace, each formed for every
     face at once, as the workspace stored them before it formed them per
-    block of faces."""
+    block of faces.  Every face's weights are the workspace's one row."""
     mesh = space.mesh
     points = np.einsum("qi,fid->fqd", space.bnd_basis, mesh.vertices[mesh.boundary_faces])
-    weights = np.outer(2.0 * space.face_areas, space.bnd_ref_w)
+    weights = np.tile(space.bnd_w, (mesh.num_boundary_faces, 1))
     normals = np.broadcast_to(mesh.boundary_normals[:, None, :], points.shape)
     return points, weights, normals
 

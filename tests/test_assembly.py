@@ -8,7 +8,7 @@ from scipy import sparse
 from boundlab import assembly
 from boundlab import mesh as mesh_module
 from boundlab.assembly import FemFunction, assemble_boundary_load, fem_space
-from boundlab.mesh import Mesh, boundary_vertices, build_cube_mesh, signed_volumes
+from boundlab.mesh import Mesh, boundary_vertices, build_cube_mesh, face_areas, signed_volumes
 from conftest import to_scipy, whole_boundary
 
 
@@ -102,7 +102,7 @@ def test_boundary_jacobian_totals(mesh4):
     op = boundary_operator(mesh4, constant_field(1.0))
     assert abs(to_scipy(op).sum() - 6.0) < 1e-12
     one = np.ones(mesh4.num_vertices)
-    assert abs(float(one @ (op @ one)) - 6.0) < 1e-12
+    assert abs(float(one[op.vertices] @ op.boundary_rows(one)) - 6.0) < 1e-12
     zero = to_scipy(boundary_operator(mesh4, constant_field(0.0)))
     assert zero.nnz == 0 or np.all(zero.data == 0.0)
 
@@ -136,7 +136,7 @@ def test_jacobian_consistent_with_load(mesh4):
     op = boundary_operator(mesh4, w)
     load = assemble_boundary_load(mesh4, w)
     one = np.ones(mesh4.num_vertices)
-    assert abs(float(one @ (op @ one)) - load.sum()) < 1e-12
+    assert abs(float(one[op.vertices] @ op.boundary_rows(one)) - load.sum()) < 1e-12
 
 
 def test_fem_function_validation(mesh2):
@@ -284,6 +284,26 @@ def test_face_pattern_is_formed_once_per_level(mesh4):
     assert space._boundary_pattern() is space._boundary_pattern()
 
 
+def _unique_pattern(faces):
+    """The boundary pattern as it was formed before the vertex set came from
+    ``boundary_vertices``: the vertex set and local ids from ``np.unique``."""
+    vertices, local = np.unique(faces, return_inverse=True)
+    nb, local = vertices.size, local.reshape(faces.shape)
+    pairs, entry_pair = np.unique(local[:, :, None] * nb + local[:, None, :], return_inverse=True)
+    rows, cols = np.divmod(pairs, nb)
+    place = np.arange(pairs.size) - np.searchsorted(rows, rows)
+    columns = np.tile(vertices, (place.max() + 1, 1))
+    columns[place, rows] = vertices[cols]
+    return vertices, columns, (place * nb + rows)[entry_pair.ravel()]
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_face_pattern_from_the_vertex_mask_matches_the_unique_build(n):
+    space = fem_space(build_cube_mesh(n))
+    for got, want in zip(space._boundary_pattern(), _unique_pattern(space.mesh.boundary_faces)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
 def test_face_operator_matches_the_coo_csr_assembly(n, rng):
     # the operator as it was assembled before its pattern was kept on the
@@ -304,9 +324,10 @@ def test_face_operator_matches_the_coo_csr_assembly(n, rng):
     assert np.abs(matrix.data - old.data).max() <= 1e-15 * np.abs(old.data).max()
     for x in rng.standard_normal((3, space.nv)):
         want = old @ x
-        assert np.linalg.norm(op @ x - want) <= 1e-15 * np.linalg.norm(want)
-        # the product sums each row from 0.0 in column order, as scipy's CSR product does
-        assert (op @ x).tobytes() == (matrix @ x).tobytes()
+        rows = op.boundary_rows(x)
+        assert np.linalg.norm(rows - want[op.vertices]) <= 1e-15 * np.linalg.norm(want)
+        # each row is summed from 0.0 in column order, as scipy's CSR product does
+        assert rows.tobytes() == (matrix @ x)[op.vertices].tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])
@@ -325,9 +346,29 @@ def test_boundary_load_matches_scatter_bitwise(n, rng):
 
 
 def _blocks(space):
+    """Points, weights and normals per block of faces, concatenated; a
+    block's weights are what ``_weighted_blocks`` multiplies its values by."""
+    ones = np.ones((space.mesh.num_boundary_faces, len(space.bnd_w)))
     return [np.concatenate(parts) for parts in zip(*(
-        (space.boundary_points(faces), space.boundary_weights(faces), space.boundary_normals(faces))
-        for faces in space._face_blocks()))]
+        (space.boundary_points(faces), weights, space.boundary_normals(faces))
+        for faces, weights in space._weighted_blocks(ones)))]
+
+
+# 2 * area is 1/n^2 exactly where n is a power of two, so the row is bitwise
+# twice each face's area times the reference weights there.  Elsewhere the
+# areas from cross products carry their own rounding (up to 3.6e-15 relative
+# at n = 24, where one exact area takes 17 values), which bounds the gap.
+@pytest.mark.parametrize("n, bitwise", [(1, True), (2, True), (4, True), (8, True), (16, True),
+                                        (3, False), (5, False), (6, False), (24, False)])
+def test_boundary_weight_row_is_twice_each_face_area_times_the_reference_weights(n, bitwise):
+    space = fem_space(build_cube_mesh(n))
+    areas = face_areas(space.mesh)
+    per_face = (2.0 * areas)[:, None] * space.bnd_ref_w
+    row = np.broadcast_to(space.bnd_w, per_face.shape)
+    if bitwise:
+        assert row.tobytes() == per_face.tobytes()
+    area_error = np.abs(2 * n**2 * areas - 1.0)[:, None]
+    assert np.all(np.abs(per_face - row) <= (area_error + np.finfo(float).eps) * row)
 
 
 @pytest.mark.parametrize("n", [1, 3, 8, 16])
@@ -340,7 +381,7 @@ def test_blocked_points_weights_and_normals_match_the_whole_boundary(n, block, m
     # a matmul and an einsum sum the three vertex terms in their own orders:
     # within one ulp of the unit cube's largest coordinate
     assert np.abs(points - whole_points).max() <= np.spacing(1.0)
-    assert weights.tobytes() == np.outer(2.0 * space.face_areas, space.bnd_ref_w).tobytes()
+    np.testing.assert_allclose(weights, np.outer(2.0 * face_areas(space.mesh), space.bnd_ref_w), rtol=4.4e-16, atol=0)
     assert weights.tobytes() == whole_weights.tobytes()
     assert np.array_equal(normals, whole_normals)
 
@@ -373,10 +414,10 @@ def test_workspace_keeps_no_per_quadrature_point_array(monkeypatch):
         kept = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    nf, nqb = len(mesh.boundary_faces), len(space.bnd_ref_w)
-    # the whole-boundary points alone took nf * 16 * 3 doubles (4.7 MB here)
-    # and the weights nf * 16 (1.6 MB); the face areas take nf (98 KB)
-    assert kept < 8 * nf * nqb
+    nf = len(mesh.boundary_faces)
+    # the whole-boundary points alone took nf * 16 * 3 doubles (4.7 MB here),
+    # the weights nf * 16 (1.6 MB) and the face areas nf (98 KB)
+    assert kept < 8 * nf
     for name, value in vars(space).items():
         if isinstance(value, np.ndarray):
-            assert value.size < nf * nqb, name
+            assert value.size < nf, name

@@ -194,6 +194,21 @@ def test_boundary_vertices_level_two(mesh2):
     assert np.allclose(mesh2.vertices[center], [0.5, 0.5, 0.5])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 24])
+def test_boundary_vertices_match_unique_of_the_faces(n):
+    mesh = build_cube_mesh(n)
+    got, want = boundary_vertices(mesh), np.unique(mesh.boundary_faces)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_boundary_vertices_of_a_hand_built_mesh_match_unique_of_the_faces():
+    # faces out of order, repeated, and missing vertex 0 and the last vertex
+    faces = np.array([[4, 1, 2], [2, 1, 4], [3, 1, 2]])
+    mesh = Mesh(np.zeros((6, 3)), np.array([[0, 1, 2, 3]]), faces, np.zeros((3, 3)), np.zeros(3, dtype=int), 1)
+    got, want = boundary_vertices(mesh), np.unique(faces)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_boundary_set_matches_coordinate_rule(mesh4):
     verts = set(boundary_vertices(mesh4).tolist())
     coords = mesh4.vertices
