@@ -7,10 +7,10 @@ quadrature points, all with the degree-7 quadrature rules from
 the H1 operator: the fast-diagonalization (DCT-I) inverse of a
 tensor-product operator, on every level.  The H1 operator holds its 15
 Kuhn-stencil diagonals and applies them in row blocks; a boundary operator
-holds each boundary vertex's row, on a pattern formed once per level, and
-sums those rows.  Both are numpy arrays, so this module, like the whole
-package, runs on numpy alone.  Assembly is sequential with a fixed element order, so
-repeated runs are bit-identical.
+is its faces' 3 x 3 element matrices, which Newton applies face by face,
+and no pattern is formed.  Both are numpy arrays, so this module, like the
+whole package, runs on numpy alone.  Assembly is sequential with a fixed
+element order, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .mesh import _KUHN_CORNERS, _MESHES, boundary_vertices
+from .mesh import _KUHN_CORNERS, _MESHES
 from .quadrature import tetrahedron_rule, triangle_rule
 
 __all__ = [
@@ -186,24 +186,6 @@ class _Stencil:
         return y
 
 
-class _FaceOperator:
-    """A boundary operator, row by boundary vertex: row ``vertices[b]`` holds
-    ``values[w, b]`` in column ``columns[w, b]``, w = 0, 1, ... in
-    increasing column order.  Slots past a row's last coupling hold 0.0 in
-    the row's own column."""
-
-    def __init__(self, nv, vertices, columns, values):
-        self.shape = (nv, nv)
-        self.vertices, self.columns, self.values = vertices, columns, values
-
-    def boundary_rows(self, x):
-        """The product's rows at ``vertices``, each summed from 0.0 in column
-        order, as a CSR row of the same couplings sums them."""
-        products = x.take(self.columns)
-        products *= self.values
-        return np.add.reduce(products, axis=0, initial=0.0)
-
-
 class _FemSpace:
     """Cached geometry, quadrature and operators for one build_cube_mesh level.
 
@@ -238,7 +220,6 @@ class _FemSpace:
 
         self._h1 = None
         self._preconditioner = None
-        self._face_pattern = None
         # polished ground states of this level, keyed by nonlinear.solve_ground_state
         self.ground_states = {}
 
@@ -323,8 +304,8 @@ class _FemSpace:
     # an (nf, nqb) array, or a function of a slice of faces returning that
     # slice's rows.  Either is read block by block of faces, so a function
     # is never evaluated on the whole boundary at once.  Each block writes
-    # its faces' rows of the element vectors or matrices, and one scatter
-    # assembles them.
+    # its faces' rows of the element vectors or matrices; one scatter
+    # assembles a load, and an operator stays its element matrices.
 
     def at_boundary(self, values, flux, points=True):
         """flux(x, u) at the boundary quadrature points, u the P1 function of
@@ -380,33 +361,16 @@ class _FemSpace:
             np.einsum("fq,qi->fi", weighted, self.bnd_basis, out=contrib[faces])
         return np.bincount(self.mesh.boundary_faces.ravel(), weights=contrib.ravel(), minlength=self.nv)
 
-    def _boundary_pattern(self):
-        """The pattern of every boundary operator of the level, formed once:
-        the boundary vertices in increasing order, the (width, vertices)
-        columns of their rows, and the slot (w * vertices + b) of ``values``
-        into which each face entry (face, i, j) adds."""
-        if self._face_pattern is None:
-            faces = self.mesh.boundary_faces
-            vertices = boundary_vertices(self.mesh)
-            nb, local = vertices.size, np.searchsorted(vertices, faces)
-            pairs, entry_pair = np.unique(local[:, :, None] * nb + local[:, None, :], return_inverse=True)
-            rows, cols = np.divmod(pairs, nb)
-            place = np.arange(pairs.size) - np.searchsorted(rows, rows)     # rank within the row
-            columns = np.tile(vertices, (place.max() + 1, 1))
-            columns[place, rows] = vertices[cols]
-            self._face_pattern = vertices, columns, (place * nb + rows)[entry_pair.ravel()]
-        return self._face_pattern
-
     def boundary_operator_from_values(self, point_values):
-        """The boundary operator of a field: entry (a, b) is the quadrature
-        integral of the field times b_a b_b.  Each slot sums its face entries
-        in face order, so the operator is exactly symmetric."""
-        vertices, columns, slots = self._boundary_pattern()
+        """The boundary operator of a field as its faces' (nf, 3, 3) element
+        matrices: entry (f, i, j) is the quadrature integral over face f of
+        the field times b_i b_j.  The operator is their sum over the faces'
+        vertices, sum_f P_f^T E_f P_f; each E_f is bitwise symmetric, as
+        ``bnd_basis_pairs`` is, so the operator is exactly symmetric."""
         entries = np.empty((self.mesh.num_boundary_faces, 3, 3))
         for faces, weighted in self._weighted_blocks(point_values):
             np.einsum("fq,qij->fij", weighted, self.bnd_basis_pairs, out=entries[faces])
-        values = np.bincount(slots, weights=entries.ravel(), minlength=columns.size)
-        return _FaceOperator(self.nv, vertices, columns, values.reshape(columns.shape))
+        return entries
 
 
 _SPACE_CACHE = weakref.WeakKeyDictionary()

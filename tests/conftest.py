@@ -5,23 +5,35 @@ import pytest
 from scipy import sparse
 
 from boundlab import build_cube_mesh, make_power_nonlinearity, solve_ground_state
-from boundlab.assembly import _FaceOperator, _Stencil
+from boundlab.assembly import _Stencil
 
 
-def to_scipy(op):
+def to_scipy(op, mesh=None):
     """A package operator as the scipy matrix holding the same entries, for
     tests with scipy as the oracle: the H1 stencil as a DIA matrix (its
-    diagonals in the same order) and a boundary operator as a CSR matrix
-    (its padding slots, 0.0 in a row's own column, add nothing)."""
+    diagonals in the same order) and a boundary operator, the (nf, 3, 3)
+    element matrices of ``mesh``'s boundary faces, as the CSR matrix its
+    COO triplets convert to."""
     if isinstance(op, _Stencil):
         nv = op.shape[0]
         data = np.zeros_like(op.data)
         for d, k in enumerate(op.offsets.tolist()):
             data[d, max(0, k):nv + min(0, k)] = op.data[d, max(0, -k):nv - max(0, k)]
         return sparse.dia_matrix((data, op.offsets), shape=op.shape)
-    assert isinstance(op, _FaceOperator), type(op)
-    rows = np.broadcast_to(op.vertices, op.columns.shape)
-    return sparse.csr_matrix((op.values.ravel(), (rows.ravel(), op.columns.ravel())), shape=op.shape)
+    faces = mesh.boundary_faces
+    assert op.shape == (len(faces), 3, 3), op.shape
+    rows = np.broadcast_to(faces[:, :, None], op.shape).ravel()
+    cols = np.broadcast_to(faces[:, None, :], op.shape).ravel()
+    nv = mesh.num_vertices
+    return sparse.coo_matrix((op.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+
+
+def subtract_face_product(y, entries, faces, x):
+    """y less the boundary operator ``entries`` (its faces' element matrices)
+    times x, in place: each face's matrix times x at its vertices,
+    subtracted onto them with ``np.subtract.at``.  Returns y."""
+    np.subtract.at(y, faces, np.einsum("fij,fj->fi", entries, x[faces]))
+    return y
 
 
 def whole_boundary(space):

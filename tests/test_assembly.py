@@ -9,7 +9,7 @@ from boundlab import assembly
 from boundlab import mesh as mesh_module
 from boundlab.assembly import FemFunction, assemble_boundary_load, fem_space
 from boundlab.mesh import Mesh, boundary_vertices, build_cube_mesh, face_areas, signed_volumes
-from conftest import to_scipy, whole_boundary
+from conftest import subtract_face_product, to_scipy, whole_boundary
 
 
 def constant_field(value):
@@ -98,18 +98,25 @@ def boundary_operator(mesh, w):
     return space.boundary_operator_from_values(w(points, normals))
 
 
+def boundary_form(mesh, entries, x):
+    """x . (boundary operator x), the operator given by its faces' element
+    matrices: the sum over faces of x_f . (E_f x_f)."""
+    at_faces = x[mesh.boundary_faces]
+    return float(np.einsum("fi,fij,fj->", at_faces, entries, at_faces))
+
+
 def test_boundary_jacobian_totals(mesh4):
     op = boundary_operator(mesh4, constant_field(1.0))
-    assert abs(to_scipy(op).sum() - 6.0) < 1e-12
+    assert abs(to_scipy(op, mesh4).sum() - 6.0) < 1e-12
     one = np.ones(mesh4.num_vertices)
-    assert abs(float(one[op.vertices] @ op.boundary_rows(one)) - 6.0) < 1e-12
-    zero = to_scipy(boundary_operator(mesh4, constant_field(0.0)))
+    assert abs(boundary_form(mesh4, op, one) - 6.0) < 1e-12
+    zero = to_scipy(boundary_operator(mesh4, constant_field(0.0)), mesh4)
     assert zero.nnz == 0 or np.all(zero.data == 0.0)
 
 
 def test_boundary_jacobian_symmetric(mesh4, rng):
     w = lambda pts, normals: 1.0 + pts[..., 0] * pts[..., 1]
-    op = to_scipy(boundary_operator(mesh4, w))
+    op = to_scipy(boundary_operator(mesh4, w), mesh4)
     assert (op != op.T).nnz == 0
     # interior vertices carry no boundary entries
     interior = np.setdiff1d(
@@ -136,7 +143,7 @@ def test_jacobian_consistent_with_load(mesh4):
     op = boundary_operator(mesh4, w)
     load = assemble_boundary_load(mesh4, w)
     one = np.ones(mesh4.num_vertices)
-    assert abs(float(one[op.vertices] @ op.boundary_rows(one)) - load.sum()) < 1e-12
+    assert abs(boundary_form(mesh4, op, one) - load.sum()) < 1e-12
 
 
 def test_fem_function_validation(mesh2):
@@ -275,59 +282,32 @@ def test_stencil_products_are_scipy_dia_products_bitwise(n, rng, monkeypatch):
             assert (matrix @ x).tobytes() == (dia @ x).tobytes()
 
 
-def test_face_pattern_is_formed_once_per_level(mesh4):
-    space = fem_space(mesh4)
-    first = boundary_operator(mesh4, constant_field(1.0))
-    second = boundary_operator(mesh4, constant_field(2.0))
-    assert first.columns is second.columns and first.vertices is second.vertices
-    assert np.array_equal(first.vertices, boundary_vertices(mesh4))
-    assert space._boundary_pattern() is space._boundary_pattern()
-
-
-def _unique_pattern(faces):
-    """The boundary pattern as it was formed before the vertex set came from
-    ``boundary_vertices``: the vertex set and local ids from ``np.unique``."""
-    vertices, local = np.unique(faces, return_inverse=True)
-    nb, local = vertices.size, local.reshape(faces.shape)
-    pairs, entry_pair = np.unique(local[:, :, None] * nb + local[:, None, :], return_inverse=True)
-    rows, cols = np.divmod(pairs, nb)
-    place = np.arange(pairs.size) - np.searchsorted(rows, rows)
-    columns = np.tile(vertices, (place.max() + 1, 1))
-    columns[place, rows] = vertices[cols]
-    return vertices, columns, (place * nb + rows)[entry_pair.ravel()]
-
-
-@pytest.mark.parametrize("n", [1, 3, 8])
-def test_face_pattern_from_the_vertex_mask_matches_the_unique_build(n):
-    space = fem_space(build_cube_mesh(n))
-    for got, want in zip(space._boundary_pattern(), _unique_pattern(space.mesh.boundary_faces)):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
 def test_face_operator_matches_the_coo_csr_assembly(n, rng):
-    # the operator as it was assembled before its pattern was kept on the
-    # level: face entries summed by a COO -> CSR conversion, whose sums may
-    # add a pair's faces in another order
+    # the operator as it was assembled before Newton applied it face by face:
+    # face entries summed by a COO -> CSR conversion of the whole-boundary
+    # entries
     space = fem_space(build_cube_mesh(n))
     points, weights, normals = whole_boundary(space)
     field = 1.0 + points[..., 0] * np.cos(points[..., 1]) - points[..., 2] ** 2
     op = space.boundary_operator_from_values(field)
-    matrix = to_scipy(op)
+    matrix = to_scipy(op, space.mesh)
     assert (matrix != matrix.T).nnz == 0
     faces = space.mesh.boundary_faces
     entries = np.einsum("fq,qij->fij", weights * field, space.bnd_basis_pairs)
+    assert op.tobytes() == entries.tobytes()
     rows = np.broadcast_to(faces[:, :, None], entries.shape).ravel()
     cols = np.broadcast_to(faces[:, None, :], entries.shape).ravel()
-    old = sparse.coo_matrix((entries.ravel(), (rows, cols)), shape=op.shape).tocsr()
+    old = sparse.coo_matrix((entries.ravel(), (rows, cols)), shape=matrix.shape).tocsr()
     assert np.array_equal(matrix.indptr, old.indptr) and np.array_equal(matrix.indices, old.indices)
     assert np.abs(matrix.data - old.data).max() <= 1e-15 * np.abs(old.data).max()
     for x in rng.standard_normal((3, space.nv)):
         want = old @ x
-        rows = op.boundary_rows(x)
-        assert np.linalg.norm(rows - want[op.vertices]) <= 1e-15 * np.linalg.norm(want)
-        # each row is summed from 0.0 in column order, as scipy's CSR product does
-        assert rows.tobytes() == (matrix @ x)[op.vertices].tobytes()
+        got = subtract_face_product(np.zeros(space.nv), op, faces, x)
+        assert np.linalg.norm(got + want) <= 1e-15 * np.linalg.norm(want)
+        # the faces' products subtracted in face order, as Newton subtracts
+        # them, bitwise those of the unblocked entries
+        assert got.tobytes() == subtract_face_product(np.zeros(space.nv), entries, faces, x).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])

@@ -1,12 +1,14 @@
 import dataclasses
 import math
+import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from boundlab import assembly, nonlinear
+from boundlab import mesh as mesh_module
 from boundlab.assembly import FemFunction, fem_space
 from boundlab.exponents import derive_context
 from boundlab.linear_solver import _minres, solve_neumann
@@ -25,7 +27,7 @@ from boundlab.nonlinear import (
     weak_residual,
 )
 from boundlab.verify_chain import main_estimate_ratio
-from conftest import to_scipy, whole_boundary
+from conftest import subtract_face_product, to_scipy, whole_boundary
 
 
 def test_power_family_values():
@@ -379,17 +381,16 @@ def test_matrix_free_jacobian_matches_assembled(mesh4, rng):
     jacobian = nonlinear._jacobian(space, operator, values, nl)
     uq = space.boundary_values(values)
     points, _, _ = whole_boundary(space)
-    assembled = to_scipy(operator) - to_scipy(space.boundary_operator_from_values(nl.f_s(points, uq)))
+    assembled = to_scipy(operator) - to_scipy(space.boundary_operator_from_values(nl.f_s(points, uq)), mesh4)
     for v in rng.standard_normal((5, space.nv)):
         want = assembled @ v
         assert np.linalg.norm(jacobian(v) - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def _unblocked_boundary_terms(space, values, nl):
-    """f at the boundary quadrature points, its load vector and the boundary
-    CSR of f_s, each evaluated at every boundary quadrature point at once
-    (before Newton read them in face blocks).  Each CSR entry sums its face
-    entries in face order, as the level's boundary pattern does."""
+    """f at the boundary quadrature points, its load vector and the faces'
+    element matrices of f_s, each evaluated at every boundary quadrature
+    point at once (before Newton read them in face blocks)."""
     faces = space.mesh.boundary_faces
     points, weights, _ = whole_boundary(space)
     uq = values[faces] @ space.bnd_basis.T
@@ -397,11 +398,7 @@ def _unblocked_boundary_terms(space, values, nl):
     contrib = np.einsum("fq,qi->fi", weights * fq, space.bnd_basis)
     load = np.bincount(faces.ravel(), weights=contrib.ravel(), minlength=space.nv)
     entries = np.einsum("fq,qij->fij", weights * nl.f_s(points, uq), space.bnd_basis_pairs)
-    rows = np.broadcast_to(faces[:, :, None], entries.shape).ravel()
-    cols = np.broadcast_to(faces[:, None, :], entries.shape).ravel()
-    dense = np.zeros((space.nv, space.nv))
-    np.add.at(dense, (rows, cols), entries.ravel())
-    return fq, load, sparse.csr_matrix(dense)
+    return fq, load, entries
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 8])
@@ -414,7 +411,7 @@ def test_face_blocks_keep_newton_terms_bitwise(n, block, rng, monkeypatch):
     space = fem_space(build_cube_mesh(n))
     operator = space.h1_operator()
     values = rng.standard_normal(space.nv)
-    fq, load, matrix = _unblocked_boundary_terms(space, values, nl)
+    fq, load, entries = _unblocked_boundary_terms(space, values, nl)
     # a one-face block would move some of these values by an ulp, which the
     # sums below can absorb
     at_boundary = space.at_boundary(values, nl.f)
@@ -422,12 +419,15 @@ def test_face_blocks_keep_newton_terms_bitwise(n, block, rng, monkeypatch):
     assert blocked_fq.tobytes() == fq.tobytes()
     residual, _ = nonlinear._residual(space, operator, values, nl)
     assert residual.tobytes() == (operator @ values - load).tobytes()
-    blocked = to_scipy(space.boundary_operator_from_values(space.at_boundary(values, nl.f_s)))
+    blocked_entries = space.boundary_operator_from_values(space.at_boundary(values, nl.f_s))
+    assert blocked_entries.tobytes() == entries.tobytes()
+    blocked, matrix = to_scipy(blocked_entries, space.mesh), to_scipy(entries, space.mesh)
     for name in ("indptr", "indices", "data"):
         assert getattr(blocked, name).tobytes() == getattr(matrix, name).tobytes(), name
     jacobian = nonlinear._jacobian(space, operator, values, nl)
+    faces = space.mesh.boundary_faces
     for v in rng.standard_normal((3, space.nv)):
-        assert jacobian(v).tobytes() == (operator @ v - matrix @ v).tobytes()
+        assert jacobian(v).tobytes() == subtract_face_product(operator @ v, entries, faces, v).tobytes()
 
 
 @pytest.mark.parametrize("block", range(2, 20))
@@ -446,17 +446,64 @@ def test_newton_boundary_terms_peak_memory_is_bounded(traced_peak):
     # at the whole-boundary evaluation one _residual call peaked at
     # 6.3 MB and one _jacobian call at 6.9 MB (n = 32, 12 288 faces x 16
     # points); face blocks measured 1.1 MB and 3.9 MB, the latter mostly the
-    # COO triplets and the CSR of the boundary operator.  On the level's
-    # boundary pattern, formed once, a _jacobian call measures 1.5 MB
+    # COO triplets and the CSR of the boundary operator.  On a boundary
+    # pattern formed once per level a _jacobian call measured 1.5 MB, and
+    # as the faces' element matrices it measures 1.5 MB, keeping 0.84 MB
     nl = make_power_nonlinearity(2.0)
     space = fem_space(build_cube_mesh(32))
     operator = space.h1_operator()
     values = 0.5 + np.random.default_rng(1).random(space.nv)
-    nonlinear._jacobian(space, operator, values, nl)     # the boundary pattern formed outside the trace
     _, residual_peak = traced_peak(lambda: nonlinear._residual(space, operator, values, nl))
     _, jacobian_peak = traced_peak(lambda: nonlinear._jacobian(space, operator, values, nl))
     assert residual_peak <= 2 * 2**20
     assert jacobian_peak <= 2 * 2**20
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_newton_jacobian_is_symmetric(n, rng):
+    # MINRES needs a symmetric Jacobian: each face's element matrix is its
+    # own transpose bitwise, so x . J(y) and y . J(x) differ by rounding
+    # only, relative to |x| |J(y)|, which bounds either side (5e-16 at most
+    # over 300 random draws per level); relative to the products themselves
+    # a draw whose terms cancel can read 2e-13
+    nl = make_power_nonlinearity(1.5)
+    space = fem_space(build_cube_mesh(n))
+    values = rng.standard_normal(space.nv)
+    entries = space.boundary_operator_from_values(space.at_boundary(values, nl.f_s))
+    assert entries.tobytes() == np.ascontiguousarray(entries.transpose(0, 2, 1)).tobytes()
+    jacobian = nonlinear._jacobian(space, space.h1_operator(), values, nl)
+    for x, y in rng.standard_normal((3, 2, space.nv)):
+        jy = jacobian(y)
+        assert abs(float(x @ jy) - float(y @ jacobian(x))) <= 1e-14 * np.linalg.norm(x) * np.linalg.norm(jy)
+
+
+def test_first_jacobian_of_a_level_keeps_only_its_face_matrices(monkeypatch):
+    # fresh caches, so level 32 and its workspace are built here; a
+    # boundary pattern formed on the first Jacobian of a level kept 1.84x
+    # the faces' element matrices and peaked at 6.91x their bytes
+    levels = {}
+    monkeypatch.setattr(mesh_module, "_MESHES", levels)
+    monkeypatch.setattr(assembly, "_MESHES", levels)
+    monkeypatch.setattr(assembly, "_SPACE_CACHE", weakref.WeakKeyDictionary())
+    nl = make_power_nonlinearity(2.0)
+    space = fem_space(build_cube_mesh(32))
+    operator = space.h1_operator()
+    values = 0.5 + np.random.default_rng(1).random(space.nv)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        jacobian = nonlinear._jacobian(space, operator, values, nl)  # held, so kept counts what it keeps
+        kept, peak = (size - base for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    nf = space.mesh.num_boundary_faces
+    entries_bytes = 72 * nf
+    assert kept <= 1.05 * entries_bytes
+    assert peak <= 2 * entries_bytes
+    for name, value in vars(space).items():
+        if isinstance(value, np.ndarray):
+            assert value.size < nf, name
 
 
 def test_fluxes_that_read_no_points_are_given_none(rng):
